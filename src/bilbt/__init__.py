@@ -17,6 +17,7 @@ from .balancing import (
 from .gramians import (
     GramianPair,
     control_bound_from_trajectory,
+    mixed_pair_from_P2,
     mixed_pair_Q1_P2,
     stochastic_type2_P2,
     transform_gramians,
@@ -45,6 +46,7 @@ from .simulation import (
     l2_norm,
     scale_control,
     simulate,
+    simulate_batch,
 )
 from .system import (
     BilinearSystem,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .balancing import BalancingError, order_selector, square_root_balance, truncate
 from .gramians import mixed_pair_Q1_P2, stochastic_type2_P2, type1_gramians, type2_gramians
+from .kronecker import KroneckerCapError
 from .matrix_equations import MatrixEquationError
 from .simulation import SimulationBlowUpError, bounded_control_suite, simulate
 from .system import (
@@ -307,7 +308,7 @@ def run(config: RunConfig) -> int:
               _error_payload(exc, EXIT_IO))
         return EXIT_IO
     except (MatrixEquationError, BalancingError, SimulationBlowUpError,
-            ValueError) as exc:
+            KroneckerCapError, ValueError) as exc:
         _sys.stderr.write(f"error: {exc}\n")
         _emit(RunConfig(command=config.command, quiet=config.quiet),
               _error_payload(exc, EXIT_VALIDATION))

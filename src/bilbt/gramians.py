@@ -152,7 +152,15 @@ def mixed_pair_Q1_P2(sys: BilinearSystem, delta=None, method="auto",
     """The pair (P2, Q1).  The output error bound built on it holds only when
     the control is small enough; use the mixed side-condition check on every
     trajectory before trusting it."""
-    P, diag_p, delta_used = stochastic_type2_P2(sys, delta, max_kron_n)
+    return mixed_pair_from_P2(sys, stochastic_type2_P2(sys, delta, max_kron_n),
+                              method=method, max_kron_n=max_kron_n)
+
+
+def mixed_pair_from_P2(sys: BilinearSystem, p2, method="auto",
+                       max_kron_n=None) -> GramianPair:
+    """The pair (P2, Q1) from a P2 already solved: `p2` is the
+    (P2, diagnostics, delta_used) triple that `stochastic_type2_P2` returns."""
+    P, diag_p, delta_used = p2
     Q, diag_q = solve_generalized_lyapunov(
         GeneralizedLyapunovProblem(M=sys.A, N=sys.N, RHS=-sys.C.T @ sys.C,
                                    side="observability"),

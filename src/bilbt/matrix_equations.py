@@ -100,7 +100,7 @@ class RiccatiInequalityProblem:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    method: str  # kronecker_direct | fixed_point | newton
+    method: str  # kronecker_direct | fixed_point | newton | interior_point
     iterations: int
     residual_norm: float  # relative Frobenius
     definiteness_margin: float  # smallest eigenvalue of the solution
@@ -417,7 +417,7 @@ def solve_type2_riccati(prob: RiccatiInequalityProblem, max_kron_n=None):
             X = min(candidates, key=lambda c: float(np.trace(np.linalg.inv(c))))
             from_equality = X is not X_lyap
             diag = SolveDiagnostics(
-                method="newton" if from_equality else lyap_diag.method,
+                method="newton" if from_equality else "interior_point",
                 iterations=total_iters,
                 # for the interior point the equality residual is not meaningful;
                 # its certificate is the feasibility margin, reported as 0

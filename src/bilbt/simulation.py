@@ -1,7 +1,16 @@
 """Trajectory simulation under bounded controls.
 
-Fixed-step classical 4th-order integration keeps every run bit-reproducible;
-all L^2 norms use composite trapezoidal quadrature on the integration grid so
+Fixed-step classical 4th-order integration keeps every run bit-reproducible.
+One integrator serves every caller: `simulate_batch` stacks several models
+with the same inputs block-diagonally (a full model beside its reductions is
+the error system) and integrates them under several controls at once, with
+one row of the state array per control; `simulate` is its one-model,
+one-control case.  Memory grows with the stored trajectory only: the drift is
+applied term by term at every stage, inputs are turned into forcing terms one
+block of steps at a time, and the finiteness check runs once per block and
+then finds the exact first bad step.
+
+All L^2 norms use composite trapezoidal quadrature on the integration grid so
 that quadrature bias cancels to first order when two sides of a bound are
 compared.  The quadrature slack for bound checks is estimated per run by
 Richardson extrapolation (compare the trapezoid sum with its stride-2
@@ -10,16 +19,16 @@ subsample).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .system import BilinearSystem
 
 DEFAULT_H_CAP = 1e-3
-# combined-drift precomputation is skipped above this many matrix entries
-PRECOMPUTE_BUDGET = 20_000_000
+# integration steps between two finiteness checks
+BLOCK_STEPS = 256
 
 
 class SimulationBlowUpError(RuntimeError):
@@ -220,74 +229,101 @@ def simulate(sys: BilinearSystem, x0, u: ControlSignal, T, h=None) -> Trajectory
 
     The grid is uniform with K = round(T / h) steps (h is nudged to T / K when
     T is not an exact multiple).  Raises SimulationBlowUpError with the first
-    bad step if the state leaves the representable range."""
+    bad step if the state leaves the representable range.  This is the
+    one-model, one-control case of `simulate_batch`."""
     if h is None:
         h = default_step(sys)
+    return simulate_batch([sys], [u], T, h, x0=[x0])[0][0]
+
+
+def simulate_batch(systems, controls, T, h, x0=None):
+    """Integrate several models with the same number of inputs under several
+    controls in one loop.
+
+    The models are stacked block-diagonally into one system of dimension
+    n_aug = sum of their n (for a full model and its reductions, the error
+    system), and the S controls into the rows of an (S, n_aug) state.  Every
+    stage evaluates x A^T + u B^T + sum_i u_i (x N_i^T) for all rows at once,
+    on the grid that `simulate` uses.  `x0` is None (zero initial states) or
+    one initial state per model, of shape (n,) or (S, n).
+
+    Returns trajs, where trajs[i][s] is the Trajectory of systems[i] under
+    controls[s].  Raises SimulationBlowUpError with the first step at which
+    the sum of some row of the stacked state is not finite."""
+    systems, controls = list(systems), list(controls)
+    m = systems[0].m
+    if any(sys.m != m for sys in systems) or any(u.m != m for u in controls):
+        raise ValueError("every model and control must have the same number of inputs")
     if h <= 0 or T < h:
         raise ValueError(f"need 0 < h <= T, got h={h}, T={T}")
     K = max(1, int(round(T / h)))
     h = T / K
     grid = np.linspace(0.0, T, K + 1)
     half_grid = np.linspace(0.0, T, 2 * K + 1)
-    u_half = u(half_grid)  # (2K+1, m)
+    U = np.stack([u(half_grid) for u in controls], axis=1)  # (2K+1, S, m)
 
-    A, B, C, N = sys.A, sys.B, sys.C, sys.N
-    Bu = u_half @ B.T  # (2K+1, n)
+    bounds = np.cumsum([0] + [sys.n for sys in systems])
+    B = np.vstack([sys.B for sys in systems])
+    # x W = [x A^T, x N_i^T, ...] for the inputs whose coupling is nonzero
+    coupled = [i for i in range(m) if any(np.any(sys.N[i]) for sys in systems)]
+    W = np.hstack([block_diag(*(sys.A for sys in systems)).T]
+                  + [block_diag(*(sys.N[i] for sys in systems)).T for i in coupled])
 
-    states = np.empty((K + 1, sys.n))
-    x = np.asarray(x0, dtype=float).reshape(sys.n).copy()
-    states[0] = x
+    states = np.zeros((K + 1, len(controls), bounds[-1]))
+    for i, x0_i in enumerate(x0 if x0 is not None else []):
+        states[0, :, bounds[i]:bounds[i + 1]] = np.asarray(x0_i, dtype=float)
+    _integrate(states, U, W, B.T, coupled, h, grid)
+
+    inputs = [np.ascontiguousarray(U[::2, s]) for s in range(len(controls))]
+    u_l2 = [cumulative_l2(u_s, grid) for u_s in inputs]
+
+    def trajectory(sys, s, cols):
+        x = np.ascontiguousarray(states[:, s, cols])
+        y = x @ sys.C.T
+        return Trajectory(grid=grid, states=x, inputs=inputs[s], outputs=y,
+                          u_l2_running=u_l2[s], y_l2_running=cumulative_l2(y, grid))
+
+    return [[trajectory(sys, s, slice(lo, hi)) for s in range(len(controls))]
+            for sys, lo, hi in zip(systems, bounds[:-1], bounds[1:])]
+
+
+def _integrate(states, U, W, Bt, coupled, h, grid):
+    """RK4 over the whole grid, filling states[1:] from states[0].  The
+    drift enters through W = [A^T, N_i^T for i in coupled]; the forcing
+    u B^T is formed one block of BLOCK_STEPS steps at a time, and the
+    finiteness check runs once per block."""
+    K, n = states.shape[0] - 1, states.shape[2]
     half_h, sixth_h = 0.5 * h, h / 6.0
-    _integrate(sys, x, states, u_half, Bu, K, h, half_h, sixth_h, grid)
-
-    inputs = u_half[::2]
-    outputs = states @ C.T
-    return Trajectory(grid=grid, states=states, inputs=inputs, outputs=outputs,
-                      u_l2_running=cumulative_l2(inputs, grid),
-                      y_l2_running=cumulative_l2(outputs, grid))
-
-
-def _integrate(sys, x, states, u_half, Bu, K, h, half_h, sixth_h, grid):
-    A, N = sys.A, sys.N
+    x = states[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        if (2 * K + 1) * sys.n * sys.n <= PRECOMPUTE_BUDGET:
-            # drift matrices A + sum_i u_i(t_j) N_i for every half-step at once
-            M = A + np.einsum("ji,imn->jmn", u_half, np.stack(N))
-            for step in range(K):
-                j = 2 * step
-                Mh, bh = M[j + 1], Bu[j + 1]
-                k1 = M[j] @ x + Bu[j]
-                k2 = Mh @ (x + half_h * k1) + bh
-                k3 = Mh @ (x + half_h * k2) + bh
-                k4 = M[j + 2] @ (x + h * k3) + Bu[j + 2]
-                x = x + sixth_h * (k1 + 2.0 * (k2 + k3) + k4)
-                if not math.isfinite(x.sum()):
-                    raise SimulationBlowUpError(
-                        f"state became non-finite at step {step + 1} "
-                        f"(t = {grid[step + 1]:.6g})",
-                        step=step + 1, time=float(grid[step + 1]))
-                states[step + 1] = x
-        else:
+        for first in range(0, K, BLOCK_STEPS):
+            last = min(first + BLOCK_STEPS, K)
+            Ub = U[2 * first:2 * last + 1]
+            BUb = Ub @ Bt
+            terms = [(Ub[:, :, i:i + 1], slice((c + 1) * n, (c + 2) * n))
+                     for c, i in enumerate(coupled)]
+
             def f(x, j):
-                dx = A @ x + Bu[j]
-                for Ni, ui in zip(N, u_half[j]):
-                    if ui != 0.0:
-                        dx = dx + ui * (Ni @ x)
+                y = x @ W
+                dx = y[:, :n] + BUb[j]
+                for u, cols in terms:
+                    dx += u[j] * y[:, cols]
                 return dx
 
-            for step in range(K):
+            for step in range(last - first):
                 j = 2 * step
                 k1 = f(x, j)
                 k2 = f(x + half_h * k1, j + 1)
                 k3 = f(x + half_h * k2, j + 1)
                 k4 = f(x + h * k3, j + 2)
                 x = x + sixth_h * (k1 + 2.0 * (k2 + k3) + k4)
-                if not math.isfinite(x.sum()):
-                    raise SimulationBlowUpError(
-                        f"state became non-finite at step {step + 1} "
-                        f"(t = {grid[step + 1]:.6g})",
-                        step=step + 1, time=float(grid[step + 1]))
-                states[step + 1] = x
+                states[first + step + 1] = x
+            finite = np.isfinite(states[first + 1:last + 1].sum(axis=2)).all(axis=1)
+            if not finite.all():
+                step = first + 1 + int(np.argmin(finite))
+                raise SimulationBlowUpError(
+                    f"state became non-finite at step {step} (t = {grid[step]:.6g})",
+                    step=step, time=float(grid[step]))
 
 
 def l2_norm(traj: Trajectory, of="output", other: Trajectory = None) -> float:
@@ -309,7 +345,10 @@ def l2_norm(traj: Trajectory, of="output", other: Trajectory = None) -> float:
     return float(np.sqrt(np.trapezoid(sq, traj.grid)))
 
 
-def _trapz_stride2(f, grid):
+def coarse_trapezoid(f, grid):
+    """Trapezoidal integral of f on every second grid point (the last
+    interval alone when the step count is odd): the 2h sum of a Richardson
+    pair."""
     K = f.size - 1
     K2 = K if K % 2 == 0 else K - 1
     total = np.trapezoid(f[:K2 + 1:2], grid[:K2 + 1:2])
@@ -323,7 +362,7 @@ def l2_richardson(values, grid):
     difference over 3 estimates the quadrature error of the h result."""
     sq = (np.atleast_2d(values.T).T ** 2).sum(axis=1)
     fine = np.sqrt(np.trapezoid(sq, grid))
-    coarse = np.sqrt(max(_trapz_stride2(sq, grid), 0.0))
+    coarse = np.sqrt(max(coarse_trapezoid(sq, grid), 0.0))
     return float(fine), float(coarse)
 
 

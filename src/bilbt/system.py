@@ -140,12 +140,14 @@ def _bisect_k_max(msab, tol=1e-8):
     lo, hi = 0.0, 2.0 * k_closed
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent floats: the bracket cannot shrink below tol
         if msab + mid * mid < 0.0:
             lo = mid
         else:
             hi = mid
     k_max = lo
-    if abs(k_max - k_closed) > max(1e-6, 10.0 * tol):
+    if abs(k_max - k_closed) > max(1e-6, 10.0 * tol, 16.0 * np.spacing(k_closed)):
         raise ArithmeticError(
             f"k_max bisection ({k_max}) disagrees with closed form ({k_closed})"
         )

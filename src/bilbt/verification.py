@@ -41,7 +41,7 @@ from .balancing import (
 )
 from .gramians import (
     GramianPair,
-    mixed_pair_Q1_P2,
+    mixed_pair_from_P2,
     stochastic_type2_P2,
     type1_gramians,
     type2_gramians,
@@ -52,10 +52,12 @@ from .simulation import (
     ControlSignal,
     Trajectory,
     bounded_control_suite,
+    coarse_trapezoid,
     cumulative_trapezoid,
     l2_richardson,
     quadrature_slack,
     simulate,
+    simulate_batch,
 )
 from .system import BilinearSystem, stability_report
 
@@ -196,14 +198,14 @@ def check_observ_energy(sys: BilinearSystem, pair: GramianPair, x0,
     Q = 0.5 * (pair.Q + pair.Q.T)
     ysq = (traj.outputs ** 2).sum(axis=1)
     lhs = float(np.trapezoid(ysq, traj.grid))
-    lhs_coarse = float(_coarse_trapz(ysq, traj.grid))
+    lhs_coarse = float(coarse_trapezoid(ysq, traj.grid))
     rhs = float(x0 @ Q @ x0)
     rhs_coarse = rhs
     informational = bool(np.any(sys.B != 0.0))
     if informational:
         cross = 2.0 * np.einsum("ki,ij,kj->k", traj.states, Q @ sys.B, traj.inputs)
         rhs += float(np.trapezoid(cross, traj.grid))
-        rhs_coarse += float(_coarse_trapz(cross, traj.grid))
+        rhs_coarse += float(coarse_trapezoid(cross, traj.grid))
     eps = quadrature_slack((lhs, lhs_coarse), (rhs, rhs_coarse),
                            floor=_floor(lhs, rhs))
     context = _base_context(context, T=float(T), h=float(h), control=u.label,
@@ -265,8 +267,8 @@ def check_mixed_side_conditions(bal: BalancedRealization, rom: ReducedModel,
     end_err, end_sum = float(q_err[-1]), float(q_sum[-1])
     int_err = float(np.trapezoid(q_err * usq, traj_full.grid))
     int_sum = float(np.trapezoid(q_sum * usq, traj_full.grid))
-    int_err_c = float(_coarse_trapz(q_err * usq, traj_full.grid))
-    int_sum_c = float(_coarse_trapz(q_sum * usq, traj_full.grid))
+    int_err_c = float(coarse_trapezoid(q_err * usq, traj_full.grid))
+    int_sum_c = float(coarse_trapezoid(q_sum * usq, traj_full.grid))
 
     lhs = max(int_err - end_err, int_sum - end_sum)
     rhs = 0.0
@@ -286,15 +288,6 @@ def check_mixed_side_conditions(bal: BalancedRealization, rom: ReducedModel,
                             error_lhs=float(err), error_rhs=float(bound),
                             error_within_bound=bool(err <= bound + eps + _floor(err, bound)))
     return _report("mixed_side_conditions", lhs, rhs, eps, context)
-
-
-def _coarse_trapz(f, grid):
-    K = f.size - 1
-    K2 = K if K % 2 == 0 else K - 1
-    total = np.trapezoid(f[:K2 + 1:2], grid[:K2 + 1:2])
-    if K2 != K:
-        total += np.trapezoid(f[K2:], grid[K2:])
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -539,17 +532,18 @@ def benchmark_campaign(config: CampaignConfig) -> CampaignResult:
 
             controls = _campaign_controls(sys.m, k, T,
                                           [config.seed, sys_idx, k_idx], config)
-            if first_suite is None:
-                first_suite = (k, controls)
             orders = _campaign_orders(bal.hsv, config)
             roms = [truncate(bal, r) for r in orders]
+            full, *rom_trajs = simulate_batch([sys] + [rom.system for rom in roms],
+                                              controls, T, h)
+            if first_suite is None:
+                # the type-1 baseline reuses the constant and first sinusoid runs
+                first_suite = (k, controls, full[1:3])
 
-            for u in controls:
-                traj_full = simulate(sys, np.zeros(sys.n), u, T, h)
-                for rom in roms:
-                    traj_rom = simulate(rom.system, np.zeros(rom.r), u, T, h)
+            for s, u in enumerate(controls):
+                for rom, trajs in zip(roms, rom_trajs):
                     thm, cor = check_error_bound(
-                        sys, rom, u, T, h, traj_full=traj_full, traj_rom=traj_rom,
+                        sys, rom, u, T, h, traj_full=full[s], traj_rom=trajs[s],
                         context={"system": label})
                     tail = float(rom.tail_hsv.sum())
                     log.add(cor, label, sys.n, certified=True, tail_sum=tail)
@@ -558,41 +552,58 @@ def benchmark_campaign(config: CampaignConfig) -> CampaignResult:
                         log.add(thm, label, sys.n, certified=True, tail_sum=tail,
                                 note="distinct-value bound")
                 if config.include_energy_checks:
-                    log.add(check_reach_energy(sys, pair, u, T, h, traj=traj_full,
+                    log.add(check_reach_energy(sys, pair, u, T, h, traj=full[s],
                                                context={"system": label}),
                             label, sys.n, certified=True)
+            del full, rom_trajs
 
             if config.include_energy_checks:
                 zero_B = BilinearSystem.from_matrices(
                     sys.A, np.zeros((sys.n, sys.m)), sys.N, sys.C)
                 rng = np.random.default_rng([config.seed, sys_idx, k_idx, 17])
+                runs = []
                 for x0_idx in range(config.observ_x0_count):
                     x0 = rng.standard_normal(sys.n)
                     x0 /= np.linalg.norm(x0)
-                    for u in controls[1:3]:  # constant + one sinusoid
-                        log.add(check_observ_energy(zero_B, pair, x0, u, T, h,
-                                                    context={"system": label,
-                                                             "x0_index": x0_idx}),
-                                label, sys.n, certified=True)
+                    # the constant and one sinusoid
+                    runs += [(x0_idx, x0, u) for u in controls[1:3]]
+                trajs = simulate_batch([zero_B], [u for _, _, u in runs], T, h,
+                                       x0=[np.array([x0 for _, x0, _ in runs])])[0]
+                for (x0_idx, x0, u), traj in zip(runs, trajs):
+                    log.add(check_observ_energy(zero_B, pair, x0, u, T, h, traj=traj,
+                                                context={"system": label,
+                                                         "x0_index": x0_idx}),
+                            label, sys.n, certified=True)
+                del trajs
 
-        if config.include_energy_checks and first_suite is not None:
+        if first_suite is None:
+            continue
+        k_ref, controls, baseline_full = first_suite
+        p2 = p2_error = None
+        if config.include_energy_checks or config.include_mixed:
             try:
-                P2, _diag, _delta = stochastic_type2_P2(sys, delta=config.delta)
-            except MatrixEquationError as exc:
-                log.skip("gronwall_P2", label, sys.n, str(exc))
+                p2 = stochastic_type2_P2(sys, delta=config.delta)
+            except (MatrixEquationError, ValueError) as exc:
+                p2_error = exc
+
+        if config.include_energy_checks:
+            if p2_error is not None:
+                log.skip("gronwall_P2", label, sys.n, str(p2_error))
             else:
                 spikes = bounded_control_suite(sys.m, 3.0, T,
                                                [config.seed, sys_idx, 29],
                                                n_sinusoids=1, n_piecewise=1)
-                for u in spikes[2:]:  # the large sinusoid and spike signals
-                    log.add(check_gronwall_P2(sys, P2, u, T, h,
+                spikes = spikes[2:]  # the large sinusoid and spike signals
+                for u, traj in zip(spikes, simulate_batch([sys], spikes, T, h)[0]):
+                    log.add(check_gronwall_P2(sys, p2[0], u, T, h, traj=traj,
                                               context={"system": label}),
                             label, sys.n, certified=True)
 
-        if config.include_mixed and first_suite is not None:
-            k_ref, _ = first_suite
+        if config.include_mixed:
             try:
-                mixed = mixed_pair_Q1_P2(sys, delta=config.delta)
+                if p2_error is not None:
+                    raise p2_error
+                mixed = mixed_pair_from_P2(sys, p2)
                 bal_m = square_root_balance(sys, mixed)
             except (MatrixEquationError, BalancingError, ValueError) as exc:
                 log.skip("mixed_side_conditions", label, sys.n,
@@ -606,8 +617,12 @@ def benchmark_campaign(config: CampaignConfig) -> CampaignResult:
                 large = bounded_control_suite(sys.m, 3.0 * k_ref, T,
                                               [config.seed, sys_idx, 37],
                                               n_sinusoids=0, n_piecewise=1)[2:]
-                for u in small + large:
+                full, reduced = simulate_batch([bal_m.system, rom_m.system],
+                                               small + large, T, h)
+                for u, traj_full, traj_rom in zip(small + large, full, reduced):
                     rep_m = check_mixed_side_conditions(bal_m, rom_m, u, T, h,
+                                                        traj_full=traj_full,
+                                                        traj_rom=traj_rom,
                                                         context={"system": label})
                     log.add(rep_m, label, sys.n, certified=False,
                             note="side conditions" if rep_m.passed
@@ -623,9 +638,9 @@ def benchmark_campaign(config: CampaignConfig) -> CampaignResult:
                                 label, sys.n, certified=True,
                                 tail_sum=float(rom_m.tail_hsv.sum()),
                                 note="mixed pair under small control")
+                del full, reduced
 
-        if config.include_type1_baseline and first_suite is not None:
-            k_ref, controls = first_suite
+        if config.include_type1_baseline:
             try:
                 pair1 = type1_gramians(sys)
                 bal1 = square_root_balance(sys, pair1)
@@ -635,9 +650,8 @@ def benchmark_campaign(config: CampaignConfig) -> CampaignResult:
             else:
                 r1 = _campaign_orders(bal1.hsv, config)[0]
                 rom1 = truncate(bal1, r1)
-                for u in controls[1:3]:
-                    traj_full = simulate(sys, np.zeros(sys.n), u, T, h)
-                    traj_rom = simulate(rom1.system, np.zeros(r1), u, T, h)
+                reduced = simulate_batch([rom1.system], controls[1:3], T, h)[0]
+                for u, traj_full, traj_rom in zip(controls[1:3], baseline_full, reduced):
                     err, err_c = l2_richardson(traj_full.outputs - traj_rom.outputs,
                                                traj_full.grid)
                     u_norm, u_c = l2_richardson(traj_full.inputs, traj_full.grid)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from bilbt import load_system, save_system
@@ -48,6 +49,31 @@ def test_validate_dimension_mismatch(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert not out["valid"]
     assert any("B has shape" in issue for issue in out["issues"])
+
+
+def test_validate_huge_decay_rate(tmp_path, capsys):
+    # sqrt(-ms_abscissa) = 1.4e8: the k_max bisection runs into float spacing
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps({"n": 1, "m": 1, "p": 1, "A": [[-1e16]], "B": [[1.0]],
+                                "N": [[[0.0]]], "C": [[1.0]]}))
+    code = main(["validate", "--input", str(path)])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["stability"]["k_max_estimate"] == pytest.approx(np.sqrt(2e16), rel=1e-15)
+
+
+def test_validate_above_kronecker_cap(tmp_path, capsys):
+    n = 61
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": n, "m": 1, "p": 1, "A": (-np.eye(n)).tolist(),
+                                "B": np.ones((n, 1)).tolist(),
+                                "N": [np.zeros((n, n)).tolist()],
+                                "C": np.ones((1, n)).tolist()}))
+    code = main(["validate", "--input", str(path)])
+    assert code == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["type"] == "KroneckerCapError"
+    assert out["error"]["exit_code"] == 1
 
 
 def test_gramians_output(sys_file, tmp_path):

@@ -231,3 +231,13 @@ def test_minimal_trace_monotone_in_k_diagonal_family():
                           for a, n1 in zip(diag_a, diag_n)])
         assert np.all(x_min >= prev - 1e-15)
         prev = x_min
+
+
+def test_riccati_labels_the_winning_strategy(scalar_sys):
+    # on this campaign system the interior point c * Y has the smallest trace(P)
+    from bilbt import CampaignConfig, stability_report, type2_gramians
+    from bilbt.verification import build_campaign_systems
+    sys = dict(build_campaign_systems(CampaignConfig(seed=2026)))["random-8-4"]
+    k = 0.4 * stability_report(sys).k_max_estimate
+    assert type2_gramians(sys, k).diagnostics[0].method == "interior_point"
+    assert type2_gramians(scalar_sys, 1.0).diagnostics[0].method == "newton"

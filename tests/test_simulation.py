@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,11 @@ from bilbt import (
     l2_norm,
     scale_control,
     simulate,
+    simulate_batch,
     stability_report,
     transform,
 )
-from bilbt.simulation import l2_richardson, quadrature_slack
+from bilbt.simulation import BLOCK_STEPS, l2_richardson, quadrature_slack
 
 from conftest import make_random_system
 
@@ -173,12 +176,119 @@ def test_free_decay_envelope(rng):
     assert np.all(np.diff(tail) <= 1e-30)
 
 
+def _reference_rk4(sys, x0, u, T, h):
+    """Plain per-step RK4 with a finiteness check after every step: the
+    reference for the batched integrator.  Returns (states, first bad step)."""
+    K = int(round(T / h))
+    h = T / K
+    u_half = u(np.linspace(0.0, T, 2 * K + 1))
+
+    def f(x, j):
+        dx = sys.A @ x + sys.B @ u_half[j]
+        for Ni, ui in zip(sys.N, u_half[j]):
+            dx = dx + ui * (Ni @ x)
+        return dx
+
+    x = np.asarray(x0, dtype=float)
+    states = [x]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(K):
+            j = 2 * step
+            k1 = f(x, j)
+            k2 = f(x + 0.5 * h * k1, j + 1)
+            k3 = f(x + 0.5 * h * k2, j + 1)
+            k4 = f(x + h * k3, j + 2)
+            x = x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+            if not np.isfinite(x.sum()):
+                return np.array(states), step + 1
+            states.append(x)
+    return np.array(states), None
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+def test_batch_matches_separate_runs():
+    full = make_random_system(93, n=5, m=2, p=2)
+    others = [make_random_system(94, n=2, m=2, p=2), make_random_system(95, n=3, m=2, p=2)]
+    controls = bounded_control_suite(2, 0.6, 2.0, seed=6)
+    assert len(controls) >= 3
+    trajs = simulate_batch([full] + others, controls, 2.0, 1e-3)
+    assert len(trajs) == 3 and all(len(row) == len(controls) for row in trajs)
+    for sys, row in zip([full] + others, trajs):
+        for u, traj in zip(controls, row):
+            alone = simulate(sys, np.zeros(sys.n), u, 2.0, 1e-3)
+            ref, bad = _reference_rk4(sys, np.zeros(sys.n), u, 2.0, 1e-3)
+            assert bad is None
+            assert np.array_equal(traj.grid, alone.grid)
+            assert np.array_equal(traj.inputs, alone.inputs)
+            if u.kind == "zero":
+                assert np.all(traj.states == 0.0)
+                continue
+            assert _rel(traj.states, alone.states) <= 1e-13
+            assert _rel(traj.outputs, alone.outputs) <= 1e-13
+            assert _rel(traj.states, ref) <= 1e-13
+
+
+def test_batch_initial_state_per_row():
+    sys = make_random_system(96, n=3)
+    x0 = np.random.default_rng(7).standard_normal((2, 3))
+    u = ControlSignal.constant([0.3])
+    trajs = simulate_batch([sys], [u, u], 1.0, 1e-3, x0=[x0])[0]
+    for x0_s, traj in zip(x0, trajs):
+        alone = simulate(sys, x0_s, u, 1.0, 1e-3)
+        ref, _ = _reference_rk4(sys, x0_s, u, 1.0, 1e-3)
+        assert _rel(traj.states, alone.states) <= 1e-13
+        assert _rel(traj.states, ref) <= 1e-13
+
+
+def test_batch_rejects_mixed_input_counts():
+    with pytest.raises(ValueError, match="inputs"):
+        simulate_batch([make_random_system(97, m=1), make_random_system(98, m=2)],
+                       [ControlSignal.zero(1)], 1.0, 1e-3)
+
+
 def test_blow_up_reports_first_bad_step():
     sys = BilinearSystem.from_matrices([[100.0]], [[0.0]], [[[0.0]]], [[1.0]])
     with pytest.raises(SimulationBlowUpError) as exc_info:
         simulate(sys, [1.0], ControlSignal.zero(1), 10.0, 1e-3)
-    assert exc_info.value.step is not None
-    assert 0 < exc_info.value.step <= 10000
+    _, bad = _reference_rk4(sys, [1.0], ControlSignal.zero(1), 10.0, 1e-3)
+    # the state overflows inside a block of steps, not at its end
+    assert bad % BLOCK_STEPS != 0
+    assert exc_info.value.step == bad
+    assert exc_info.value.time == np.linspace(0.0, 10.0, 10001)[bad]
+
+
+def test_blow_up_in_batch_reports_first_bad_row():
+    # u = 1 drives the bilinear term to growth rate +99; the zero control decays
+    sys = BilinearSystem.from_matrices([[-1.0]], [[0.0]], [[[100.0]]], [[1.0]])
+    controls = [ControlSignal.zero(1), ControlSignal.constant([1.0])]
+    with pytest.raises(SimulationBlowUpError) as exc_info:
+        simulate_batch([sys], controls, 10.0, 1e-3, x0=[[1.0]])
+    _, bad = _reference_rk4(sys, [1.0], controls[1], 10.0, 1e-3)
+    assert exc_info.value.step == bad
+
+
+def test_wide_simulation_memory_is_bounded():
+    # a 64-node rod over 2000 steps: states are 1 MB, nothing else grows with K
+    n = 64
+    A = 100.0 * (np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1)
+                 + np.diag(np.ones(n - 1), -1))
+    B = np.zeros((n, 2))
+    N = [np.zeros((n, n)), np.zeros((n, n))]
+    for i, end in enumerate((0, n - 1)):
+        B[end, i] = 1.0
+        N[i][end, end] = -1.0
+    sys = BilinearSystem.from_matrices(A, B, N, np.ones((1, n)) / n)
+    u = bounded_control_suite(2, 1.0, 2.0, seed=8)[2]
+    tracemalloc.start()
+    try:
+        simulate(sys, np.zeros(n), u, 2.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_grid_uniform_and_h_adjusted():

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from bilbt import (
     transform,
     validate,
 )
-from bilbt.system import system_from_dict, system_to_dict
+from bilbt.system import _bisect_k_max, system_from_dict, system_to_dict
 
 from conftest import make_random_system
 
@@ -82,6 +83,17 @@ def test_perturbed_shift_random_system():
     for k in (0.5, 1.0, 2.0):
         rep = stability_report(sys, k=k)
         assert rep.perturbed_ms_abscissa - base == pytest.approx(k * k, abs=1e-10)
+
+
+def test_k_max_bisection_stops_at_float_spacing():
+    # above sqrt(-msab) ~ 4.5e7 the float spacing of k exceeds the tolerance
+    result = []
+    worker = threading.Thread(target=lambda: result.append(_bisect_k_max(-2e16)),
+                              daemon=True)
+    worker.start()
+    worker.join(timeout=1.0)
+    assert not worker.is_alive()
+    assert result[0] == pytest.approx(np.sqrt(2e16), rel=1e-15)
 
 
 def test_k_max_estimate_matches_closed_form(scalar_sys):

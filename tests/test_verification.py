@@ -257,3 +257,24 @@ def test_campaign_csv_table():
     header, *rows = csv_text.strip().splitlines()
     assert header.startswith("case,system,kind")
     assert len(rows) == sum(c["check"].startswith("error_bound") for c in result.cases)
+
+
+def test_campaign_solves_p2_once_per_system(monkeypatch):
+    # the Gronwall checks and the mixed pair share one P2 solve
+    import bilbt.gramians
+    import bilbt.verification
+    calls = []
+    solve = bilbt.gramians.stochastic_type2_P2
+
+    def counting(sys, *args, **kwargs):
+        calls.append(sys.n)
+        return solve(sys, *args, **kwargs)
+
+    monkeypatch.setattr(bilbt.gramians, "stochastic_type2_P2", counting)
+    monkeypatch.setattr(bilbt.verification, "stochastic_type2_P2", counting)
+    cfg = CampaignConfig(seed=5, T=0.2, h=2e-3, random_dims=(3,),
+                         include_linear=False, include_repeated_hsv=False,
+                         k_fractions=(0.5,), observ_x0_count=1)
+    checks = {c["check"] for c in benchmark_campaign(cfg).cases}
+    assert {"gronwall_P2", "mixed_side_conditions"} <= checks
+    assert sorted(calls) == [2, 3]  # worked-2x2 and random-3, once each
