@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kronecker
 from .kronecker import symmetrize
 from .matrix_equations import (
     GeneralizedLyapunovProblem,
@@ -94,28 +95,39 @@ def _shifted(sys, k):
     return sys.A + 0.5 * float(k) ** 2 * np.eye(sys.n)
 
 
+def _infeasible_bound(sys, k, abscissa, max_kron_n):
+    """The error for a control bound k whose shifted pair has mean-square
+    abscissa `abscissa` >= 0, with the largest feasible bound attached."""
+    k_max = stability_report(sys, 0.0, max_kron_n=max_kron_n).k_max_estimate
+    return RiccatiInfeasibleError(
+        f"control bound k={k} is infeasible: perturbed mean-square abscissa "
+        f"{abscissa:.3e} >= 0 (largest feasible bound ~ {k_max:.6g})",
+        abscissa=abscissa, k_max=k_max)
+
+
 def _solve_p_inequality(sys, k, delta, max_kron_n=None):
+    # the shifted abscissa is computed once, by the solver (or, for B = 0,
+    # here); the unshifted one only when k proves infeasible
+    if k < 0:
+        raise ValueError(f"control bound k must be nonnegative, got {k}")
     if delta is None:
         delta = default_delta(sys)
-    report = stability_report(sys, k, max_kron_n=max_kron_n)
-    if report.perturbed_ms_abscissa >= 0.0:
-        raise RiccatiInfeasibleError(
-            f"control bound k={k} is infeasible: perturbed mean-square abscissa "
-            f"{report.perturbed_ms_abscissa:.3e} >= 0 (largest feasible bound "
-            f"~ {report.k_max_estimate:.6g})",
-            abscissa=report.perturbed_ms_abscissa,
-            k_max=report.k_max_estimate,
-        )
     if not np.any(sys.B != 0.0):
+        msab = kronecker.ms_abscissa(_shifted(sys, k), sys.N, max_kron_n=max_kron_n)
+        if msab >= 0.0:
+            raise _infeasible_bound(sys, k, msab, max_kron_n)
         # nothing is reachable: the honest Gramian is zero (and not minimal);
         # the inequality itself only pins P down to "inverse of any small X"
         diag = SolveDiagnostics(method="kronecker_direct", iterations=0,
                                 residual_norm=0.0, definiteness_margin=0.0)
         return np.zeros((sys.n, sys.n)), None, diag, float(delta)
-    X, diag, delta_used = solve_type2_riccati(
-        RiccatiInequalityProblem(A_shifted=_shifted(sys, k), N=sys.N, B=sys.B,
-                                 delta=delta),
-        max_kron_n=max_kron_n)
+    try:
+        X, diag, delta_used = solve_type2_riccati(
+            RiccatiInequalityProblem(A_shifted=_shifted(sys, k), N=sys.N, B=sys.B,
+                                     delta=delta),
+            max_kron_n=max_kron_n)
+    except RiccatiInfeasibleError as exc:
+        raise _infeasible_bound(sys, k, exc.abscissa, max_kron_n) from exc
     P, _ = invert_spd(X)
     return P, X, diag, delta_used
 

@@ -14,6 +14,14 @@ Two problem families are covered:
 
 Every solve is certified after the fact: residuals, the smallest eigenvalue
 of the solution, and (for the inequality) the Schur-complement block matrix.
+
+The dense solves (the "kronecker_direct" Lyapunov method and every Newton
+step of the inequality solver) work in symmetric coordinates: the operators
+above map symmetric matrices to symmetric matrices, so each solve has
+n(n+1)/2 unknowns instead of n^2, and its matrix is gathered by
+`kronecker.sym_operator` without forming any n^2 x n^2 array.  A Newton
+call forms the coupling part of its step operator once and adds the
+closed-loop Lyapunov part per step.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import numpy as np
 from scipy.linalg import solve_continuous_are, solve_continuous_lyapunov
 
 from . import kronecker
-from .kronecker import symmetrize, vec, unvec
+from .kronecker import half_unvec, half_vec, sym_basis, sym_operator, symmetrize
 from .system import BilinearSystem
 
 FIXED_POINT_CHANGE_TOL = 1e-12
@@ -101,7 +109,7 @@ class RiccatiInequalityProblem:
 @dataclass(frozen=True)
 class SolveDiagnostics:
     method: str  # kronecker_direct | fixed_point | newton | interior_point
-    iterations: int
+    iterations: int  # work of the returned solution only
     residual_norm: float  # relative Frobenius
     definiteness_margin: float  # smallest eigenvalue of the solution
 
@@ -134,22 +142,34 @@ def _relative_residual(M, N_list, X, RHS, side):
     return float(np.linalg.norm(R) / denom)
 
 
+def _coupling_operator(N_list, basis, scale=1.0):
+    """Matrix of X -> scale * sum_i N_i X N_i^T in symmetric coordinates."""
+    C = np.zeros((basis.rows.size, basis.rows.size))
+    for Ni in N_list:
+        C += sym_operator(Ni, Ni, basis)
+    C *= 0.5 * scale
+    return C
+
+
 def _solve_kronecker(M, N_list, RHS, side, max_kron_n=None):
     n = M.shape[0]
     kronecker.check_kron_dim(n, max_kron_n)
-    K = kronecker.reach_operator(M, N_list)
     if side == "observability":
-        K = K.T
+        M, N_list = M.T, [Ni.T for Ni in N_list]
+    basis = sym_basis(n)
+    K = _coupling_operator(N_list, basis)
+    K += sym_operator(M, None, basis)
+    b = half_vec(RHS, basis)
     try:
-        x = np.linalg.solve(K, vec(RHS))
+        x = np.linalg.solve(K, b)
         # one iterative refinement pass keeps the residual near machine level
-        x += np.linalg.solve(K, vec(RHS) - K @ x)
+        x += np.linalg.solve(K, b - K @ x)
     except np.linalg.LinAlgError as exc:
         raise MeanSquareInstabilityError(
             f"Kronecker matrix singular ({exc}); the pair is on or beyond the "
             "mean-square stability boundary"
         ) from exc
-    return symmetrize(unvec(x, n))
+    return half_unvec(x, basis)
 
 
 def _solve_fixed_point(M, N_list, RHS, side):
@@ -186,7 +206,8 @@ def solve_generalized_lyapunov(prob: GeneralizedLyapunovProblem, method="auto",
                                max_kron_n=None):
     """Solve a generalized Lyapunov equation.
 
-    method: "kronecker_direct" (dense n^2 x n^2 solve, n capped),
+    method: "kronecker_direct" (dense solve on the n(n+1)/2 symmetric
+    coordinates, n capped),
     "fixed_point" (Lyapunov splitting sweeps) or "auto" (direct below the
     cap, fixed point above it).
 
@@ -232,7 +253,7 @@ def _riccati_residual(A_s, N_list, BBt, X, delta):
     return float(np.linalg.norm(G) / scale)
 
 
-def _newton_at_coupling(A_s, N_list, BBt, delta, s, X0, max_iter, tol):
+def _newton_at_coupling(A_s, N_list, BBt, delta, s, X0, max_iter, tol, basis):
     """Newton on the slacked equality with the coupling scaled by s: each step
     solves the generalized Lyapunov equation of the closed loop A_s + B B^T X_j,
 
@@ -243,15 +264,18 @@ def _newton_at_coupling(A_s, N_list, BBt, delta, s, X0, max_iter, tol):
     n = A_s.shape[0]
     eye = np.eye(n)
     Ns = [np.sqrt(s) * Ni for Ni in N_list]
+    # the coupling part of the step operator does not change between steps
+    coupling = _coupling_operator([Ni.T for Ni in N_list], basis, s)
     X = X0
     best, best_resid = None, np.inf
     scale0 = max(np.linalg.norm(X0), 1.0)
     for it in range(1, max_iter + 1):
         Ac = A_s + BBt @ X
-        K = kronecker.obs_operator(Ac, Ns)
+        K = sym_operator(Ac.T, None, basis)
+        K += coupling
         rhs = X @ BBt @ X - delta * eye
         try:
-            X_new = symmetrize(unvec(np.linalg.solve(K, vec(rhs)), n))
+            X_new = half_unvec(np.linalg.solve(K, half_vec(rhs, basis)), basis)
         except np.linalg.LinAlgError:
             return best, best_resid, it
         if not np.all(np.isfinite(X_new)) or np.linalg.norm(X_new) > 1e10 * scale0:
@@ -266,7 +290,7 @@ def _newton_at_coupling(A_s, N_list, BBt, delta, s, X0, max_iter, tol):
     return best, best_resid, max_iter
 
 
-def _homotopy_solve(A_s, N_list, B, BBt, delta):
+def _homotopy_solve(A_s, N_list, B, BBt, delta, basis):
     """Track the maximal-root branch from the uncoupled CARE (coupling scale
     s = 0) to the full equation (s = 1) with adaptive steps and Newton
     warm starts; the final point is polished to full residual tolerance.
@@ -291,7 +315,7 @@ def _homotopy_solve(A_s, N_list, B, BBt, delta):
         else:
             tol, step_max = HOMOTOPY_PATH_TOL, HOMOTOPY_STEP_MAX
         X_new, resid, it = _newton_at_coupling(A_s, N_list, BBt, delta, s_next,
-                                               X, step_max, tol)
+                                               X, step_max, tol, basis)
         iters += it
         accept_tol = RICCATI_RESIDUAL_TOL if s_next == 1.0 else HOMOTOPY_PATH_TOL
         if X_new is not None and resid <= accept_tol:
@@ -326,11 +350,10 @@ def _scaled_lyapunov_feasible(A_s, N_list, BBt, delta, max_kron_n):
     return 0.999 * c_max * Y, diag
 
 
-def _equality_candidates(A_s, N_list, B, BBt, bnorm, delta, msab):
+def _equality_candidates(A_s, N_list, B, BBt, bnorm, delta, msab, basis):
     """All positive-definite roots of the slacked equality the two strategies
-    find: plain Newton from a ladder of theta * I starts, plus the
-    coupling-homotopy branch from the uncoupled CARE."""
-    iters = 0
+    find, as (X, iterations) pairs: plain Newton from a ladder of theta * I
+    starts, plus the coupling-homotopy branch from the uncoupled CARE."""
     candidates = []
     theta0 = (-msab) / bnorm
     n = A_s.shape[0]
@@ -338,17 +361,15 @@ def _equality_candidates(A_s, N_list, B, BBt, bnorm, delta, msab):
         X, resid, it = _newton_at_coupling(A_s, N_list, BBt, delta, 1.0,
                                            factor * theta0 * np.eye(n),
                                            NEWTON_POLISH_MAX,
-                                           0.01 * RICCATI_RESIDUAL_TOL)
-        iters += it
+                                           0.01 * RICCATI_RESIDUAL_TOL, basis)
         if X is not None and resid <= RICCATI_RESIDUAL_TOL \
                 and np.linalg.eigvalsh(X).min() > 0.0:
-            candidates.append(X)
-    X, resid, it = _homotopy_solve(A_s, N_list, B, BBt, delta)
-    iters += it
+            candidates.append((X, it))
+    X, resid, it = _homotopy_solve(A_s, N_list, B, BBt, delta, basis)
     if X is not None and resid <= RICCATI_RESIDUAL_TOL \
             and np.linalg.eigvalsh(X).min() > 0.0:
-        candidates.append(X)
-    return candidates, iters
+        candidates.append((X, it))
+    return candidates
 
 
 def solve_type2_riccati(prob: RiccatiInequalityProblem, max_kron_n=None):
@@ -366,7 +387,10 @@ def solve_type2_riccati(prob: RiccatiInequalityProblem, max_kron_n=None):
     solution is returned instead.  Whenever a slack proves unreachable, delta
     is halved and the solve retried; the delta actually used is returned.
 
-    Returns (X, SolveDiagnostics, delta_used).
+    Returns (X, SolveDiagnostics, delta_used).  The diagnostics' iterations
+    are the returned solution's own work at delta_used: the Newton steps of
+    its ladder start or of its homotopy, or the interior point's Lyapunov
+    solve.
     """
     A_s = np.asarray(prob.A_shifted, dtype=float)
     N_list = [np.asarray(Ni, dtype=float) for Ni in prob.N]
@@ -397,28 +421,28 @@ def solve_type2_riccati(prob: RiccatiInequalityProblem, max_kron_n=None):
         return X, diag, float(prob.delta)
 
     delta = float(prob.delta)
-    total_iters = 0
+    basis = sym_basis(n)
     for _halving in range(60):
-        candidates, iters = _equality_candidates(A_s, N_list, B, BBt, bnorm,
-                                                 delta, msab)
-        total_iters += iters
+        candidates = _equality_candidates(A_s, N_list, B, BBt, bnorm, delta, msab,
+                                          basis)
 
         X_lyap, lyap_diag = _scaled_lyapunov_feasible(A_s, N_list, BBt, delta,
                                                       max_kron_n)
-        total_iters += lyap_diag.iterations
         if X_lyap is not None:
             slack = _apply_lyapunov(A_s, N_list, X_lyap, "observability") \
                 + X_lyap @ BBt @ X_lyap
             margin = float(np.linalg.eigvalsh(symmetrize(slack)).max())
             if margin <= -delta and np.linalg.eigvalsh(X_lyap).min() > 0.0:
-                candidates.append(X_lyap)
+                candidates.append((X_lyap, lyap_diag.iterations))
 
         if candidates:
-            X = min(candidates, key=lambda c: float(np.trace(np.linalg.inv(c))))
+            # the iterations reported are the winner's own, at this delta
+            X, iterations = min(candidates,
+                                key=lambda c: float(np.trace(np.linalg.inv(c[0]))))
             from_equality = X is not X_lyap
             diag = SolveDiagnostics(
                 method="newton" if from_equality else "interior_point",
-                iterations=total_iters,
+                iterations=iterations,
                 # for the interior point the equality residual is not meaningful;
                 # its certificate is the feasibility margin, reported as 0
                 residual_norm=(_riccati_residual(A_s, N_list, BBt, X, delta)

@@ -159,15 +159,15 @@ def stability_report(sys: BilinearSystem, k=0.0, max_kron_n=None) -> StabilityRe
     feasible control bound.
 
     Dense path only: n is capped (default 60, override via max_kron_n or the
-    BILBT_MAX_KRON_N environment variable).  For larger systems the
-    fixed-point Lyapunov solver doubles as an implicit stability witness:
-    it contracts exactly when the mean-square abscissa is negative.
+    BILBT_MAX_KRON_N environment variable).  The Gramian solves make the same
+    dense eigensolve, so the cap holds for the whole pipeline.  At k = 0 the
+    perturbed drift is A itself, and its abscissa is not computed twice.
     """
     if k < 0:
         raise ValueError(f"control bound k must be nonnegative, got {k}")
     alpha = kronecker.spectral_abscissa(sys.A)
     msab = kronecker.ms_abscissa(sys.A, sys.N, max_kron_n=max_kron_n)
-    perturbed = perturbed_ms_abscissa(sys, k, max_kron_n=max_kron_n)
+    perturbed = msab if k == 0 else perturbed_ms_abscissa(sys, k, max_kron_n=max_kron_n)
     k_max = _bisect_k_max(msab)
     return StabilityReport(
         hurwitz=alpha < 0.0,

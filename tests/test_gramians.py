@@ -76,6 +76,45 @@ def test_type2_infeasible_k_reports_k_max(scalar_sys):
     assert exc_info.value.k_max == pytest.approx(np.sqrt(1.75), abs=1e-4)
 
 
+def test_type2_infeasible_message_and_fields(scalar_sys):
+    # the same message and fields with and without input, and k < 0 rejected
+    from bilbt import stability_report
+
+    no_b = BilinearSystem.from_matrices(scalar_sys.A, np.zeros((1, 1)), scalar_sys.N,
+                                        scalar_sys.C)
+    for sys in (scalar_sys, no_b):
+        with pytest.raises(RiccatiInfeasibleError) as exc_info:
+            type2_gramians(sys, 2.0)
+        assert str(exc_info.value) == (
+            "control bound k=2.0 is infeasible: perturbed mean-square abscissa "
+            "2.250e+00 >= 0 (largest feasible bound ~ 1.32288)")
+        assert exc_info.value.abscissa == pytest.approx(2.25, abs=1e-12)
+        assert exc_info.value.k_max == stability_report(sys).k_max_estimate
+    with pytest.raises(ValueError, match="nonnegative"):
+        type2_gramians(scalar_sys, -1.0)
+
+
+def test_one_mean_square_eigensolve_per_call(monkeypatch):
+    from bilbt import kronecker, stability_report
+
+    calls = []
+    original = kronecker.ms_abscissa
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kronecker, "ms_abscissa", counting)
+    sys = make_random_system(64, n=4, m=2)
+    for run in (lambda: stability_report(sys, 0.0),
+                lambda: type1_gramians(sys),
+                lambda: type2_gramians(sys, 0.5),
+                lambda: stochastic_type2_P2(sys)):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
 def test_type2_q_at_zero_k_equals_type1_q():
     # the shifted observability equation at k = 0 is exactly the plain one,
     # coupling or not

@@ -1,0 +1,100 @@
+"""The symmetric-coordinate operators against the dense n^2 x n^2 oracle."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from bilbt import GeneralizedLyapunovProblem, solve_generalized_lyapunov
+from bilbt.kronecker import half_unvec, half_vec, reach_operator, sym_basis, sym_operator
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def operator_data(draw):
+    """(M, [N_i], side, rng) with n in 1..8 and m in 0..3 coupling matrices."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 3))
+    side = draw(st.sampled_from(("reachability", "observability")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.standard_normal((n, n))
+    N = [rng.standard_normal((n, n)) for _ in range(m)]
+    return M, N, side, rng
+
+
+def basis_matrix(n):
+    """D: column q is vec of E_aa or (E_ab + E_ba)/sqrt(2), (a, b) in triu order."""
+    rows, cols = np.triu_indices(n)
+    D = np.zeros((n * n, rows.size))
+    for q, (a, b) in enumerate(zip(rows, cols)):
+        E = np.zeros((n, n))
+        E[a, b] = E[b, a] = 1.0 if a == b else np.sqrt(0.5)
+        D[:, q] = E.reshape(-1, order="F")
+    return D
+
+
+def dense_operator(M, N, side):
+    K = reach_operator(M, N)
+    return K.T if side == "observability" else K
+
+
+def symmetric_operator(M, N, side, basis):
+    if side == "observability":
+        M, N = M.T, [Ni.T for Ni in N]
+    S = sym_operator(M, None, basis)
+    for Ni in N:
+        S += 0.5 * sym_operator(Ni, Ni, basis)
+    return S
+
+
+@PROPERTY
+@given(operator_data())
+def test_symmetric_operator_is_the_restricted_kronecker_operator(data):
+    M, N, side, _ = data
+    n = M.shape[0]
+    D = basis_matrix(n)
+    assert np.allclose(D.T @ D, np.eye(D.shape[1]), rtol=0.0, atol=1e-15)
+    oracle = D.T @ dense_operator(M, N, side) @ D
+    S = symmetric_operator(M, N, side, sym_basis(n))
+    assert np.linalg.norm(S - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
+
+@PROPERTY
+@given(operator_data())
+def test_identity_shortcut_and_coordinates(data):
+    M, _, _, rng = data
+    n = M.shape[0]
+    basis = sym_basis(n)
+    H = rng.standard_normal((n, n))
+    assert np.allclose(sym_operator(M, None, basis), sym_operator(M, np.eye(n), basis),
+                       rtol=0.0, atol=1e-15 * np.abs(M).max())
+    # coordinates are orthonormal, and the operator acts on them as
+    # X -> F X H^T + H X F^T acts on X
+    X = rng.standard_normal((n, n))
+    X += X.T
+    y = half_vec(X, basis)
+    assert np.array_equal(half_unvec(y, basis), half_unvec(y, basis).T)
+    assert np.allclose(half_unvec(y, basis), X, rtol=1e-15, atol=0.0)
+    assert abs(y @ y - np.sum(X * X)) <= 1e-13 * np.sum(X * X)
+    image = M @ X @ H.T + H @ X @ M.T
+    error = np.linalg.norm(sym_operator(M, H, basis) @ y - half_vec(image, basis))
+    assert error <= 1e-13 * n * np.linalg.norm(M) * np.linalg.norm(H) * np.linalg.norm(X)
+
+
+@PROPERTY
+@given(operator_data())
+def test_symmetric_solve_matches_dense_solve(data):
+    M, N, side, rng = data
+    n = M.shape[0]
+    # shift M so the operator is well conditioned: -2c (I - E) with |E| <= 1/2
+    c = 2.0 * np.linalg.norm(M, 2) + sum(np.linalg.norm(Ni, 2) ** 2 for Ni in N) + 1.0
+    M = M - c * np.eye(n)
+    R = rng.standard_normal((n, n))
+    R += R.T
+    X, diag = solve_generalized_lyapunov(
+        GeneralizedLyapunovProblem(M=M, N=tuple(N), RHS=R, side=side),
+        method="kronecker_direct")
+    dense = np.linalg.solve(dense_operator(M, N, side),
+                            R.reshape(-1, order="F")).reshape((n, n), order="F")
+    assert diag.method == "kronecker_direct"
+    assert np.array_equal(X, X.T)
+    assert np.linalg.norm(X - dense) <= 1e-12 * np.linalg.norm(dense)

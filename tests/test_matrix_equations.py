@@ -233,6 +233,36 @@ def test_minimal_trace_monotone_in_k_diagonal_family():
         prev = x_min
 
 
+def test_riccati_iterations_count_only_the_winner():
+    # the interior point reports its one Lyapunov solve; a homotopy root
+    # reports the homotopy's own Newton steps, not the ladder's as well
+    from bilbt import CampaignConfig, stability_report, worked_2x2
+    from bilbt.gramians import default_delta
+    from bilbt.kronecker import sym_basis
+    from bilbt.matrix_equations import _homotopy_solve
+    from bilbt.verification import build_campaign_systems
+
+    sys = dict(build_campaign_systems(CampaignConfig(seed=2026)))["random-8-4"]
+    k = 0.4 * stability_report(sys).k_max_estimate
+    prob = RiccatiInequalityProblem(A_shifted=sys.A + 0.5 * k * k * np.eye(sys.n),
+                                    N=sys.N, B=sys.B, delta=default_delta(sys))
+    _, diag, _ = solve_type2_riccati(prob)
+    assert (diag.method, diag.iterations) == ("interior_point", 1)
+
+    sys = worked_2x2()
+    k = 0.4 * stability_report(sys).k_max_estimate
+    A_s = sys.A + 0.5 * k * k * np.eye(sys.n)
+    delta = default_delta(sys)
+    X, diag, delta_used = solve_type2_riccati(
+        RiccatiInequalityProblem(A_shifted=A_s, N=sys.N, B=sys.B, delta=delta))
+    X_h, _, iters_h = _homotopy_solve(A_s, list(sys.N), sys.B, sys.B @ sys.B.T,
+                                      delta, sym_basis(sys.n))
+    assert delta_used == delta
+    assert diag.method == "newton"
+    assert np.allclose(X, X_h, rtol=1e-12, atol=0.0)
+    assert diag.iterations == iters_h
+
+
 def test_riccati_labels_the_winning_strategy(scalar_sys):
     # on this campaign system the interior point c * Y has the smallest trace(P)
     from bilbt import CampaignConfig, stability_report, type2_gramians
