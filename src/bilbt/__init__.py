@@ -51,10 +51,8 @@ from .simulation import (
 from .system import (
     BilinearSystem,
     StabilityReport,
-    SystemPartition,
     ValidationResult,
     load_system,
-    partition,
     rescale,
     save_system,
     stability_report,

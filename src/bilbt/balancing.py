@@ -17,7 +17,7 @@ import numpy as np
 
 from .gramians import GramianPair
 from .kronecker import symmetrize
-from .system import BilinearSystem, partition, transform
+from .system import BilinearSystem, transform
 
 SQRT_CLAMP_REL = 1e-12
 HSV_FLOOR_REL = 1e-12
@@ -28,18 +28,18 @@ class BalancingError(RuntimeError):
     pass
 
 
-def psd_sqrt_factor(M, clamp_rel=SQRT_CLAMP_REL):
+def psd_sqrt_factor(M):
     """Factor a symmetric PSD matrix as F F^T.
 
     Cholesky when positive definite; otherwise a symmetric eigendecomposition
-    with eigenvalues below clamp_rel * lambda_max clamped to zero."""
+    with eigenvalues below SQRT_CLAMP_REL * lambda_max clamped to zero."""
     M = symmetrize(np.asarray(M, dtype=float))
     try:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         pass
     w, V = np.linalg.eigh(M)
-    floor = clamp_rel * max(w.max(), 0.0)
+    floor = SQRT_CLAMP_REL * max(w.max(), 0.0)
     w = np.where(w > floor, w, 0.0)
     return V * np.sqrt(w)
 
@@ -56,8 +56,7 @@ class BalancedRealization:
     k: float
 
 
-def square_root_balance(sys: BilinearSystem, gramians: GramianPair,
-                        hsv_floor_rel=HSV_FLOOR_REL, cond_cap=1e8) -> BalancedRealization:
+def square_root_balance(sys: BilinearSystem, gramians: GramianPair) -> BalancedRealization:
     """Balance a system so both Gramians become diag(hsv).
 
     The SVD column signs are fixed so the largest-magnitude entry of each
@@ -71,7 +70,7 @@ def square_root_balance(sys: BilinearSystem, gramians: GramianPair,
 
     V, s, Uh = np.linalg.svd(K.T @ L)
     U = Uh.T
-    if s[0] <= 0.0 or s[-1] <= hsv_floor_rel * s[0]:
+    if s[0] <= 0.0 or s[-1] <= HSV_FLOOR_REL * s[0]:
         raise BalancingError(
             f"Hankel spectrum numerically rank deficient (sigma_min/sigma_max = "
             f"{s[-1] / s[0] if s[0] > 0 else 0.0:.3e}); the Gramian pair does not "
@@ -93,7 +92,7 @@ def square_root_balance(sys: BilinearSystem, gramians: GramianPair,
             f"balancing transformation inconsistent: ||T T^-1 - I|| = {identity_err:.3e}"
         )
 
-    balanced = transform(sys, T, T_inv=T_inv, cond_cap=cond_cap)
+    balanced = transform(sys, T, T_inv=T_inv)
 
     sigma = np.diag(s)
     p_err = np.linalg.norm(T @ P @ T.T - sigma) / np.linalg.norm(sigma)
@@ -135,22 +134,23 @@ def group_distinct(values, rel_tol=DISTINCT_TOL):
     return reps
 
 
-def truncate(bal: BalancedRealization, r, distinct_tolerance=DISTINCT_TOL) -> ReducedModel:
+def truncate(bal: BalancedRealization, r) -> ReducedModel:
     """Keep the leading r states of a balanced realization."""
-    n = bal.system.n
+    full = bal.system
     r = int(r)
-    if not 1 <= r < n:
-        raise ValueError(f"r={r} out of range [1, {n - 1}]")
-    blocks = partition(bal.system, r)
+    if not 1 <= r < full.n:
+        raise ValueError(f"r={r} out of range [1, {full.n - 1}]")
     tail = np.asarray(bal.hsv[r:], dtype=float)
-    reps = group_distinct(tail, distinct_tolerance)
+    reps = group_distinct(tail, DISTINCT_TOL)
     return ReducedModel(
-        system=blocks.leading_system(),
+        system=BilinearSystem.from_matrices(full.A[:r, :r], full.B[:r],
+                                            [Ni[:r, :r] for Ni in full.N],
+                                            full.C[:, :r]),
         r=r,
         tail_hsv=tail,
         bound_all=2.0 * float(tail.sum()),
         bound_distinct=2.0 * float(sum(reps)),
-        distinct_tolerance=float(distinct_tolerance),
+        distinct_tolerance=DISTINCT_TOL,
         gramian_kind=bal.gramian_kind,
         k=bal.k,
         hsv=np.asarray(bal.hsv, dtype=float),

@@ -61,8 +61,8 @@ def _minimality(P, Q):
     return all(margin > CLAMP_TOL for margin in margins)
 
 
-def _require_ms_stable(sys, max_kron_n=None):
-    report = stability_report(sys, 0.0, max_kron_n=max_kron_n)
+def _require_ms_stable(sys):
+    report = stability_report(sys, 0.0)
     if report.ms_abscissa >= 0.0:
         raise MeanSquareInstabilityError(
             f"system is not mean-square stable (abscissa {report.ms_abscissa:.3e})"
@@ -70,18 +70,16 @@ def _require_ms_stable(sys, max_kron_n=None):
     return report
 
 
-def type1_gramians(sys: BilinearSystem, method="auto", max_kron_n=None) -> GramianPair:
+def type1_gramians(sys: BilinearSystem) -> GramianPair:
     """Solve A P1 + P1 A^T + sum N_i P1 N_i^T = -B B^T and the transposed-side
     analogue with -C^T C."""
-    _require_ms_stable(sys, max_kron_n)
+    _require_ms_stable(sys)
     P, diag_p = solve_generalized_lyapunov(
         GeneralizedLyapunovProblem(M=sys.A, N=sys.N, RHS=-sys.B @ sys.B.T,
-                                   side="reachability"),
-        method=method, max_kron_n=max_kron_n)
+                                   side="reachability"))
     Q, diag_q = solve_generalized_lyapunov(
         GeneralizedLyapunovProblem(M=sys.A, N=sys.N, RHS=-sys.C.T @ sys.C,
-                                   side="observability"),
-        method=method, max_kron_n=max_kron_n)
+                                   side="observability"))
     return GramianPair(P=P, Q=Q, kind="type1", k=0.0, diagnostics=(diag_p, diag_q),
                        minimal=_minimality(P, Q))
 
@@ -95,17 +93,17 @@ def _shifted(sys, k):
     return sys.A + 0.5 * float(k) ** 2 * np.eye(sys.n)
 
 
-def _infeasible_bound(sys, k, abscissa, max_kron_n):
+def _infeasible_bound(sys, k, abscissa):
     """The error for a control bound k whose shifted pair has mean-square
     abscissa `abscissa` >= 0, with the largest feasible bound attached."""
-    k_max = stability_report(sys, 0.0, max_kron_n=max_kron_n).k_max_estimate
+    k_max = stability_report(sys, 0.0).k_max_estimate
     return RiccatiInfeasibleError(
         f"control bound k={k} is infeasible: perturbed mean-square abscissa "
         f"{abscissa:.3e} >= 0 (largest feasible bound ~ {k_max:.6g})",
         abscissa=abscissa, k_max=k_max)
 
 
-def _solve_p_inequality(sys, k, delta, max_kron_n=None):
+def _solve_p_inequality(sys, k, delta):
     # the shifted abscissa is computed once, by the solver (or, for B = 0,
     # here); the unshifted one only when k proves infeasible
     if k < 0:
@@ -113,9 +111,9 @@ def _solve_p_inequality(sys, k, delta, max_kron_n=None):
     if delta is None:
         delta = default_delta(sys)
     if not np.any(sys.B != 0.0):
-        msab = kronecker.ms_abscissa(_shifted(sys, k), sys.N, max_kron_n=max_kron_n)
+        msab = kronecker.ms_abscissa(_shifted(sys, k), sys.N)
         if msab >= 0.0:
-            raise _infeasible_bound(sys, k, msab, max_kron_n)
+            raise _infeasible_bound(sys, k, msab)
         # nothing is reachable: the honest Gramian is zero (and not minimal);
         # the inequality itself only pins P down to "inverse of any small X"
         diag = SolveDiagnostics(method="kronecker_direct", iterations=0,
@@ -124,26 +122,23 @@ def _solve_p_inequality(sys, k, delta, max_kron_n=None):
     try:
         X, diag, delta_used = solve_type2_riccati(
             RiccatiInequalityProblem(A_shifted=_shifted(sys, k), N=sys.N, B=sys.B,
-                                     delta=delta),
-            max_kron_n=max_kron_n)
+                                     delta=delta))
     except RiccatiInfeasibleError as exc:
-        raise _infeasible_bound(sys, k, exc.abscissa, max_kron_n) from exc
+        raise _infeasible_bound(sys, k, exc.abscissa) from exc
     P, _ = invert_spd(X)
     return P, X, diag, delta_used
 
 
-def type2_gramians(sys: BilinearSystem, k, delta=None, method="auto",
-                   max_kron_n=None) -> GramianPair:
+def type2_gramians(sys: BilinearSystem, k, delta=None) -> GramianPair:
     """Control-bounded Gramians: P from the inequality and Q from the shifted
     observability equation, both at drift A + (k^2/2) I.
 
     Raises RiccatiInfeasibleError (with the bisection estimate of the largest
     feasible bound attached) if k is too large for the system."""
-    P, X, diag_p, delta_used = _solve_p_inequality(sys, k, delta, max_kron_n)
+    P, X, diag_p, delta_used = _solve_p_inequality(sys, k, delta)
     Q, diag_q = solve_generalized_lyapunov(
         GeneralizedLyapunovProblem(M=_shifted(sys, k), N=sys.N,
-                                   RHS=-sys.C.T @ sys.C, side="observability"),
-        method=method, max_kron_n=max_kron_n)
+                                   RHS=-sys.C.T @ sys.C, side="observability"))
     lmi_margin = None
     if X is not None:
         lmi_margin = check_lmi_feasibility(sys, k, P, X=X).largest_eigenvalue
@@ -153,30 +148,26 @@ def type2_gramians(sys: BilinearSystem, k, delta=None, method="auto",
                        minimal=_minimality(P, Q))
 
 
-def stochastic_type2_P2(sys: BilinearSystem, delta=None, max_kron_n=None):
+def stochastic_type2_P2(sys: BilinearSystem, delta=None):
     """The k = 0 inequality Gramian P2.  Returns (P2, diagnostics, delta_used)."""
-    P, _X, diag, delta_used = _solve_p_inequality(sys, 0.0, delta, max_kron_n)
+    P, _X, diag, delta_used = _solve_p_inequality(sys, 0.0, delta)
     return P, diag, delta_used
 
 
-def mixed_pair_Q1_P2(sys: BilinearSystem, delta=None, method="auto",
-                     max_kron_n=None) -> GramianPair:
+def mixed_pair_Q1_P2(sys: BilinearSystem, delta=None) -> GramianPair:
     """The pair (P2, Q1).  The output error bound built on it holds only when
     the control is small enough; use the mixed side-condition check on every
     trajectory before trusting it."""
-    return mixed_pair_from_P2(sys, stochastic_type2_P2(sys, delta, max_kron_n),
-                              method=method, max_kron_n=max_kron_n)
+    return mixed_pair_from_P2(sys, stochastic_type2_P2(sys, delta))
 
 
-def mixed_pair_from_P2(sys: BilinearSystem, p2, method="auto",
-                       max_kron_n=None) -> GramianPair:
+def mixed_pair_from_P2(sys: BilinearSystem, p2) -> GramianPair:
     """The pair (P2, Q1) from a P2 already solved: `p2` is the
     (P2, diagnostics, delta_used) triple that `stochastic_type2_P2` returns."""
     P, diag_p, delta_used = p2
     Q, diag_q = solve_generalized_lyapunov(
         GeneralizedLyapunovProblem(M=sys.A, N=sys.N, RHS=-sys.C.T @ sys.C,
-                                   side="observability"),
-        method=method, max_kron_n=max_kron_n)
+                                   side="observability"))
     lmi_margin = None
     if np.linalg.eigvalsh(P).min() > 0.0:
         lmi_margin = check_lmi_feasibility(sys, 0.0, P).largest_eigenvalue

@@ -17,39 +17,23 @@ sym(M, I) + (1/2) sum_i sym(N_i, N_i); `half_vec` and `half_unvec` map
 between a symmetric matrix and its coordinates.
 """
 
-import os
 from typing import NamedTuple
 
 import numpy as np
 
-DEFAULT_MAX_KRON_N = 60
-MAX_KRON_ENV = "BILBT_MAX_KRON_N"
+# largest n for which the dense n^2 x n^2 spectra are formed; the whole
+# pipeline shares this one cap
+MAX_KRON_N = 60
 
 
 class KroneckerCapError(RuntimeError):
     """State dimension too large for the dense n^2 x n^2 path."""
 
 
-def max_kron_dim(override=None):
-    """Largest n for which dense Kronecker matrices are built.
-
-    Resolution order: explicit `override`, the BILBT_MAX_KRON_N environment
-    variable, then the built-in default.
-    """
-    if override is not None:
-        return int(override)
-    env = os.environ.get(MAX_KRON_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_MAX_KRON_N
-
-
-def check_kron_dim(n, override=None):
-    cap = max_kron_dim(override)
-    if n > cap:
+def check_kron_dim(n):
+    if n > MAX_KRON_N:
         raise KroneckerCapError(
-            f"state dimension n={n} exceeds the dense Kronecker cap {cap}; "
-            f"set {MAX_KRON_ENV} or pass max_kron_n to override"
+            f"state dimension n={n} exceeds the dense Kronecker cap {MAX_KRON_N}"
         )
 
 
@@ -161,13 +145,12 @@ def spectral_abscissa(M):
     return float(np.max(np.linalg.eigvals(np.asarray(M, dtype=float)).real))
 
 
-def ms_abscissa(M, N_list, max_kron_n=None):
+def ms_abscissa(M, N_list):
     """Mean-square spectral abscissa: largest real eigenvalue part of
     I kron M + M kron I + sum_i N_i kron N_i.
 
     Negative iff the pair (M, (N_i)) is mean-square stable, which is the
     existence condition for the Gramians solved downstream.
     """
-    n = np.asarray(M).shape[0]
-    check_kron_dim(n, max_kron_n)
+    check_kron_dim(np.asarray(M).shape[0])
     return spectral_abscissa(reach_operator(M, N_list))

@@ -45,6 +45,7 @@ HOMOTOPY_PATH_TOL = 1e-8
 HOMOTOPY_STEP_MAX = 12
 NEWTON_POLISH_MAX = 60
 RICCATI_RESIDUAL_TOL = 1e-10
+SPD_COND_CAP = 1e14
 
 
 class MatrixEquationError(RuntimeError):
@@ -151,9 +152,9 @@ def _coupling_operator(N_list, basis, scale=1.0):
     return C
 
 
-def _solve_kronecker(M, N_list, RHS, side, max_kron_n=None):
+def _solve_kronecker(M, N_list, RHS, side):
     n = M.shape[0]
-    kronecker.check_kron_dim(n, max_kron_n)
+    kronecker.check_kron_dim(n)
     if side == "observability":
         M, N_list = M.T, [Ni.T for Ni in N_list]
     basis = sym_basis(n)
@@ -202,14 +203,14 @@ def _solve_fixed_point(M, N_list, RHS, side):
     )
 
 
-def solve_generalized_lyapunov(prob: GeneralizedLyapunovProblem, method="auto",
-                               max_kron_n=None):
+def solve_generalized_lyapunov(prob: GeneralizedLyapunovProblem,
+                               method="kronecker_direct"):
     """Solve a generalized Lyapunov equation.
 
     method: "kronecker_direct" (dense solve on the n(n+1)/2 symmetric
-    coordinates, n capped),
-    "fixed_point" (Lyapunov splitting sweeps) or "auto" (direct below the
-    cap, fixed point above it).
+    coordinates; n above `kronecker.MAX_KRON_N` raises `KroneckerCapError`)
+    or "fixed_point" (Lyapunov splitting sweeps, the reference solve the
+    tests compare against).
 
     Returns (X, SolveDiagnostics); X is symmetrized and its smallest
     eigenvalue is reported as the definiteness margin.
@@ -219,10 +220,8 @@ def solve_generalized_lyapunov(prob: GeneralizedLyapunovProblem, method="auto",
     RHS = symmetrize(np.asarray(prob.RHS, dtype=float))
     n = M.shape[0]
 
-    if method == "auto":
-        method = "kronecker_direct" if n <= kronecker.max_kron_dim(max_kron_n) else "fixed_point"
     if method == "kronecker_direct":
-        X = _solve_kronecker(M, N_list, RHS, prob.side, max_kron_n)
+        X = _solve_kronecker(M, N_list, RHS, prob.side)
         iterations = 1
         tol = KRON_RESIDUAL_TOL
     elif method == "fixed_point":
@@ -329,7 +328,7 @@ def _homotopy_solve(A_s, N_list, B, BBt, delta, basis):
     return X, resid, iters
 
 
-def _scaled_lyapunov_feasible(A_s, N_list, BBt, delta, max_kron_n):
+def _scaled_lyapunov_feasible(A_s, N_list, BBt, delta):
     """Certified fallback: with Y solving A_s^T Y + Y A_s + sum N_i^T Y N_i = -I,
     every X = c Y has slack matrix -c I + c^2 Y B B^T Y, so c can be chosen to
     keep the margin below -delta.  Conservative (large P) but always exists
@@ -337,8 +336,7 @@ def _scaled_lyapunov_feasible(A_s, N_list, BBt, delta, max_kron_n):
     n = A_s.shape[0]
     Y, diag = solve_generalized_lyapunov(
         GeneralizedLyapunovProblem(M=A_s, N=tuple(N_list), RHS=-np.eye(n),
-                                   side="observability"),
-        max_kron_n=max_kron_n)
+                                   side="observability"))
     lam_w = float(np.linalg.eigvalsh(Y @ BBt @ Y).max())
     if lam_w <= 0.0:
         # quadratic term vanishes along Y: X = Y has margin -1 <= -delta
@@ -372,7 +370,7 @@ def _equality_candidates(A_s, N_list, B, BBt, bnorm, delta, msab, basis):
     return candidates
 
 
-def solve_type2_riccati(prob: RiccatiInequalityProblem, max_kron_n=None):
+def solve_type2_riccati(prob: RiccatiInequalityProblem):
     """Find a positive-definite X with
     A_s^T X + X A_s + sum N_i^T X N_i + X B B^T X <= -delta I.
 
@@ -396,9 +394,8 @@ def solve_type2_riccati(prob: RiccatiInequalityProblem, max_kron_n=None):
     N_list = [np.asarray(Ni, dtype=float) for Ni in prob.N]
     B = np.atleast_2d(np.asarray(prob.B, dtype=float))
     n = A_s.shape[0]
-    kronecker.check_kron_dim(n, max_kron_n)
 
-    msab = kronecker.ms_abscissa(A_s, N_list, max_kron_n=max_kron_n)
+    msab = kronecker.ms_abscissa(A_s, N_list)
     if msab >= 0.0:
         raise RiccatiInfeasibleError(
             f"shifted pair is not mean-square stable (abscissa {msab:.3e} >= 0); "
@@ -416,8 +413,7 @@ def solve_type2_riccati(prob: RiccatiInequalityProblem, max_kron_n=None):
         X, diag = solve_generalized_lyapunov(
             GeneralizedLyapunovProblem(M=A_s, N=tuple(N_list),
                                        RHS=-float(prob.delta) * eye,
-                                       side="observability"),
-            max_kron_n=max_kron_n)
+                                       side="observability"))
         return X, diag, float(prob.delta)
 
     delta = float(prob.delta)
@@ -426,8 +422,7 @@ def solve_type2_riccati(prob: RiccatiInequalityProblem, max_kron_n=None):
         candidates = _equality_candidates(A_s, N_list, B, BBt, bnorm, delta, msab,
                                           basis)
 
-        X_lyap, lyap_diag = _scaled_lyapunov_feasible(A_s, N_list, BBt, delta,
-                                                      max_kron_n)
+        X_lyap, lyap_diag = _scaled_lyapunov_feasible(A_s, N_list, BBt, delta)
         if X_lyap is not None:
             slack = _apply_lyapunov(A_s, N_list, X_lyap, "observability") \
                 + X_lyap @ BBt @ X_lyap
@@ -472,20 +467,20 @@ class FeasibilityReport:
         }
 
 
-def invert_spd(P, cond_cap=1e14):
+def invert_spd(P):
     """Invert a symmetric positive-definite matrix via its eigendecomposition."""
     P = symmetrize(np.asarray(P, dtype=float))
     w, V = np.linalg.eigh(P)
-    if w.min() <= 0.0 or w.max() / w.min() > cond_cap:
+    if w.min() <= 0.0 or w.max() / w.min() > SPD_COND_CAP:
         raise MatrixEquationError(
-            f"matrix not invertible within condition cap {cond_cap:.1e} "
+            f"matrix not invertible within condition cap {SPD_COND_CAP:.1e} "
             f"(eigenvalue range [{w.min():.3e}, {w.max():.3e}])"
         )
     return (V / w) @ V.T, float(w.max() / w.min())
 
 
-def check_lmi_feasibility(sys: BilinearSystem, k, P, X=None, tol=1e-8,
-                          cond_cap=1e14) -> FeasibilityReport:
+def check_lmi_feasibility(sys: BilinearSystem, k, P, X=None,
+                          tol=1e-8) -> FeasibilityReport:
     """Certify a reachability-side Gramian candidate P against the
     Schur-complement block matrix
 
@@ -496,7 +491,7 @@ def check_lmi_feasibility(sys: BilinearSystem, k, P, X=None, tol=1e-8,
     inequality at control bound k.  Feasible iff the largest eigenvalue of
     the block matrix is <= tol."""
     if X is None:
-        X, cond_P = invert_spd(P, cond_cap)
+        X, cond_P = invert_spd(P)
     else:
         X = symmetrize(np.asarray(X, dtype=float))
         w = np.linalg.eigvalsh(symmetrize(np.asarray(P, dtype=float)))

@@ -1,5 +1,5 @@
 """Bilinear control systems: the model type, validation, stability spectra,
-state-space transformations, rescaling, partitioning and JSON I/O.
+state-space transformations, rescaling and JSON I/O.
 
 The state equation is
 
@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kronecker
-from .kronecker import KroneckerCapError  # re-exported for callers  # noqa: F401
 
-DEFAULT_COND_CAP = 1e8
+COND_CAP = 1e8
 
 
 def _freeze(a):
@@ -125,10 +124,10 @@ class StabilityReport:
     k_max_estimate: float
 
 
-def perturbed_ms_abscissa(sys: BilinearSystem, k, max_kron_n=None):
+def perturbed_ms_abscissa(sys: BilinearSystem, k):
     """Mean-square abscissa with the drift shifted to A + (k^2/2) I."""
     A_shifted = sys.A + 0.5 * float(k) ** 2 * np.eye(sys.n)
-    return kronecker.ms_abscissa(A_shifted, sys.N, max_kron_n=max_kron_n)
+    return kronecker.ms_abscissa(A_shifted, sys.N)
 
 
 def _bisect_k_max(msab, tol=1e-8):
@@ -154,20 +153,20 @@ def _bisect_k_max(msab, tol=1e-8):
     return k_max
 
 
-def stability_report(sys: BilinearSystem, k=0.0, max_kron_n=None) -> StabilityReport:
+def stability_report(sys: BilinearSystem, k=0.0) -> StabilityReport:
     """Compute Hurwitz and mean-square stability spectra plus the largest
     feasible control bound.
 
-    Dense path only: n is capped (default 60, override via max_kron_n or the
-    BILBT_MAX_KRON_N environment variable).  The Gramian solves make the same
+    Dense path only: n is capped at `kronecker.MAX_KRON_N`, and a larger
+    system raises `KroneckerCapError`.  The Gramian solves make the same
     dense eigensolve, so the cap holds for the whole pipeline.  At k = 0 the
     perturbed drift is A itself, and its abscissa is not computed twice.
     """
     if k < 0:
         raise ValueError(f"control bound k must be nonnegative, got {k}")
     alpha = kronecker.spectral_abscissa(sys.A)
-    msab = kronecker.ms_abscissa(sys.A, sys.N, max_kron_n=max_kron_n)
-    perturbed = msab if k == 0 else perturbed_ms_abscissa(sys, k, max_kron_n=max_kron_n)
+    msab = kronecker.ms_abscissa(sys.A, sys.N)
+    perturbed = msab if k == 0 else perturbed_ms_abscissa(sys, k)
     k_max = _bisect_k_max(msab)
     return StabilityReport(
         hurwitz=alpha < 0.0,
@@ -195,7 +194,7 @@ def rescale(sys: BilinearSystem, gamma) -> BilinearSystem:
     )
 
 
-def transform(sys: BilinearSystem, T, T_inv=None, cond_cap=DEFAULT_COND_CAP) -> BilinearSystem:
+def transform(sys: BilinearSystem, T, T_inv=None) -> BilinearSystem:
     """Similarity transform x^ = T x: A^ = T A T^-1, B^ = T B, C^ = C T^-1,
     N_i^ = T N_i T^-1.  The input-output map is unchanged.
     """
@@ -203,9 +202,9 @@ def transform(sys: BilinearSystem, T, T_inv=None, cond_cap=DEFAULT_COND_CAP) -> 
     if T.shape != (sys.n, sys.n):
         raise ValueError(f"T has shape {T.shape}, expected ({sys.n}, {sys.n})")
     cond = np.linalg.cond(T)
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > COND_CAP:
         raise ValueError(
-            f"transformation condition number {cond:.3e} exceeds cap {cond_cap:.1e}"
+            f"transformation condition number {cond:.3e} exceeds cap {COND_CAP:.1e}"
         )
     if T_inv is None:
         T_inv = np.linalg.inv(T)
@@ -217,56 +216,6 @@ def transform(sys: BilinearSystem, T, T_inv=None, cond_cap=DEFAULT_COND_CAP) -> 
         N=tuple(T @ Ni @ T_inv for Ni in sys.N),
         C=sys.C @ T_inv,
         n=sys.n, m=sys.m, p=sys.p,
-    )
-
-
-@dataclass(frozen=True)
-class SystemPartition:
-    """Leading/trailing block views of a system split at order r."""
-
-    A11: np.ndarray
-    A12: np.ndarray
-    A21: np.ndarray
-    A22: np.ndarray
-    B1: np.ndarray
-    B2: np.ndarray
-    C1: np.ndarray
-    C2: np.ndarray
-    N11: tuple
-    N12: tuple
-    N21: tuple
-    N22: tuple
-    r: int
-
-    def leading_system(self) -> BilinearSystem:
-        return BilinearSystem.from_matrices(self.A11, self.B1, self.N11, self.C1)
-
-    def reassemble(self) -> BilinearSystem:
-        A = np.block([[self.A11, self.A12], [self.A21, self.A22]])
-        B = np.vstack([self.B1, self.B2])
-        C = np.hstack([self.C1, self.C2])
-        N = tuple(
-            np.block([[n11, n12], [n21, n22]])
-            for n11, n12, n21, n22 in zip(self.N11, self.N12, self.N21, self.N22)
-        )
-        return BilinearSystem.from_matrices(A, B, N, C)
-
-
-def partition(sys: BilinearSystem, r) -> SystemPartition:
-    """Split all coefficients into blocks of size r and n - r."""
-    r = int(r)
-    if not 1 <= r < sys.n:
-        raise ValueError(f"r={r} out of range [1, {sys.n - 1}]")
-    A, B, C = sys.A, sys.B, sys.C
-    return SystemPartition(
-        A11=A[:r, :r], A12=A[:r, r:], A21=A[r:, :r], A22=A[r:, r:],
-        B1=B[:r, :], B2=B[r:, :],
-        C1=C[:, :r], C2=C[:, r:],
-        N11=tuple(Ni[:r, :r] for Ni in sys.N),
-        N12=tuple(Ni[:r, r:] for Ni in sys.N),
-        N21=tuple(Ni[r:, :r] for Ni in sys.N),
-        N22=tuple(Ni[r:, r:] for Ni in sys.N),
-        r=r,
     )
 
 

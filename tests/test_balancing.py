@@ -135,6 +135,9 @@ def test_truncate_blocks_match_partition():
     assert np.array_equal(rom.system.A, bal.system.A[:2, :2])
     assert np.array_equal(rom.system.B, bal.system.B[:2, :])
     assert np.array_equal(rom.system.C, bal.system.C[:, :2])
+    assert len(rom.system.N) == 2
+    for Ni, Mi in zip(rom.system.N, bal.system.N):
+        assert np.array_equal(Ni, Mi[:2, :2])
     assert rom.r == 2 and rom.tail_hsv.size == 3
     assert rom.gramian_kind == pair.kind
 

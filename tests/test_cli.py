@@ -5,6 +5,7 @@ import pytest
 
 from bilbt import load_system, save_system
 from bilbt.cli import main
+from bilbt.kronecker import MAX_KRON_N
 from bilbt.verification import worked_2x2
 
 from conftest import make_random_system
@@ -63,7 +64,7 @@ def test_validate_huge_decay_rate(tmp_path, capsys):
 
 
 def test_validate_above_kronecker_cap(tmp_path, capsys):
-    n = 61
+    n = MAX_KRON_N + 1
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"n": n, "m": 1, "p": 1, "A": (-np.eye(n)).tolist(),
                                 "B": np.ones((n, 1)).tolist(),

@@ -7,16 +7,23 @@ import pytest
 from bilbt import (
     BilinearSystem,
     ControlSignal,
+    GeneralizedLyapunovProblem,
     KroneckerCapError,
+    RiccatiInequalityProblem,
     load_system,
-    partition,
     rescale,
     save_system,
     simulate,
+    solve_generalized_lyapunov,
+    solve_type2_riccati,
     stability_report,
+    stochastic_type2_P2,
     transform,
+    type1_gramians,
+    type2_gramians,
     validate,
 )
+from bilbt.kronecker import MAX_KRON_N
 from bilbt.system import _bisect_k_max, system_from_dict, system_to_dict
 
 from conftest import make_random_system
@@ -113,18 +120,28 @@ def test_linear_ms_abscissa_is_twice_spectral():
 
 
 def test_kronecker_cap():
-    sys = make_random_system(3, n=4)
-    with pytest.raises(KroneckerCapError):
-        stability_report(sys, max_kron_n=3)
-
-
-def test_kron_cap_env_override(monkeypatch):
-    sys = make_random_system(3, n=4)
-    monkeypatch.setenv("BILBT_MAX_KRON_N", "3")
-    with pytest.raises(KroneckerCapError):
-        stability_report(sys)
-    monkeypatch.setenv("BILBT_MAX_KRON_N", "10")
-    stability_report(sys)
+    # one cap for the whole pipeline: every dense entry point refuses n above it
+    n = MAX_KRON_N + 1
+    sys = BilinearSystem.from_matrices(-np.eye(n), np.ones((n, 1)),
+                                       [0.1 * np.eye(n)], np.ones((1, n)))
+    calls = {
+        "stability_report": lambda: stability_report(sys),
+        "type1_gramians": lambda: type1_gramians(sys),
+        "type2_gramians": lambda: type2_gramians(sys, 0.1),
+        "stochastic_type2_P2": lambda: stochastic_type2_P2(sys),
+        "solve_generalized_lyapunov": lambda: solve_generalized_lyapunov(
+            GeneralizedLyapunovProblem(M=sys.A, N=sys.N, RHS=-sys.B @ sys.B.T)),
+        "solve_type2_riccati": lambda: solve_type2_riccati(
+            RiccatiInequalityProblem(A_shifted=sys.A, N=sys.N, B=sys.B, delta=1e-6)),
+    }
+    uncapped = []
+    for name, call in calls.items():
+        try:
+            call()
+        except KroneckerCapError:
+            continue
+        uncapped.append(name)
+    assert not uncapped
 
 
 def test_rescale_identity(scalar_sys):
@@ -200,32 +217,6 @@ def test_transform_condition_cap():
     T = np.diag([1.0, 1.0, 1e-12])
     with pytest.raises(ValueError, match="condition"):
         transform(sys, T)
-
-
-def test_partition_smallest_split():
-    sys = make_random_system(1, n=2)
-    blocks = partition(sys, 1)
-    assert blocks.A11.shape == (1, 1)
-    assert blocks.A22.shape == (1, 1)
-
-
-def test_partition_reassembles_bit_exact():
-    sys = make_random_system(2, n=5, m=2, p=2)
-    blocks = partition(sys, 3)
-    assert blocks.A11.shape == (3, 3) and blocks.A22.shape == (2, 2)
-    back = blocks.reassemble()
-    assert np.array_equal(back.A, sys.A)
-    assert np.array_equal(back.B, sys.B)
-    assert np.array_equal(back.C, sys.C)
-    for Ni, Mi in zip(back.N, sys.N):
-        assert np.array_equal(Ni, Mi)
-
-
-def test_partition_range_errors():
-    sys = make_random_system(2, n=3)
-    for r in (0, 3, 7):
-        with pytest.raises(ValueError):
-            partition(sys, r)
 
 
 def test_json_round_trip_bit_exact(tmp_path, rng):

@@ -22,6 +22,7 @@ from bilbt import (
     square_root_balance,
     stochastic_type2_P2,
     truncate,
+    type1_gramians,
     type2_gramians,
 )
 from bilbt.balancing import ReducedModel
@@ -73,6 +74,18 @@ def test_error_bound_rejects_oversized_control():
     sys, _, _, rom = _reduced(k=0.5)
     with pytest.raises(PreconditionViolation):
         check_error_bound(sys, rom, ControlSignal.constant([1.0]), 1.0, 1e-3)
+
+
+def test_error_bound_type1_reduction_under_control():
+    # the type-1 pair carries no control bound, so any control is admitted
+    sys = worked_2x2()
+    rom = truncate(square_root_balance(sys, type1_gramians(sys)), 1)
+    u = ControlSignal.constant([1.0])
+    thm, cor = check_error_bound(sys, rom, u, 1.0, 1e-3)
+    assert (thm.check, cor.check) == ("error_bound_thm", "error_bound_cor")
+    assert cor.context["kind"] == "type1" and cor.context["k"] == 0.0
+    assert cor.lhs > 0.0
+    assert cor.rhs == pytest.approx(rom.bound_all, rel=1e-6)  # ||u||_{L2_1} = 1
 
 
 def test_reach_energy_zero_input():
