@@ -133,8 +133,8 @@ def type2_gramians(sys: BilinearSystem, k, delta=None) -> GramianPair:
     """Control-bounded Gramians: P from the inequality and Q from the shifted
     observability equation, both at drift A + (k^2/2) I.
 
-    Raises RiccatiInfeasibleError (with the bisection estimate of the largest
-    feasible bound attached) if k is too large for the system."""
+    Raises RiccatiInfeasibleError (with the largest feasible bound
+    attached) if k is too large for the system."""
     P, X, diag_p, delta_used = _solve_p_inequality(sys, k, delta)
     Q, diag_q = solve_generalized_lyapunov(
         GeneralizedLyapunovProblem(M=_shifted(sys, k), N=sys.N,

@@ -1,33 +1,41 @@
-"""Kronecker-product operators shared by the stability checks and the dense solvers.
-
-All vectorisations are column-major (``order="F"``), so that
-``vec(M X) = (I kron M) vec(X)`` and ``vec(X M^T) = (M kron I) vec(X)``.
-
-The mean-square abscissa is an eigenvalue of the full n^2 x n^2 operator
-(`reach_operator`).  The dense solvers only ever solve for symmetric X under
-operators that map symmetric matrices to symmetric matrices, such as
+"""Operators on symmetric matrices shared by the stability checks and the
+dense solvers, which only ever handle operators that map symmetric matrices
+to symmetric matrices, such as
 
     X -> M X + X M^T + sum_i N_i X N_i^T.
 
 They work in symmetric coordinates: on the orthonormal basis E_aa and
 (e_a e_b^T + e_b e_a^T)/sqrt(2), a < b, of the symmetric matrices, with
-n(n+1)/2 unknowns instead of n^2.  `sym_operator` gives the matrix of
-X -> F X H^T + H X F^T on that basis, so the operator above is
-sym(M, I) + (1/2) sum_i sym(N_i, N_i); `half_vec` and `half_unvec` map
-between a symmetric matrix and its coordinates.
+n(n+1)/2 unknowns instead of the n^2 of the Kronecker form
+I kron M + M kron I + sum_i N_i kron N_i; no n^2 x n^2 array is formed.
+`sym_operator` gives the matrix of X -> F X H^T + H X F^T on that basis, so
+the operator above is sym(M, I) + (1/2) sum_i sym(N_i, N_i), the second
+term being `coupling_operator`; `half_vec` and `half_unvec` map between a
+symmetric matrix and its coordinates.
+
+The restriction is exact for the solves, whose right-hand sides and
+solutions are symmetric, and for the spectral abscissa: the operator above
+is resolvent-positive (Damm, *Rational Matrix Equations in Stochastic
+Control*, LNCIS 297, 2004), so its abscissa is a real eigenvalue with a
+positive semidefinite, hence symmetric, eigenvector.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-# largest n for which the dense n^2 x n^2 spectra are formed; the whole
-# pipeline shares this one cap
+# entries of one temporary in `sym_operator`: bounds its work memory at
+# 128 KB per array whatever n
+CHUNK_ENTRIES = 1 << 14
+
+# largest n for which the dense operators on the n(n+1)/2 symmetric
+# coordinates are formed, factored and eigensolved; the whole pipeline
+# shares this one cap
 MAX_KRON_N = 60
 
 
 class KroneckerCapError(RuntimeError):
-    """State dimension too large for the dense n^2 x n^2 path."""
+    """State dimension too large for the dense symmetric-coordinate path."""
 
 
 def check_kron_dim(n):
@@ -46,22 +54,18 @@ class SymBasis(NamedTuple):
 
     Basis element q is E_aa if a = b and (E_ab + E_ba)/sqrt(2) otherwise,
     with (a, b) = (rows[q], cols[q]) from `np.triu_indices(n)`; `weights[q]`
-    is 1 or sqrt(2).  `aa`, `bb`, `ab` and `ba` are flat indices into an
-    n x n matrix Z such that Z.ravel()[ab][p, q] = Z[a_p, b_q], and so on.
-    The `eye_*` arrays list the nonzero entries of sym(F, I): flat positions
-    in the operator, the flat index of the entry of F each one takes, and its
-    weight.
+    is 1 or sqrt(2).  The `eye_*` arrays list the nonzero entries of
+    sym(F, I): the distinct flat positions in the operator, the position each
+    term adds to (an index into `eye_pos`), the flat index of the entry of F
+    the term takes, and its weight.  No array holds n^4 entries.
     """
 
     n: int
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
-    aa: np.ndarray
-    bb: np.ndarray
-    ab: np.ndarray
-    ba: np.ndarray
     eye_pos: np.ndarray
+    eye_bin: np.ndarray
     eye_src: np.ndarray
     eye_scale: np.ndarray
 
@@ -70,48 +74,71 @@ def sym_basis(n):
     """The `SymBasis` of the symmetric n x n matrices (n(n+1)/2 elements)."""
     rows, cols = np.triu_indices(n)
     weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
-    aa = rows[:, None] * n + rows[None, :]
-    bb = cols[:, None] * n + cols[None, :]
-    ab = rows[:, None] * n + cols[None, :]
-    ba = cols[:, None] * n + rows[None, :]
-    # sym(F, I) keeps the terms of sym(F, H) whose entry of H is diagonal
-    pos, src = [], []
-    for f_idx, h_row, h_col in ((aa, cols, cols), (bb, rows, rows),
-                                (ab, cols, rows), (ba, rows, cols)):
-        nz = np.flatnonzero(h_row[:, None] == h_col[None, :])
-        pos.append(nz)
-        src.append(f_idx.ravel()[nz])
-    eye_pos = np.concatenate(pos)
     m = rows.size
-    eye_scale = 0.5 * weights[eye_pos // m] * weights[eye_pos % m]
+    # sym(F, I) keeps the terms of sym(F, H) whose entry of H is diagonal:
+    # with p = (a, b) and q = (c, d) these are F_ac [b = d], F_bd [a = c],
+    # F_ad [b = c] and F_bc [a = d]
+    pos, src = [], []
+    for f_row, f_col, h_row, h_col in ((rows, rows, cols, cols),
+                                       (cols, cols, rows, rows),
+                                       (rows, cols, cols, rows),
+                                       (cols, rows, rows, cols)):
+        p, q = np.nonzero(h_row[:, None] == h_col[None, :])
+        pos.append(p * m + q)
+        src.append(f_row[p] * n + f_col[q])
+    pos = np.concatenate(pos)
+    eye_pos, eye_bin = np.unique(pos, return_inverse=True)
     return SymBasis(n=n, rows=rows, cols=cols, weights=weights,
-                    aa=aa, bb=bb, ab=ab, ba=ba, eye_pos=eye_pos,
-                    eye_src=np.concatenate(src), eye_scale=eye_scale)
+                    eye_pos=eye_pos, eye_bin=eye_bin,
+                    eye_src=np.concatenate(src),
+                    eye_scale=0.5 * weights[pos // m] * weights[pos % m])
 
 
-def sym_operator(F, H, basis):
+def sym_operator(F, H, basis, out=None):
     """Matrix of X -> F X H^T + H X F^T on the symmetric basis `basis`;
-    H = None stands for the identity.
+    H = None stands for the identity.  With `out` (a C-ordered square
+    array of the operator's size) the matrix is added to it in place and
+    `out` is returned.
 
     With p = (a, b) and q = (c, d), the entry is w_p w_q / 2 times
-    F_ac H_bd + F_bd H_ac + F_ad H_bc + F_bc H_ad, gathered without forming
-    any n^2 x n^2 array.  For H = I only O(n^3) of these entries are nonzero.
+    F_ac H_bd + F_bd H_ac + F_ad H_bc + F_bc H_ad, gathered a few rows p at
+    a time, so the temporaries hold O(n^3) entries, not the operator's
+    n^4 / 4.  For H = I only O(n^3) of the entries are nonzero.
     """
-    f = np.ascontiguousarray(F, dtype=float).ravel()
+    F = np.asarray(F, dtype=float)
     m = basis.rows.size
+    if out is None:
+        out = np.zeros((m, m))
     if H is None:
-        G = np.bincount(basis.eye_pos, weights=f[basis.eye_src] * basis.eye_scale,
-                        minlength=m * m)
-        return G.reshape(m, m)
-    h = np.ascontiguousarray(H, dtype=float).ravel()
-    G = f[basis.aa] * h[basis.bb]
-    G += f[basis.bb] * h[basis.aa]
-    G += f[basis.ab] * h[basis.ba]
-    G += f[basis.ba] * h[basis.ab]
-    w = basis.weights
-    G *= 0.5 * w[:, None]
-    G *= w[None, :]
-    return G
+        terms = F.ravel()[basis.eye_src] * basis.eye_scale
+        out.reshape(-1)[basis.eye_pos] += np.bincount(
+            basis.eye_bin, weights=terms, minlength=basis.eye_pos.size)
+        return out
+    H = np.asarray(H, dtype=float)
+    rows, cols, w = basis.rows, basis.cols, basis.weights
+    FR, FC, HR, HC = F[:, rows], F[:, cols], H[:, rows], H[:, cols]
+    step = max(1, CHUNK_ENTRIES // m)
+    for start in range(0, m, step):
+        p = slice(start, start + step)
+        a, b = rows[p], cols[p]
+        G = FR[a] * HC[b]
+        G += FC[b] * HR[a]
+        G += FC[a] * HR[b]
+        G += FR[b] * HC[a]
+        G *= 0.5 * w[p, None]
+        G *= w[None, :]
+        out[p] += G
+    return out
+
+
+def coupling_operator(N_list, basis):
+    """Matrix of X -> sum_i N_i X N_i^T in symmetric coordinates, that is
+    (1/2) sum_i sym(N_i, N_i)."""
+    C = np.zeros((basis.rows.size, basis.rows.size))
+    for Ni in N_list:
+        sym_operator(Ni, Ni, basis, out=C)
+    C *= 0.5
+    return C
 
 
 def half_vec(X, basis):
@@ -128,29 +155,22 @@ def half_unvec(y, basis):
     return X
 
 
-def reach_operator(M, N_list):
-    """Matrix of X -> M X + X M^T + sum_i N_i X N_i^T on vec(X)."""
-    M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    eye = np.eye(n)
-    K = np.kron(eye, M) + np.kron(M, eye)
-    for Ni in N_list:
-        Ni = np.asarray(Ni, dtype=float)
-        K += np.kron(Ni, Ni)
-    return K
-
-
 def spectral_abscissa(M):
     """Largest real part of the eigenvalues of M."""
     return float(np.max(np.linalg.eigvals(np.asarray(M, dtype=float)).real))
 
 
 def ms_abscissa(M, N_list):
-    """Mean-square spectral abscissa: largest real eigenvalue part of
-    I kron M + M kron I + sum_i N_i kron N_i.
+    """Mean-square spectral abscissa: largest real part of the spectrum of
+    X -> M X + X M^T + sum_i N_i X N_i^T on the symmetric coordinates.  The
+    operator is resolvent-positive, so the abscissa has a symmetric (PSD)
+    eigenvector and equals that of I kron M + M kron I + sum_i N_i kron N_i.
 
     Negative iff the pair (M, (N_i)) is mean-square stable, which is the
     existence condition for the Gramians solved downstream.
     """
-    check_kron_dim(np.asarray(M).shape[0])
-    return spectral_abscissa(reach_operator(M, N_list))
+    M = np.asarray(M, dtype=float)
+    check_kron_dim(M.shape[0])
+    basis = sym_basis(M.shape[0])
+    return spectral_abscissa(sym_operator(M, None, basis,
+                                          out=coupling_operator(N_list, basis)))

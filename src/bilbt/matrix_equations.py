@@ -19,9 +19,10 @@ The dense solves (the "kronecker_direct" Lyapunov method and every Newton
 step of the inequality solver) work in symmetric coordinates: the operators
 above map symmetric matrices to symmetric matrices, so each solve has
 n(n+1)/2 unknowns instead of n^2, and its matrix is gathered by
-`kronecker.sym_operator` without forming any n^2 x n^2 array.  A Newton
-call forms the coupling part of its step operator once and adds the
-closed-loop Lyapunov part per step.
+`kronecker.sym_operator` without forming any n^2 x n^2 array.  A Riccati
+solve forms the coupling part of the Newton step operator once; each Newton
+step scales it by the step's coupling strength and adds the closed-loop
+Lyapunov part.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_continuous_are, solve_continuous_lyapunov
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import kronecker
 from .kronecker import half_unvec, half_vec, sym_basis, sym_operator, symmetrize
@@ -143,33 +145,24 @@ def _relative_residual(M, N_list, X, RHS, side):
     return float(np.linalg.norm(R) / denom)
 
 
-def _coupling_operator(N_list, basis, scale=1.0):
-    """Matrix of X -> scale * sum_i N_i X N_i^T in symmetric coordinates."""
-    C = np.zeros((basis.rows.size, basis.rows.size))
-    for Ni in N_list:
-        C += sym_operator(Ni, Ni, basis)
-    C *= 0.5 * scale
-    return C
-
-
 def _solve_kronecker(M, N_list, RHS, side):
     n = M.shape[0]
     kronecker.check_kron_dim(n)
     if side == "observability":
         M, N_list = M.T, [Ni.T for Ni in N_list]
     basis = sym_basis(n)
-    K = _coupling_operator(N_list, basis)
-    K += sym_operator(M, None, basis)
+    K = sym_operator(M, None, basis, out=kronecker.coupling_operator(N_list, basis))
     b = half_vec(RHS, basis)
-    try:
-        x = np.linalg.solve(K, b)
-        # one iterative refinement pass keeps the residual near machine level
-        x += np.linalg.solve(K, b - K @ x)
-    except np.linalg.LinAlgError as exc:
+    # one LU factorization serves the solve and its refinement
+    lu, piv, info = dgetrf(K)
+    if info > 0:
         raise MeanSquareInstabilityError(
-            f"Kronecker matrix singular ({exc}); the pair is on or beyond the "
-            "mean-square stability boundary"
-        ) from exc
+            f"Kronecker matrix singular (zero pivot {info}); the pair is on or "
+            "beyond the mean-square stability boundary"
+        )
+    x = dgetrs(lu, piv, b)[0]
+    # one iterative refinement pass keeps the residual near machine level
+    x += dgetrs(lu, piv, b - K @ x)[0]
     return half_unvec(x, basis)
 
 
@@ -252,26 +245,25 @@ def _riccati_residual(A_s, N_list, BBt, X, delta):
     return float(np.linalg.norm(G) / scale)
 
 
-def _newton_at_coupling(A_s, N_list, BBt, delta, s, X0, max_iter, tol, basis):
+def _newton_at_coupling(A_s, N_list, BBt, delta, s, X0, max_iter, tol, basis,
+                        coupling):
     """Newton on the slacked equality with the coupling scaled by s: each step
     solves the generalized Lyapunov equation of the closed loop A_s + B B^T X_j,
 
         Ac^T X+ + X+ Ac + s * sum N_i^T X+ N_i = X_j B B^T X_j - delta I.
 
+    `coupling` is the matrix of X -> sum N_i^T X N_i on `basis`.
     Returns (X, residual, iterations); X is None if the iteration broke down.
     """
     n = A_s.shape[0]
     eye = np.eye(n)
     Ns = [np.sqrt(s) * Ni for Ni in N_list]
-    # the coupling part of the step operator does not change between steps
-    coupling = _coupling_operator([Ni.T for Ni in N_list], basis, s)
     X = X0
     best, best_resid = None, np.inf
     scale0 = max(np.linalg.norm(X0), 1.0)
     for it in range(1, max_iter + 1):
         Ac = A_s + BBt @ X
-        K = sym_operator(Ac.T, None, basis)
-        K += coupling
+        K = sym_operator(Ac.T, None, basis, out=s * coupling)
         rhs = X @ BBt @ X - delta * eye
         try:
             X_new = half_unvec(np.linalg.solve(K, half_vec(rhs, basis)), basis)
@@ -289,7 +281,7 @@ def _newton_at_coupling(A_s, N_list, BBt, delta, s, X0, max_iter, tol, basis):
     return best, best_resid, max_iter
 
 
-def _homotopy_solve(A_s, N_list, B, BBt, delta, basis):
+def _homotopy_solve(A_s, N_list, B, BBt, delta, basis, coupling):
     """Track the maximal-root branch from the uncoupled CARE (coupling scale
     s = 0) to the full equation (s = 1) with adaptive steps and Newton
     warm starts; the final point is polished to full residual tolerance.
@@ -314,7 +306,7 @@ def _homotopy_solve(A_s, N_list, B, BBt, delta, basis):
         else:
             tol, step_max = HOMOTOPY_PATH_TOL, HOMOTOPY_STEP_MAX
         X_new, resid, it = _newton_at_coupling(A_s, N_list, BBt, delta, s_next,
-                                               X, step_max, tol, basis)
+                                               X, step_max, tol, basis, coupling)
         iters += it
         accept_tol = RICCATI_RESIDUAL_TOL if s_next == 1.0 else HOMOTOPY_PATH_TOL
         if X_new is not None and resid <= accept_tol:
@@ -328,27 +320,23 @@ def _homotopy_solve(A_s, N_list, B, BBt, delta, basis):
     return X, resid, iters
 
 
-def _scaled_lyapunov_feasible(A_s, N_list, BBt, delta):
+def _scaled_lyapunov_feasible(Y, BBt, delta):
     """Certified fallback: with Y solving A_s^T Y + Y A_s + sum N_i^T Y N_i = -I,
     every X = c Y has slack matrix -c I + c^2 Y B B^T Y, so c can be chosen to
     keep the margin below -delta.  Conservative (large P) but always exists
-    under mean-square stability."""
-    n = A_s.shape[0]
-    Y, diag = solve_generalized_lyapunov(
-        GeneralizedLyapunovProblem(M=A_s, N=tuple(N_list), RHS=-np.eye(n),
-                                   side="observability"))
+    under mean-square stability; None if delta is too large for it."""
     lam_w = float(np.linalg.eigvalsh(Y @ BBt @ Y).max())
     if lam_w <= 0.0:
         # quadratic term vanishes along Y: X = Y has margin -1 <= -delta
-        return Y, diag
+        return Y
     if 4.0 * delta * lam_w >= 1.0:
-        return None, diag
+        return None
     # largest root of -c + c^2 lam_w = -delta, backed off 0.1% for rounding
     c_max = (1.0 + np.sqrt(1.0 - 4.0 * delta * lam_w)) / (2.0 * lam_w)
-    return 0.999 * c_max * Y, diag
+    return 0.999 * c_max * Y
 
 
-def _equality_candidates(A_s, N_list, B, BBt, bnorm, delta, msab, basis):
+def _equality_candidates(A_s, N_list, B, BBt, bnorm, delta, msab, basis, coupling):
     """All positive-definite roots of the slacked equality the two strategies
     find, as (X, iterations) pairs: plain Newton from a ladder of theta * I
     starts, plus the coupling-homotopy branch from the uncoupled CARE."""
@@ -359,11 +347,12 @@ def _equality_candidates(A_s, N_list, B, BBt, bnorm, delta, msab, basis):
         X, resid, it = _newton_at_coupling(A_s, N_list, BBt, delta, 1.0,
                                            factor * theta0 * np.eye(n),
                                            NEWTON_POLISH_MAX,
-                                           0.01 * RICCATI_RESIDUAL_TOL, basis)
+                                           0.01 * RICCATI_RESIDUAL_TOL, basis,
+                                           coupling)
         if X is not None and resid <= RICCATI_RESIDUAL_TOL \
                 and np.linalg.eigvalsh(X).min() > 0.0:
             candidates.append((X, it))
-    X, resid, it = _homotopy_solve(A_s, N_list, B, BBt, delta, basis)
+    X, resid, it = _homotopy_solve(A_s, N_list, B, BBt, delta, basis, coupling)
     if X is not None and resid <= RICCATI_RESIDUAL_TOL \
             and np.linalg.eigvalsh(X).min() > 0.0:
         candidates.append((X, it))
@@ -418,11 +407,17 @@ def solve_type2_riccati(prob: RiccatiInequalityProblem):
 
     delta = float(prob.delta)
     basis = sym_basis(n)
+    # the step operators of every Newton call share this coupling part
+    coupling = kronecker.coupling_operator([Ni.T for Ni in N_list], basis)
+    # the interior point scales one generalized Lyapunov solution, whatever delta
+    Y, lyap_diag = solve_generalized_lyapunov(
+        GeneralizedLyapunovProblem(M=A_s, N=tuple(N_list), RHS=-eye,
+                                   side="observability"))
     for _halving in range(60):
         candidates = _equality_candidates(A_s, N_list, B, BBt, bnorm, delta, msab,
-                                          basis)
+                                          basis, coupling)
 
-        X_lyap, lyap_diag = _scaled_lyapunov_feasible(A_s, N_list, BBt, delta)
+        X_lyap = _scaled_lyapunov_feasible(Y, BBt, delta)
         if X_lyap is not None:
             slack = _apply_lyapunov(A_s, N_list, X_lyap, "observability") \
                 + X_lyap @ BBt @ X_lyap

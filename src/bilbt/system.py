@@ -108,12 +108,13 @@ def require_valid(sys: BilinearSystem) -> BilinearSystem:
 class StabilityReport:
     """Stability spectra of a bilinear system.
 
-    `ms_abscissa` is the largest real eigenvalue part of the n^2 x n^2
+    `ms_abscissa` is the largest real part of the spectrum of
+    X -> A X + X A^T + sum N_i X N_i^T, the same as that of the n^2 x n^2
     operator I kron A + A kron I + sum N_i kron N_i; negative means the
     Gramian equations have positive semidefinite solutions.  The perturbed
     value replaces A by A + (k^2/2) I, which shifts the abscissa by exactly
-    k^2.  `k_max_estimate` is the largest control bound that keeps the
-    perturbed abscissa negative.
+    k^2, so it is ms_abscissa + k * k and takes no eigensolve of its own.
+    `k_max_estimate` is the largest float k that keeps it negative.
     """
 
     hurwitz: bool
@@ -124,33 +125,16 @@ class StabilityReport:
     k_max_estimate: float
 
 
-def perturbed_ms_abscissa(sys: BilinearSystem, k):
-    """Mean-square abscissa with the drift shifted to A + (k^2/2) I."""
-    A_shifted = sys.A + 0.5 * float(k) ** 2 * np.eye(sys.n)
-    return kronecker.ms_abscissa(A_shifted, sys.N)
-
-
-def _bisect_k_max(msab, tol=1e-8):
-    # Exploits the exact identity perturbed(k) = msab + k^2; the closed form
-    # sqrt(-msab) seeds the bracket and cross-checks the result.
+def _k_max(msab):
+    """The largest float k with msab + k * k < 0, or 0 if msab >= 0."""
     if msab >= 0.0:
         return 0.0
-    k_closed = float(np.sqrt(-msab))
-    lo, hi = 0.0, 2.0 * k_closed
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # adjacent floats: the bracket cannot shrink below tol
-        if msab + mid * mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    k_max = lo
-    if abs(k_max - k_closed) > max(1e-6, 10.0 * tol, 16.0 * np.spacing(k_closed)):
-        raise ArithmeticError(
-            f"k_max bisection ({k_max}) disagrees with closed form ({k_closed})"
-        )
-    return k_max
+    # sqrt rounds to nearest, so the float above sqrt(-msab) squares to at
+    # least -msab; only steps down can be needed
+    k = float(np.sqrt(-msab))
+    while msab + k * k >= 0.0:
+        k = float(np.nextafter(k, 0.0))
+    return k
 
 
 def stability_report(sys: BilinearSystem, k=0.0) -> StabilityReport:
@@ -159,22 +143,21 @@ def stability_report(sys: BilinearSystem, k=0.0) -> StabilityReport:
 
     Dense path only: n is capped at `kronecker.MAX_KRON_N`, and a larger
     system raises `KroneckerCapError`.  The Gramian solves make the same
-    dense eigensolve, so the cap holds for the whole pipeline.  At k = 0 the
-    perturbed drift is A itself, and its abscissa is not computed twice.
+    dense eigensolve, so the cap holds for the whole pipeline.  One
+    mean-square eigensolve serves every k.
     """
     if k < 0:
         raise ValueError(f"control bound k must be nonnegative, got {k}")
+    k = float(k)
     alpha = kronecker.spectral_abscissa(sys.A)
     msab = kronecker.ms_abscissa(sys.A, sys.N)
-    perturbed = msab if k == 0 else perturbed_ms_abscissa(sys, k)
-    k_max = _bisect_k_max(msab)
     return StabilityReport(
         hurwitz=alpha < 0.0,
         spectral_abscissa_A=alpha,
         ms_abscissa=msab,
-        k=float(k),
-        perturbed_ms_abscissa=perturbed,
-        k_max_estimate=k_max,
+        k=k,
+        perturbed_ms_abscissa=msab + k * k,
+        k_max_estimate=_k_max(msab),
     )
 
 

@@ -53,7 +53,8 @@ def test_validate_dimension_mismatch(tmp_path, capsys):
 
 
 def test_validate_huge_decay_rate(tmp_path, capsys):
-    # sqrt(-ms_abscissa) = 1.4e8: the k_max bisection runs into float spacing
+    # sqrt(-ms_abscissa) = 1.4e8: float spacing of k above 1e-8, where a
+    # bisection to that tolerance never stopped
     path = tmp_path / "stiff.json"
     path.write_text(json.dumps({"n": 1, "m": 1, "p": 1, "A": [[-1e16]], "B": [[1.0]],
                                 "N": [[[0.0]]], "C": [[1.0]]}))

@@ -107,12 +107,17 @@ def test_one_mean_square_eigensolve_per_call(monkeypatch):
     monkeypatch.setattr(kronecker, "ms_abscissa", counting)
     sys = make_random_system(64, n=4, m=2)
     for run in (lambda: stability_report(sys, 0.0),
+                lambda: stability_report(sys, 0.5),
                 lambda: type1_gramians(sys),
                 lambda: type2_gramians(sys, 0.5),
                 lambda: stochastic_type2_P2(sys)):
         calls.clear()
         run()
         assert len(calls) == 1
+    # the perturbed abscissa is the exact shift of the unperturbed one
+    for k in (0.0, 0.5, 1.3):
+        rep = stability_report(sys, k)
+        assert rep.perturbed_ms_abscissa == rep.ms_abscissa + k * k
 
 
 def test_type2_q_at_zero_k_equals_type1_q():

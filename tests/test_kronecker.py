@@ -1,10 +1,21 @@
 """The symmetric-coordinate operators against the dense n^2 x n^2 oracle."""
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from bilbt import GeneralizedLyapunovProblem, solve_generalized_lyapunov
-from bilbt.kronecker import half_unvec, half_vec, reach_operator, sym_basis, sym_operator
+from bilbt.kronecker import (
+    coupling_operator,
+    half_unvec,
+    half_vec,
+    ms_abscissa,
+    sym_basis,
+    sym_operator,
+)
+
+from conftest import reach_operator
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -44,6 +55,18 @@ def symmetric_operator(M, N, side, basis):
     for Ni in N:
         S += 0.5 * sym_operator(Ni, Ni, basis)
     return S
+
+
+@st.composite
+def scaled_pairs(draw):
+    """(M, [N_i]) with n in 1..8, m in 0..3 and entries scaled by 0.01..10;
+    mean-square stable and unstable pairs alike."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 3))
+    scale_m, scale_n = (draw(st.floats(0.01, 10.0)) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = scale_m * rng.standard_normal((n, n)) - draw(st.floats(0.0, 10.0)) * np.eye(n)
+    return M, [scale_n * rng.standard_normal((n, n)) for _ in range(m)]
 
 
 @PROPERTY
@@ -98,3 +121,50 @@ def test_symmetric_solve_matches_dense_solve(data):
     assert diag.method == "kronecker_direct"
     assert np.array_equal(X, X.T)
     assert np.linalg.norm(X - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+@PROPERTY
+@given(operator_data())
+def test_coupling_operator_and_accumulation(data):
+    M, N, _, _ = data
+    basis = sym_basis(M.shape[0])
+    coupling = coupling_operator(N, basis)
+    # halving is exact, so the sum of halves is the half of the sum
+    expected = sum((0.5 * sym_operator(Ni, Ni, basis) for Ni in N),
+                   np.zeros_like(coupling))
+    assert np.array_equal(coupling, expected)
+    # `out` adds the operator in place and returns the array it was given
+    out = coupling.copy()
+    assert sym_operator(M, None, basis, out=out) is out
+    assert np.array_equal(out, coupling + sym_operator(M, None, basis))
+    out = coupling.copy()
+    H = M @ M.T
+    assert np.array_equal(sym_operator(M, H, basis, out=out),
+                          coupling + sym_operator(M, H, basis))
+
+
+@PROPERTY
+@given(scaled_pairs())
+def test_ms_abscissa_matches_full_spectrum(pair):
+    # the restriction to symmetric coordinates keeps the abscissa: the
+    # operator is resolvent-positive, so its abscissa has a PSD eigenvector
+    M, N = pair
+    spectrum = np.linalg.eigvals(reach_operator(M, N))
+    rho = float(np.abs(spectrum).max())
+    assert abs(ms_abscissa(M, N) - spectrum.real.max()) <= 1e-12 * max(1.0, rho)
+
+
+def test_ms_abscissa_memory_stays_below_half_a_dense_operator():
+    n = 40
+    rng = np.random.default_rng(40)
+    M = rng.standard_normal((n, n)) - 10.0 * np.eye(n)
+    N = [0.3 * rng.standard_normal((n, n)) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ms_abscissa(M, N)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # one dense n^2 x n^2 operator takes 8 n^4 bytes
+    assert peak < 4 * n ** 4

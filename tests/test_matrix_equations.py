@@ -101,6 +101,17 @@ def test_unstable_pair_detected():
         solve_generalized_lyapunov(prob, method="fixed_point")
 
 
+def test_singular_operator_detected():
+    # on the stability boundary the dense operator has an exact zero pivot:
+    # here 2 * (-0.5) + 1^2 = 0 on the E_22 coordinate
+    for side in ("reachability", "observability"):
+        prob = GeneralizedLyapunovProblem(M=np.diag([-1.0, -0.5]),
+                                          N=(np.diag([0.0, 1.0]),),
+                                          RHS=-np.eye(2), side=side)
+        with pytest.raises(MeanSquareInstabilityError, match="zero pivot"):
+            solve_generalized_lyapunov(prob)
+
+
 def test_asymmetric_rhs_rejected():
     with pytest.raises(ValueError, match="symmetric"):
         GeneralizedLyapunovProblem(M=-np.eye(2), N=(np.zeros((2, 2)),),
@@ -238,7 +249,7 @@ def test_riccati_iterations_count_only_the_winner():
     # reports the homotopy's own Newton steps, not the ladder's as well
     from bilbt import CampaignConfig, stability_report, worked_2x2
     from bilbt.gramians import default_delta
-    from bilbt.kronecker import sym_basis
+    from bilbt.kronecker import coupling_operator, sym_basis
     from bilbt.matrix_equations import _homotopy_solve
     from bilbt.verification import build_campaign_systems
 
@@ -255,12 +266,45 @@ def test_riccati_iterations_count_only_the_winner():
     delta = default_delta(sys)
     X, diag, delta_used = solve_type2_riccati(
         RiccatiInequalityProblem(A_shifted=A_s, N=sys.N, B=sys.B, delta=delta))
+    basis = sym_basis(sys.n)
     X_h, _, iters_h = _homotopy_solve(A_s, list(sys.N), sys.B, sys.B @ sys.B.T,
-                                      delta, sym_basis(sys.n))
+                                      delta, basis,
+                                      coupling_operator([Ni.T for Ni in sys.N], basis))
     assert delta_used == delta
     assert diag.method == "newton"
     assert np.allclose(X, X_h, rtol=1e-12, atol=0.0)
     assert diag.iterations == iters_h
+
+
+def test_riccati_builds_the_newton_coupling_once(monkeypatch):
+    # every Newton call scales the one coupling matrix its solve built; the
+    # only other builds are the abscissa's and the interior point's Lyapunov
+    # solve, each once
+    import sys as _sys
+
+    from bilbt import kronecker, matrix_equations, stability_report, worked_2x2
+    from bilbt.gramians import default_delta
+
+    sys = worked_2x2()
+    k = 0.4 * stability_report(sys).k_max_estimate
+    callers, newton_calls = [], []
+    build, newton = kronecker.coupling_operator, matrix_equations._newton_at_coupling
+
+    def counting_build(*args, **kwargs):
+        callers.append(_sys._getframe(1).f_code.co_name)
+        return build(*args, **kwargs)
+
+    def counting_newton(*args, **kwargs):
+        newton_calls.append(1)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(kronecker, "coupling_operator", counting_build)
+    monkeypatch.setattr(matrix_equations, "_newton_at_coupling", counting_newton)
+    solve_type2_riccati(RiccatiInequalityProblem(
+        A_shifted=sys.A + 0.5 * k * k * np.eye(sys.n), N=sys.N, B=sys.B,
+        delta=default_delta(sys)))
+    assert len(newton_calls) > 5
+    assert sorted(callers) == ["_solve_kronecker", "ms_abscissa", "solve_type2_riccati"]
 
 
 def test_riccati_labels_the_winning_strategy(scalar_sys):

@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bilbt import (
     BilinearSystem,
@@ -24,7 +25,7 @@ from bilbt import (
     validate,
 )
 from bilbt.kronecker import MAX_KRON_N
-from bilbt.system import _bisect_k_max, system_from_dict, system_to_dict
+from bilbt.system import _k_max, system_from_dict, system_to_dict
 
 from conftest import make_random_system
 
@@ -93,14 +94,26 @@ def test_perturbed_shift_random_system():
 
 
 def test_k_max_bisection_stops_at_float_spacing():
-    # above sqrt(-msab) ~ 4.5e7 the float spacing of k exceeds the tolerance
+    # above sqrt(-msab) ~ 4.5e7 the float spacing of k exceeds 1e-8, where a
+    # bisection to that tolerance never stopped
     result = []
-    worker = threading.Thread(target=lambda: result.append(_bisect_k_max(-2e16)),
+    worker = threading.Thread(target=lambda: result.append(_k_max(-2e16)),
                               daemon=True)
     worker.start()
     worker.join(timeout=1.0)
     assert not worker.is_alive()
     assert result[0] == pytest.approx(np.sqrt(2e16), rel=1e-15)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.floats(-1e300, -1e-300))
+def test_k_max_is_the_largest_float_below_the_boundary(msab):
+    k = _k_max(msab)
+    assert msab + k * k < 0.0
+    up = float(np.nextafter(k, np.inf))
+    assert msab + up * up >= 0.0
+    # no bound keeps an unstable pair stable
+    assert _k_max(-msab) == 0.0
 
 
 def test_k_max_estimate_matches_closed_form(scalar_sys):
