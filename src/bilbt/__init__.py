@@ -16,7 +16,6 @@ from .balancing import (
 )
 from .gramians import (
     GramianPair,
-    control_bound_from_trajectory,
     mixed_pair_from_P2,
     mixed_pair_Q1_P2,
     stochastic_type2_P2,
@@ -43,8 +42,6 @@ from .simulation import (
     SimulationBlowUpError,
     Trajectory,
     bounded_control_suite,
-    l2_norm,
-    scale_control,
     simulate,
     simulate_batch,
 )

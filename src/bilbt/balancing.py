@@ -124,12 +124,12 @@ class ReducedModel:
     hsv: np.ndarray  # full spectrum of the parent balanced realization
 
 
-def group_distinct(values, rel_tol=DISTINCT_TOL):
-    """Group a nonincreasing sequence into runs equal within rel_tol;
+def group_distinct(values):
+    """Group a nonincreasing sequence into runs equal within DISTINCT_TOL;
     returns the group representatives (the largest member of each run)."""
     reps = []
     for v in values:
-        if not reps or abs(v - reps[-1]) > rel_tol * max(abs(reps[-1]), 1e-300):
+        if not reps or abs(v - reps[-1]) > DISTINCT_TOL * max(abs(reps[-1]), 1e-300):
             reps.append(float(v))
     return reps
 
@@ -141,7 +141,7 @@ def truncate(bal: BalancedRealization, r) -> ReducedModel:
     if not 1 <= r < full.n:
         raise ValueError(f"r={r} out of range [1, {full.n - 1}]")
     tail = np.asarray(bal.hsv[r:], dtype=float)
-    reps = group_distinct(tail, DISTINCT_TOL)
+    reps = group_distinct(tail)
     return ReducedModel(
         system=BilinearSystem.from_matrices(full.A[:r, :r], full.B[:r],
                                             [Ni[:r, :r] for Ni in full.N],

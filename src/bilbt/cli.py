@@ -4,8 +4,9 @@ Subcommands: validate, gramians, reduce, simulate, verify, campaign.
 One file per artifact (system, gramians, ROM, report); all outputs are
 deterministic given the seed.
 
-Exit codes: 0 success, 1 validation/feasibility error, 2 bound violation
-beyond the hard-failure threshold, 3 I/O or parse error.
+Exit codes: 0 success, 1 validation/feasibility error (a command line that
+does not parse is one), 2 bound violation beyond the hard-failure threshold,
+3 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .system import (
 from .verification import (
     CampaignConfig,
     benchmark_campaign,
+    build_campaign_systems,
     campaign_to_csv,
     campaign_to_json,
     check_error_bound,
@@ -267,7 +269,8 @@ def _cmd_verify(config):
 
 def _cmd_campaign(config):
     result = benchmark_campaign(CampaignConfig(seed=config.seed, T=config.T,
-                                               h=config.h, delta=config.delta))
+                                               h=config.h, delta=config.delta),
+                                build_campaign_systems(config.seed))
     text = campaign_to_json(result)
     if config.output:
         with open(config.output, "w", encoding="utf-8") as fh:
@@ -315,45 +318,66 @@ def run(config: RunConfig) -> int:
         return EXIT_VALIDATION
 
 
+class UsageError(ValueError):
+    """A command line that does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+# the flags each subcommand reads; defaults are RunConfig's
+_FLAGS = {
+    "input": {"required": True},
+    "output": {},
+    "kind": {"choices": KIND_CHOICES},
+    "k": {"type": float},
+    "delta": {"type": float},
+    "order": {"type": int},
+    "tol": {"type": float},
+    "T": {"type": float},
+    "h": {"type": float},
+    "seed": {"type": int},
+    "control": {},
+    "csv": {},
+    "quiet": {"action": "store_true"},
+}
+_GRAMIAN_FLAGS = ("input", "output", "kind", "k", "delta", "quiet")
+_COMMAND_FLAGS = {
+    "validate": ("input", "output", "quiet"),
+    "gramians": _GRAMIAN_FLAGS,
+    "reduce": _GRAMIAN_FLAGS + ("order", "tol"),
+    "simulate": ("input", "output", "k", "T", "h", "seed", "control", "quiet"),
+    "verify": _GRAMIAN_FLAGS + ("order", "T", "h", "seed"),
+    "campaign": ("output", "seed", "T", "h", "delta", "csv", "quiet"),
+}
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bilbt",
         description="Balanced truncation for bilinear systems with certified "
                     "error bounds")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_input in (("validate", True), ("gramians", True),
-                              ("reduce", True), ("simulate", True),
-                              ("verify", True), ("campaign", False)):
-        cmd = sub.add_parser(name)
-        if needs_input:
-            cmd.add_argument("--input", required=True)
-        cmd.add_argument("--output")
-        cmd.add_argument("--kind", choices=KIND_CHOICES, default="type2")
-        cmd.add_argument("--k", type=float, default=0.0)
-        cmd.add_argument("--delta", type=float)
-        group = cmd.add_mutually_exclusive_group()
-        group.add_argument("--order", type=int)
-        group.add_argument("--tol", type=float)
-        cmd.add_argument("--T", type=float, default=10.0)
-        cmd.add_argument("--h", type=float, default=1e-3)
-        cmd.add_argument("--seed", type=int, default=7)
-        cmd.add_argument("--control", default="sinusoid")
-        cmd.add_argument("--csv")
-        cmd.add_argument("--quiet", action="store_true")
+    for name, flags in _COMMAND_FLAGS.items():
+        cmd = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            cmd.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Parse the command line and run it.  A command line that does not parse
+    or that RunConfig rejects exits with EXIT_VALIDATION and the JSON error
+    payload, like any other validation error."""
+    argv = _sys.argv[1:] if argv is None else list(argv)
     try:
-        config = RunConfig(command=args.command,
-                           input=getattr(args, "input", None),
-                           output=args.output, kind=args.kind, k=args.k,
-                           delta=args.delta, order=args.order, tol=args.tol,
-                           T=args.T, h=args.h, seed=args.seed,
-                           control=args.control, csv=args.csv, quiet=args.quiet)
+        config = RunConfig(**vars(_build_parser().parse_args(argv)))
     except ValueError as exc:
         _sys.stderr.write(f"error: {exc}\n")
+        _emit(RunConfig(command="", quiet="--quiet" in argv),
+              _error_payload(exc, EXIT_VALIDATION))
         return EXIT_VALIDATION
     return run(config)
 

@@ -190,7 +190,3 @@ def transform_gramians(pair: GramianPair, T, T_inv=None) -> GramianPair:
                        diagnostics=pair.diagnostics, delta=pair.delta,
                        lmi_margin=None, minimal=pair.minimal)
 
-
-def control_bound_from_trajectory(traj) -> float:
-    """Convenience: the pointwise bound max_t ||u(t)||_2 realised by a trajectory."""
-    return float(np.sqrt((traj.inputs ** 2).sum(axis=1).max()))

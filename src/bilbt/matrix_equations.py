@@ -30,17 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_are, solve_continuous_lyapunov
+from scipy.linalg import solve_continuous_are
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import kronecker
 from .kronecker import half_unvec, half_vec, sym_basis, sym_operator, symmetrize
 from .system import BilinearSystem
 
-FIXED_POINT_CHANGE_TOL = 1e-12
-FIXED_POINT_MAX_SWEEPS = 10000
 KRON_RESIDUAL_TOL = 1e-10
-FIXED_POINT_RESIDUAL_TOL = 1e-8
 CARE_CHANGE_TOL = 1e-13
 HOMOTOPY_ITER_BUDGET = 800
 HOMOTOPY_PATH_TOL = 1e-8
@@ -48,6 +45,7 @@ HOMOTOPY_STEP_MAX = 12
 NEWTON_POLISH_MAX = 60
 RICCATI_RESIDUAL_TOL = 1e-10
 SPD_COND_CAP = 1e14
+LMI_TOL = 1e-8
 
 
 class MatrixEquationError(RuntimeError):
@@ -111,7 +109,7 @@ class RiccatiInequalityProblem:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    method: str  # kronecker_direct | fixed_point | newton | interior_point
+    method: str  # kronecker_direct | newton | interior_point
     iterations: int  # work of the returned solution only
     residual_norm: float  # relative Frobenius
     definiteness_margin: float  # smallest eigenvalue of the solution
@@ -166,44 +164,10 @@ def _solve_kronecker(M, N_list, RHS, side):
     return half_unvec(x, basis)
 
 
-def _solve_fixed_point(M, N_list, RHS, side):
-    """Splitting iteration: solve the plain Lyapunov part per sweep, move the
-    coupling terms to the right-hand side.  Contracts exactly under
-    mean-square stability."""
-    a = M if side == "reachability" else M.T
-    X = np.zeros_like(RHS)
-    scale = max(np.linalg.norm(RHS), 1.0)
-    for sweep in range(1, FIXED_POINT_MAX_SWEEPS + 1):
-        if side == "reachability":
-            Q = RHS - sum(Ni @ X @ Ni.T for Ni in N_list)
-        else:
-            Q = RHS - sum(Ni.T @ X @ Ni for Ni in N_list)
-        try:
-            X_new = symmetrize(solve_continuous_lyapunov(a, Q))
-        except np.linalg.LinAlgError as exc:
-            raise MeanSquareInstabilityError(f"Lyapunov sweep failed: {exc}") from exc
-        if not np.all(np.isfinite(X_new)) or np.linalg.norm(X_new) > 1e50 * scale:
-            raise MeanSquareInstabilityError(
-                f"fixed-point iteration diverged at sweep {sweep}; the pair is "
-                "not mean-square stable"
-            )
-        change = np.linalg.norm(X_new - X)
-        X = X_new
-        if change <= FIXED_POINT_CHANGE_TOL * max(np.linalg.norm(X), 1e-300):
-            return X, sweep
-    raise ConvergenceError(
-        f"fixed-point iteration did not converge within {FIXED_POINT_MAX_SWEEPS} sweeps"
-    )
-
-
-def solve_generalized_lyapunov(prob: GeneralizedLyapunovProblem,
-                               method="kronecker_direct"):
-    """Solve a generalized Lyapunov equation.
-
-    method: "kronecker_direct" (dense solve on the n(n+1)/2 symmetric
-    coordinates; n above `kronecker.MAX_KRON_N` raises `KroneckerCapError`)
-    or "fixed_point" (Lyapunov splitting sweeps, the reference solve the
-    tests compare against).
+def solve_generalized_lyapunov(prob: GeneralizedLyapunovProblem):
+    """Solve a generalized Lyapunov equation by the "kronecker_direct" method:
+    a dense solve on the n(n+1)/2 symmetric coordinates (n above
+    `kronecker.MAX_KRON_N` raises `KroneckerCapError`).
 
     Returns (X, SolveDiagnostics); X is symmetrized and its smallest
     eigenvalue is reported as the definiteness margin.
@@ -213,23 +177,15 @@ def solve_generalized_lyapunov(prob: GeneralizedLyapunovProblem,
     RHS = symmetrize(np.asarray(prob.RHS, dtype=float))
     n = M.shape[0]
 
-    if method == "kronecker_direct":
-        X = _solve_kronecker(M, N_list, RHS, prob.side)
-        iterations = 1
-        tol = KRON_RESIDUAL_TOL
-    elif method == "fixed_point":
-        X, iterations = _solve_fixed_point(M, N_list, RHS, prob.side)
-        tol = FIXED_POINT_RESIDUAL_TOL
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    X = _solve_kronecker(M, N_list, RHS, prob.side)
     residual = _relative_residual(M, N_list, X, RHS, prob.side)
-    if residual > tol:
+    if residual > KRON_RESIDUAL_TOL:
         raise ConvergenceError(
-            f"{method} residual {residual:.3e} exceeds tolerance {tol:.1e}"
+            f"kronecker_direct residual {residual:.3e} exceeds tolerance "
+            f"{KRON_RESIDUAL_TOL:.1e}"
         )
     margin = float(np.linalg.eigvalsh(X).min()) if n > 0 else 0.0
-    return X, SolveDiagnostics(method=method, iterations=iterations,
+    return X, SolveDiagnostics(method="kronecker_direct", iterations=1,
                                residual_norm=residual, definiteness_margin=margin)
 
 
@@ -474,8 +430,7 @@ def invert_spd(P):
     return (V / w) @ V.T, float(w.max() / w.min())
 
 
-def check_lmi_feasibility(sys: BilinearSystem, k, P, X=None,
-                          tol=1e-8) -> FeasibilityReport:
+def check_lmi_feasibility(sys: BilinearSystem, k, P, X=None) -> FeasibilityReport:
     """Certify a reachability-side Gramian candidate P against the
     Schur-complement block matrix
 
@@ -484,7 +439,7 @@ def check_lmi_feasibility(sys: BilinearSystem, k, P, X=None,
 
     which is negative semidefinite iff P satisfies the Riccati-type
     inequality at control bound k.  Feasible iff the largest eigenvalue of
-    the block matrix is <= tol."""
+    the block matrix is <= LMI_TOL."""
     if X is None:
         X, cond_P = invert_spd(P)
     else:
@@ -497,5 +452,5 @@ def check_lmi_feasibility(sys: BilinearSystem, k, P, X=None,
         top += Ni.T @ X @ Ni
     S = np.block([[top, X @ sys.B], [sys.B.T @ X, -np.eye(sys.m)]])
     lam = float(np.linalg.eigvalsh(symmetrize(S)).max())
-    return FeasibilityReport(largest_eigenvalue=lam, feasible=lam <= tol,
-                             tol=float(tol), cond_P=cond_P)
+    return FeasibilityReport(largest_eigenvalue=lam, feasible=lam <= LMI_TOL,
+                             tol=LMI_TOL, cond_P=cond_P)

@@ -29,6 +29,10 @@ from .system import BilinearSystem
 DEFAULT_H_CAP = 1e-3
 # integration steps between two finiteness checks
 BLOCK_STEPS = 256
+# sinusoid terms per input, and pieces per piecewise-constant signal, in
+# `bounded_control_suite`
+SUITE_TERMS = 3
+SUITE_PIECES = 20
 
 
 class SimulationBlowUpError(RuntimeError):
@@ -47,9 +51,9 @@ class ControlSignal:
 
     The bound is guaranteed by construction for every kind (triangle
     inequality for sinusoid banks, per-piece renormalization for the random
-    piecewise-constant signals, convexity for interpolated samples)."""
+    piecewise-constant signals)."""
 
-    kind: str  # zero | constant | sinusoid_bank | piecewise_constant_random | user_samples
+    kind: str  # zero | constant | sinusoid_bank | piecewise_constant_random
     m: int
     k_bound: float
     label: str
@@ -75,18 +79,11 @@ class ControlSignal:
             arg = 2.0 * np.pi * freqs[None, :, :] * t[:, None, None] + phases[None, :, :]
             return (amps[None, :, :] * np.sin(arg)).sum(axis=2)
         if self.kind == "piecewise_constant_random":
-            values = self.params["values"]  # (pieces, m)
+            values = self.params["values"]  # (SUITE_PIECES, m)
             T = self.params["T"]
             pieces = values.shape[0]
             idx = np.clip((t * pieces / T).astype(int), 0, pieces - 1)
             return values[idx]
-        if self.kind == "user_samples":
-            times = self.params["times"]
-            samples = self.params["samples"]  # (len(times), m)
-            out = np.empty((K, self.m))
-            for j in range(self.m):
-                out[:, j] = np.interp(t, times, samples[:, j])
-            return out
         raise ValueError(f"unknown control kind {self.kind!r}")
 
     @classmethod
@@ -119,35 +116,7 @@ class ControlSignal:
                    k_bound=bound, label=label,
                    params={"values": values, "T": float(T)})
 
-    @classmethod
-    def from_samples(cls, times, samples, label="samples"):
-        times = np.asarray(times, dtype=float)
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        if samples.shape[0] != times.size:
-            raise ValueError("times and samples disagree in length")
-        bound = float(np.sqrt((samples ** 2).sum(axis=1).max()))
-        return cls(kind="user_samples", m=samples.shape[1], k_bound=bound,
-                   label=label, params={"times": times, "samples": samples})
-
-
-def scale_control(u: ControlSignal, factor, label=None) -> ControlSignal:
-    """Pointwise scaling of a control; the certified bound scales with it."""
-    factor = float(factor)
-    if factor < 0:
-        raise ValueError("factor must be nonnegative")
-    label = label if label is not None else u.label
-    if u.kind == "zero":
-        return ControlSignal.zero(u.m, label=label)
-    params = dict(u.params)
-    key = {"constant": "value", "sinusoid_bank": "amplitudes",
-           "piecewise_constant_random": "values", "user_samples": "samples"}[u.kind]
-    params[key] = params[key] * factor
-    return ControlSignal(kind=u.kind, m=u.m, k_bound=u.k_bound * factor,
-                         label=label, params=params)
-
-
-def bounded_control_suite(m, k, T, seed, n_sinusoids=2, n_piecewise=1,
-                          pieces=20, terms=3):
+def bounded_control_suite(m, k, T, seed, n_sinusoids=2, n_piecewise=1):
     """Deterministic-by-seed family of controls with ||u(t)||_2 <= k pointwise:
     the zero signal, a constant of norm k, scaled sinusoid banks, and random
     piecewise-constant signals renormalized piece by piece."""
@@ -162,19 +131,19 @@ def bounded_control_suite(m, k, T, seed, n_sinusoids=2, n_piecewise=1,
     signals.append(ControlSignal.constant(k * direction, label="constant"))
 
     for s in range(n_sinusoids):
-        amps = rng.uniform(0.3, 1.0, size=(m, terms))
-        freqs = rng.uniform(0.1, 2.5, size=(m, terms))
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(m, terms))
+        amps = rng.uniform(0.3, 1.0, size=(m, SUITE_TERMS))
+        freqs = rng.uniform(0.1, 2.5, size=(m, SUITE_TERMS))
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(m, SUITE_TERMS))
         scale = float(np.linalg.norm(np.abs(amps).sum(axis=1)))
         amps = amps * (k / scale) if scale > 0 else amps * 0.0
         signals.append(ControlSignal.sinusoid_bank(amps, freqs, phases,
                                                    label=f"sinusoid-{s}"))
 
     for s in range(n_piecewise):
-        raw = rng.standard_normal((pieces, m))
+        raw = rng.standard_normal((SUITE_PIECES, m))
         norms = np.sqrt((raw ** 2).sum(axis=1, keepdims=True))
         norms[norms == 0.0] = 1.0
-        levels = k * rng.uniform(0.3, 1.0, size=(pieces, 1))
+        levels = k * rng.uniform(0.3, 1.0, size=(SUITE_PIECES, 1))
         signals.append(ControlSignal.piecewise_constant(raw / norms * levels, T,
                                                         label=f"piecewise-{s}"))
     return signals
@@ -182,15 +151,12 @@ def bounded_control_suite(m, k, T, seed, n_sinusoids=2, n_piecewise=1,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Samples of one simulation on a uniform grid, with running L^2 norms of
-    the input and the output (trapezoidal accumulators)."""
+    """Samples of one simulation on a uniform grid."""
 
     grid: np.ndarray       # (K+1,)
     states: np.ndarray     # (K+1, n)
     inputs: np.ndarray     # (K+1, m)
     outputs: np.ndarray    # (K+1, p)
-    u_l2_running: np.ndarray
-    y_l2_running: np.ndarray
 
     @property
     def h(self):
@@ -198,17 +164,11 @@ class Trajectory:
 
     @property
     def u_l2(self):
-        return float(self.u_l2_running[-1])
+        return l2_richardson(self.inputs, self.grid)[0]
 
     @property
     def y_l2(self):
-        return float(self.y_l2_running[-1])
-
-
-def cumulative_l2(values, grid):
-    """Running trapezoidal integral of ||v(t)||_2^2, square-rooted."""
-    sq = (np.atleast_2d(values.T).T ** 2).sum(axis=1)
-    return np.sqrt(cumulative_trapezoid(sq, grid))
+        return l2_richardson(self.outputs, self.grid)[0]
 
 
 def cumulative_trapezoid(f, grid):
@@ -275,13 +235,10 @@ def simulate_batch(systems, controls, T, h, x0=None):
     _integrate(states, U, W, B.T, coupled, h, grid)
 
     inputs = [np.ascontiguousarray(U[::2, s]) for s in range(len(controls))]
-    u_l2 = [cumulative_l2(u_s, grid) for u_s in inputs]
 
     def trajectory(sys, s, cols):
         x = np.ascontiguousarray(states[:, s, cols])
-        y = x @ sys.C.T
-        return Trajectory(grid=grid, states=x, inputs=inputs[s], outputs=y,
-                          u_l2_running=u_l2[s], y_l2_running=cumulative_l2(y, grid))
+        return Trajectory(grid=grid, states=x, inputs=inputs[s], outputs=x @ sys.C.T)
 
     return [[trajectory(sys, s, slice(lo, hi)) for s in range(len(controls))]
             for sys, lo, hi in zip(systems, bounds[:-1], bounds[1:])]
@@ -324,25 +281,6 @@ def _integrate(states, U, W, Bt, coupled, h, grid):
                 raise SimulationBlowUpError(
                     f"state became non-finite at step {step} (t = {grid[step]:.6g})",
                     step=step, time=float(grid[step]))
-
-
-def l2_norm(traj: Trajectory, of="output", other: Trajectory = None) -> float:
-    """Trapezoidal L^2_T norm of the input, the output, or the output
-    difference against another trajectory on the same grid."""
-    if of == "input":
-        values = traj.inputs
-    elif of == "output":
-        values = traj.outputs
-    elif of == "output_difference":
-        if other is None:
-            raise ValueError("output_difference requires the other trajectory")
-        if traj.grid.shape != other.grid.shape or not np.array_equal(traj.grid, other.grid):
-            raise ValueError("trajectories live on different grids")
-        values = traj.outputs - other.outputs
-    else:
-        raise ValueError(f"unknown norm target {of!r}")
-    sq = (values ** 2).sum(axis=1)
-    return float(np.sqrt(np.trapezoid(sq, traj.grid)))
 
 
 def coarse_trapezoid(f, grid):

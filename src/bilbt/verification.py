@@ -17,7 +17,8 @@ Checks implemented:
 
 Every check carries a quadrature slack tolerance estimated per run; a hard
 failure is declared only when the slack is exceeded tenfold.  The campaign
-driver sweeps seeded system families, control bounds, orders and controls,
+driver runs a fixed grid of control bounds, orders and controls over a given
+list of systems (by default the seeded families of `build_campaign_systems`)
 and aggregates pass rates, worst slacks and bound tightness ratios per
 Gramian kind.  Reductions based on the plain (unshifted) Gramian pair carry
 no certified bound and are included as empirical baselines only.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -294,19 +295,21 @@ def check_mixed_side_conditions(bal: BalancedRealization, rom: ReducedModel,
 # ---------------------------------------------------------------------------
 # seeded system families
 
+RANDOM_ABSCISSA_MARGIN = 1.0
+RANDOM_MSAB_TARGET = -0.3
 
-def random_ms_stable_system(n, m, p, rng, abscissa_margin=1.0, coupling=0.4,
-                            msab_target=-0.3) -> BilinearSystem:
-    """Random dense system, shifted to spectral abscissa -abscissa_margin and
-    with the coupling matrices scaled down until the mean-square abscissa is
-    at most msab_target."""
+
+def random_ms_stable_system(n, m, p, rng, coupling=0.4) -> BilinearSystem:
+    """Random dense system, shifted to spectral abscissa -RANDOM_ABSCISSA_MARGIN
+    and with the coupling matrices scaled down until the mean-square abscissa
+    is at most RANDOM_MSAB_TARGET."""
     A0 = rng.standard_normal((n, n))
-    A = A0 - (spectral_abscissa(A0) + abscissa_margin) * np.eye(n)
+    A = A0 - (spectral_abscissa(A0) + RANDOM_ABSCISSA_MARGIN) * np.eye(n)
     B = rng.standard_normal((n, m)) / np.sqrt(n)
     C = rng.standard_normal((p, n)) / np.sqrt(n)
     N = [coupling / np.sqrt(n) * rng.standard_normal((n, n)) for _ in range(m)]
     for _ in range(80):
-        if ms_abscissa(A, N) <= msab_target:
+        if ms_abscissa(A, N) <= RANDOM_MSAB_TARGET:
             break
         N = [0.7 * Ni for Ni in N]
     else:
@@ -314,9 +317,9 @@ def random_ms_stable_system(n, m, p, rng, abscissa_margin=1.0, coupling=0.4,
     return BilinearSystem.from_matrices(A, B, N, C)
 
 
-def linear_stable_system(n, m, p, rng, abscissa_margin=1.0) -> BilinearSystem:
+def linear_stable_system(n, m, p, rng) -> BilinearSystem:
     """Random stable linear system (all coupling matrices zero)."""
-    sys = random_ms_stable_system(n, m, p, rng, abscissa_margin, coupling=0.0)
+    sys = random_ms_stable_system(n, m, p, rng, coupling=0.0)
     return BilinearSystem.from_matrices(sys.A, sys.B,
                                         [np.zeros((n, n))] * m, sys.C)
 
@@ -350,75 +353,58 @@ def duplicate_system(sys: BilinearSystem) -> BilinearSystem:
 # ---------------------------------------------------------------------------
 # campaign driver
 
+RANDOM_DIMS = (2, 3, 4, 6, 8, 10, 16, 20)
+K_FRACTIONS = (0.4, 0.8)  # of the estimated largest feasible bound
+SMALL_CONTROL_FRACTION = 0.5  # bound of the extra constant and sinusoid, relative to k
+MIN_TAIL_REL = 1e-7  # skip orders whose bound is below numerical noise
+MAX_ORDERS = 3
+OBSERV_X0_COUNT = 2
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Deterministic sweep description; every random draw derives from `seed`."""
+    """The settings of a campaign run; every random draw derives from `seed`."""
 
     seed: int = 7
     T: float = 10.0
     h: float = 1e-3
-    include_worked: bool = True
-    include_linear: bool = True
-    include_repeated_hsv: bool = True
-    random_dims: tuple = (2, 3, 4, 6, 8, 10, 16, 20)
-    k_fractions: tuple = (0.4, 0.8)  # of the estimated largest feasible bound
-    control_fractions: tuple = (1.0, 0.5)  # suite bound relative to k
-    n_sinusoids: int = 2
-    n_piecewise: int = 1
     delta: float = None
-    min_tail_rel: float = 1e-7  # skip orders whose bound is below numerical noise
-    max_orders: int = 3
-    observ_x0_count: int = 2
-    include_type1_baseline: bool = True
-    include_mixed: bool = True
-    include_energy_checks: bool = True
 
 
-def build_campaign_systems(config: CampaignConfig):
-    """The (label, system) list a campaign sweeps, fixed by the seed."""
-    systems = []
-    if config.include_worked:
-        systems.append(("worked-2x2", worked_2x2()))
-    if config.include_linear:
-        for i, n in enumerate((4, 6)):
-            rng = np.random.default_rng([config.seed, 10 + i])
-            systems.append((f"linear-{n}", linear_stable_system(n, 2, 2, rng)))
-    for i, n in enumerate(config.random_dims):
+def build_campaign_systems(seed):
+    """The default (label, system) list of a campaign, fixed by the seed."""
+    systems = [("worked-2x2", worked_2x2())]
+    for i, n in enumerate((4, 6)):
+        rng = np.random.default_rng([seed, 10 + i])
+        systems.append((f"linear-{n}", linear_stable_system(n, 2, 2, rng)))
+    for i, n in enumerate(RANDOM_DIMS):
         m, p = [(1, 1), (2, 1), (1, 2), (2, 2)][i % 4]
-        rng = np.random.default_rng([config.seed, 100 + i])
+        rng = np.random.default_rng([seed, 100 + i])
         systems.append((f"random-{n}-{i}", random_ms_stable_system(n, m, p, rng)))
-    if config.include_repeated_hsv:
-        rng = np.random.default_rng([config.seed, 999])
-        base = random_ms_stable_system(2, 1, 1, rng)
-        systems.append(("repeated-4", duplicate_system(base)))
+    rng = np.random.default_rng([seed, 999])
+    systems.append(("repeated-4", duplicate_system(random_ms_stable_system(2, 1, 1, rng))))
     return systems
 
 
-def _campaign_orders(hsv, config):
+def _campaign_orders(hsv):
     n = hsv.size
     qualifying = [r for r in range(1, n)
-                  if 2.0 * hsv[r:].sum() >= config.min_tail_rel * hsv[0]]
+                  if 2.0 * hsv[r:].sum() >= MIN_TAIL_REL * hsv[0]]
     if not qualifying:
         qualifying = [max(1, n // 2)]
     picks = {qualifying[0], qualifying[len(qualifying) // 2], qualifying[-1]}
-    return sorted(picks)[: config.max_orders]
+    return sorted(picks)[:MAX_ORDERS]
 
 
-def _campaign_controls(m, k, T, seed_tags, config):
-    controls = list(bounded_control_suite(
-        m, k, T, seed_tags, n_sinusoids=config.n_sinusoids,
-        n_piecewise=config.n_piecewise))
-    for frac in config.control_fractions:
-        if frac == 1.0:
-            continue
-        sub = bounded_control_suite(m, frac * k, T, seed_tags + [int(frac * 1e6)],
-                                    n_sinusoids=1, n_piecewise=0)
-        for sig in sub[1:]:  # skip the duplicate zero signal
-            controls.append(ControlSignal(kind=sig.kind, m=sig.m, k_bound=sig.k_bound,
-                                          label=f"{sig.label}@{frac:g}k",
-                                          params=sig.params))
-    return controls
+def _campaign_controls(m, k, T, seed_tags):
+    """The default suite at bound k, plus a constant and a sinusoid at
+    SMALL_CONTROL_FRACTION * k."""
+    frac = SMALL_CONTROL_FRACTION
+    small = bounded_control_suite(m, frac * k, T, seed_tags + [int(frac * 1e6)],
+                                  n_sinusoids=1, n_piecewise=0)
+    return bounded_control_suite(m, k, T, seed_tags) + [
+        replace(sig, label=f"{sig.label}@{frac:g}k")
+        for sig in small[1:]]  # skip the duplicate zero signal
 
 
 def _ratio(lhs, rhs):
@@ -507,158 +493,140 @@ def _aggregate(cases):
     return agg
 
 
-def benchmark_campaign(config: CampaignConfig) -> CampaignResult:
-    """Run every check over the seeded grid of systems, bounds, orders and
-    controls.  Individual case failures are recorded and the campaign
-    continues; the result is fully determined by the config."""
-    log = _CaseLog()
+def _type2_cases(log, config, sys_idx, label, sys, k_idx, k):
+    """Error-bound, reachability and observability cases of the type-2
+    reductions at control bound k.  Returns (constant and first sinusoid
+    control, their full-model trajectories) for the type-1 baseline, or None
+    when no reduction could be built."""
     T, h = config.T, config.h
+    try:
+        pair = type2_gramians(sys, k, delta=config.delta)
+        bal = square_root_balance(sys, pair)
+    except (MatrixEquationError, BalancingError, ValueError) as exc:
+        log.skip("error_bound_cor", label, sys.n,
+                 f"k={k:.4g}: {type(exc).__name__}: {exc}")
+        return None
 
-    for sys_idx, (label, sys) in enumerate(build_campaign_systems(config)):
+    controls = _campaign_controls(sys.m, k, T, [config.seed, sys_idx, k_idx])
+    roms = [truncate(bal, r) for r in _campaign_orders(bal.hsv)]
+    full, *rom_trajs = simulate_batch([sys] + [rom.system for rom in roms],
+                                      controls, T, h)
+    for s, u in enumerate(controls):
+        for rom, trajs in zip(roms, rom_trajs):
+            thm, cor = check_error_bound(
+                sys, rom, u, T, h, traj_full=full[s], traj_rom=trajs[s],
+                context={"system": label})
+            tail = float(rom.tail_hsv.sum())
+            log.add(cor, label, sys.n, certified=True, tail_sum=tail)
+            if rom.bound_distinct < rom.bound_all * (1.0 - 1e-12):
+                # distinct-value bound engaged only for true multiplicities
+                log.add(thm, label, sys.n, certified=True, tail_sum=tail,
+                        note="distinct-value bound")
+        log.add(check_reach_energy(sys, pair, u, T, h, traj=full[s],
+                                   context={"system": label}),
+                label, sys.n, certified=True)
+    baseline = (controls[1:3], full[1:3])
+    del full, rom_trajs
+
+    zero_B = BilinearSystem.from_matrices(sys.A, np.zeros((sys.n, sys.m)), sys.N, sys.C)
+    rng = np.random.default_rng([config.seed, sys_idx, k_idx, 17])
+    runs = []
+    for x0_idx in range(OBSERV_X0_COUNT):
+        x0 = rng.standard_normal(sys.n)
+        x0 /= np.linalg.norm(x0)
+        runs += [(x0_idx, x0, u) for u in baseline[0]]
+    trajs = simulate_batch([zero_B], [u for _, _, u in runs], T, h,
+                           x0=[np.array([x0 for _, x0, _ in runs])])[0]
+    for (x0_idx, x0, u), traj in zip(runs, trajs):
+        log.add(check_observ_energy(zero_B, pair, x0, u, T, h, traj=traj,
+                                    context={"system": label, "x0_index": x0_idx}),
+                label, sys.n, certified=True)
+    return baseline
+
+
+def _p2_cases(log, config, sys_idx, label, sys, k_ref):
+    """Gronwall envelopes and the mixed (P2, Q1) pair, from one P2 solve."""
+    T, h = config.T, config.h
+    try:
+        p2 = stochastic_type2_P2(sys, delta=config.delta)
+    except (MatrixEquationError, ValueError) as exc:
+        log.skip("gronwall_P2", label, sys.n, str(exc))
+        log.skip("mixed_side_conditions", label, sys.n, f"{type(exc).__name__}: {exc}")
+        return
+
+    spikes = bounded_control_suite(sys.m, 3.0, T, [config.seed, sys_idx, 29],
+                                   n_sinusoids=1, n_piecewise=1)
+    spikes = spikes[2:]  # the large sinusoid and spike signals
+    for u, traj in zip(spikes, simulate_batch([sys], spikes, T, h)[0]):
+        log.add(check_gronwall_P2(sys, p2[0], u, T, h, traj=traj,
+                                  context={"system": label}),
+                label, sys.n, certified=True)
+
+    try:
+        bal_m = square_root_balance(sys, mixed_pair_from_P2(sys, p2))
+    except (MatrixEquationError, BalancingError, ValueError) as exc:
+        log.skip("mixed_side_conditions", label, sys.n, f"{type(exc).__name__}: {exc}")
+        return
+    rom_m = truncate(bal_m, _campaign_orders(bal_m.hsv)[0])
+    small = bounded_control_suite(sys.m, 1e-3 * k_ref, T, [config.seed, sys_idx, 31],
+                                  n_sinusoids=1, n_piecewise=0)[1:]
+    large = bounded_control_suite(sys.m, 3.0 * k_ref, T, [config.seed, sys_idx, 37],
+                                  n_sinusoids=0, n_piecewise=1)[2:]
+    full, reduced = simulate_batch([bal_m.system, rom_m.system], small + large, T, h)
+    for u, traj_full, traj_rom in zip(small + large, full, reduced):
+        rep_m = check_mixed_side_conditions(bal_m, rom_m, u, T, h, traj_full=traj_full,
+                                            traj_rom=traj_rom, context={"system": label})
+        log.add(rep_m, label, sys.n, certified=False,
+                note="side conditions" if rep_m.passed else "side conditions not met")
+        if rep_m.passed:
+            lhs, rhs = rep_m.context["error_lhs"], rep_m.context["error_rhs"]
+            log.add(_report("error_bound_cor", lhs, rhs,
+                            rep_m.tolerance_used + _floor(lhs, rhs), dict(rep_m.context)),
+                    label, sys.n, certified=True, tail_sum=float(rom_m.tail_hsv.sum()),
+                    note="mixed pair under small control")
+
+
+def _type1_cases(log, config, label, sys, controls, full):
+    """Uncertified type-1 baseline on the full-model trajectories `full`
+    already computed under `controls`."""
+    try:
+        bal1 = square_root_balance(sys, type1_gramians(sys))
+    except (MatrixEquationError, BalancingError, ValueError) as exc:
+        log.skip("error_bound_cor", label, sys.n,
+                 f"type1 baseline: {type(exc).__name__}: {exc}")
+        return
+    rom1 = truncate(bal1, _campaign_orders(bal1.hsv)[0])
+    reduced = simulate_batch([rom1.system], controls, config.T, config.h)[0]
+    for u, traj_full, traj_rom in zip(controls, full, reduced):
+        _, rep1 = check_error_bound(sys, rom1, u, config.T, config.h, traj_full=traj_full,
+                                    traj_rom=traj_rom, context={"system": label})
+        log.add(rep1, label, sys.n, certified=False,
+                tail_sum=float(rom1.tail_hsv.sum()), note="no certified bound")
+
+
+def benchmark_campaign(config: CampaignConfig, systems) -> CampaignResult:
+    """Run every check on each (label, system) pair of `systems` (the default
+    grid is `build_campaign_systems(config.seed)`) over the fixed bounds,
+    orders and controls.  Individual case failures are recorded and the
+    campaign continues; the result is fully determined by the config and the
+    systems."""
+    log = _CaseLog()
+    for sys_idx, (label, sys) in enumerate(systems):
         rep = stability_report(sys)
         if rep.ms_abscissa >= 0.0 or rep.k_max_estimate <= 0.0:
             log.skip("error_bound_cor", label, sys.n, "system not mean-square stable")
             continue
-
-        first_suite = None
-        for k_idx, frac in enumerate(config.k_fractions):
+        first = None
+        for k_idx, frac in enumerate(K_FRACTIONS):
             k = frac * rep.k_max_estimate
-            try:
-                pair = type2_gramians(sys, k, delta=config.delta)
-                bal = square_root_balance(sys, pair)
-            except (MatrixEquationError, BalancingError, ValueError) as exc:
-                log.skip("error_bound_cor", label, sys.n,
-                         f"k={k:.4g}: {type(exc).__name__}: {exc}")
-                continue
-
-            controls = _campaign_controls(sys.m, k, T,
-                                          [config.seed, sys_idx, k_idx], config)
-            orders = _campaign_orders(bal.hsv, config)
-            roms = [truncate(bal, r) for r in orders]
-            full, *rom_trajs = simulate_batch([sys] + [rom.system for rom in roms],
-                                              controls, T, h)
-            if first_suite is None:
-                # the type-1 baseline reuses the constant and first sinusoid runs
-                first_suite = (k, controls, full[1:3])
-
-            for s, u in enumerate(controls):
-                for rom, trajs in zip(roms, rom_trajs):
-                    thm, cor = check_error_bound(
-                        sys, rom, u, T, h, traj_full=full[s], traj_rom=trajs[s],
-                        context={"system": label})
-                    tail = float(rom.tail_hsv.sum())
-                    log.add(cor, label, sys.n, certified=True, tail_sum=tail)
-                    if rom.bound_distinct < rom.bound_all * (1.0 - 1e-12):
-                        # distinct-value bound engaged only for true multiplicities
-                        log.add(thm, label, sys.n, certified=True, tail_sum=tail,
-                                note="distinct-value bound")
-                if config.include_energy_checks:
-                    log.add(check_reach_energy(sys, pair, u, T, h, traj=full[s],
-                                               context={"system": label}),
-                            label, sys.n, certified=True)
-            del full, rom_trajs
-
-            if config.include_energy_checks:
-                zero_B = BilinearSystem.from_matrices(
-                    sys.A, np.zeros((sys.n, sys.m)), sys.N, sys.C)
-                rng = np.random.default_rng([config.seed, sys_idx, k_idx, 17])
-                runs = []
-                for x0_idx in range(config.observ_x0_count):
-                    x0 = rng.standard_normal(sys.n)
-                    x0 /= np.linalg.norm(x0)
-                    # the constant and one sinusoid
-                    runs += [(x0_idx, x0, u) for u in controls[1:3]]
-                trajs = simulate_batch([zero_B], [u for _, _, u in runs], T, h,
-                                       x0=[np.array([x0 for _, x0, _ in runs])])[0]
-                for (x0_idx, x0, u), traj in zip(runs, trajs):
-                    log.add(check_observ_energy(zero_B, pair, x0, u, T, h, traj=traj,
-                                                context={"system": label,
-                                                         "x0_index": x0_idx}),
-                            label, sys.n, certified=True)
-                del trajs
-
-        if first_suite is None:
+            baseline = _type2_cases(log, config, sys_idx, label, sys, k_idx, k)
+            if first is None and baseline is not None:
+                first = (k, baseline)
+        if first is None:
             continue
-        k_ref, controls, baseline_full = first_suite
-        p2 = p2_error = None
-        if config.include_energy_checks or config.include_mixed:
-            try:
-                p2 = stochastic_type2_P2(sys, delta=config.delta)
-            except (MatrixEquationError, ValueError) as exc:
-                p2_error = exc
-
-        if config.include_energy_checks:
-            if p2_error is not None:
-                log.skip("gronwall_P2", label, sys.n, str(p2_error))
-            else:
-                spikes = bounded_control_suite(sys.m, 3.0, T,
-                                               [config.seed, sys_idx, 29],
-                                               n_sinusoids=1, n_piecewise=1)
-                spikes = spikes[2:]  # the large sinusoid and spike signals
-                for u, traj in zip(spikes, simulate_batch([sys], spikes, T, h)[0]):
-                    log.add(check_gronwall_P2(sys, p2[0], u, T, h, traj=traj,
-                                              context={"system": label}),
-                            label, sys.n, certified=True)
-
-        if config.include_mixed:
-            try:
-                if p2_error is not None:
-                    raise p2_error
-                mixed = mixed_pair_from_P2(sys, p2)
-                bal_m = square_root_balance(sys, mixed)
-            except (MatrixEquationError, BalancingError, ValueError) as exc:
-                log.skip("mixed_side_conditions", label, sys.n,
-                         f"{type(exc).__name__}: {exc}")
-            else:
-                r_mid = _campaign_orders(bal_m.hsv, config)[0]
-                rom_m = truncate(bal_m, r_mid)
-                small = bounded_control_suite(sys.m, 1e-3 * k_ref, T,
-                                              [config.seed, sys_idx, 31],
-                                              n_sinusoids=1, n_piecewise=0)[1:]
-                large = bounded_control_suite(sys.m, 3.0 * k_ref, T,
-                                              [config.seed, sys_idx, 37],
-                                              n_sinusoids=0, n_piecewise=1)[2:]
-                full, reduced = simulate_batch([bal_m.system, rom_m.system],
-                                               small + large, T, h)
-                for u, traj_full, traj_rom in zip(small + large, full, reduced):
-                    rep_m = check_mixed_side_conditions(bal_m, rom_m, u, T, h,
-                                                        traj_full=traj_full,
-                                                        traj_rom=traj_rom,
-                                                        context={"system": label})
-                    log.add(rep_m, label, sys.n, certified=False,
-                            note="side conditions" if rep_m.passed
-                            else "side conditions not met")
-                    if rep_m.passed:
-                        log.add(_report("error_bound_cor",
-                                        rep_m.context["error_lhs"],
-                                        rep_m.context["error_rhs"],
-                                        rep_m.tolerance_used
-                                        + _floor(rep_m.context["error_lhs"],
-                                                 rep_m.context["error_rhs"]),
-                                        dict(rep_m.context)),
-                                label, sys.n, certified=True,
-                                tail_sum=float(rom_m.tail_hsv.sum()),
-                                note="mixed pair under small control")
-                del full, reduced
-
-        if config.include_type1_baseline:
-            try:
-                pair1 = type1_gramians(sys)
-                bal1 = square_root_balance(sys, pair1)
-            except (MatrixEquationError, BalancingError, ValueError) as exc:
-                log.skip("error_bound_cor", label, sys.n,
-                         f"type1 baseline: {type(exc).__name__}: {exc}")
-            else:
-                r1 = _campaign_orders(bal1.hsv, config)[0]
-                rom1 = truncate(bal1, r1)
-                reduced = simulate_batch([rom1.system], controls[1:3], T, h)[0]
-                for u, traj_full, traj_rom in zip(controls[1:3], baseline_full, reduced):
-                    _, rep1 = check_error_bound(sys, rom1, u, T, h, traj_full=traj_full,
-                                                traj_rom=traj_rom,
-                                                context={"system": label})
-                    log.add(rep1, label, sys.n, certified=False,
-                            tail_sum=float(rom1.tail_hsv.sum()),
-                            note="no certified bound")
+        k_ref, (controls, full) = first
+        _p2_cases(log, config, sys_idx, label, sys, k_ref)
+        _type1_cases(log, config, label, sys, controls, full)
 
     aggregates = _aggregate(log.cases)
     scored = [c for c in log.cases if c["passed"] is not None]

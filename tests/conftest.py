@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_lyapunov
 
-from bilbt import BilinearSystem
+from bilbt import BilinearSystem, ConvergenceError, MeanSquareInstabilityError
+from bilbt.kronecker import symmetrize
+from bilbt.matrix_equations import _relative_residual
 from bilbt.verification import random_ms_stable_system, worked_2x2
+
+FIXED_POINT_CHANGE_TOL = 1e-12
+FIXED_POINT_MAX_SWEEPS = 10000
+FIXED_POINT_RESIDUAL_TOL = 1e-8
 
 
 @pytest.fixture
@@ -23,6 +30,49 @@ def rng():
 
 def make_random_system(seed, n=4, m=1, p=1):
     return random_ms_stable_system(n, m, p, np.random.default_rng(seed))
+
+
+def small_campaign_systems(seed):
+    """A two-system campaign: the worked example and one seeded random-3."""
+    return [("worked-2x2", worked_2x2()),
+            ("random-3", random_ms_stable_system(3, 2, 1, np.random.default_rng(seed)))]
+
+
+def solve_fixed_point(prob):
+    """Oracle for `solve_generalized_lyapunov`: splitting sweeps that solve the
+    plain Lyapunov part and move the coupling terms to the right-hand side;
+    they contract exactly under mean-square stability.  Returns (X, relative
+    residual); raises MeanSquareInstabilityError on divergence and
+    ConvergenceError when the sweeps or the residual miss their tolerances."""
+    M = np.asarray(prob.M, dtype=float)
+    N_list = [np.asarray(Ni, dtype=float) for Ni in prob.N]
+    RHS = symmetrize(np.asarray(prob.RHS, dtype=float))
+    a = M if prob.side == "reachability" else M.T
+    X = np.zeros_like(RHS)
+    scale = max(np.linalg.norm(RHS), 1.0)
+    for sweep in range(1, FIXED_POINT_MAX_SWEEPS + 1):
+        if prob.side == "reachability":
+            Q = RHS - sum(Ni @ X @ Ni.T for Ni in N_list)
+        else:
+            Q = RHS - sum(Ni.T @ X @ Ni for Ni in N_list)
+        try:
+            X_new = symmetrize(solve_continuous_lyapunov(a, Q))
+        except np.linalg.LinAlgError as exc:
+            raise MeanSquareInstabilityError(f"Lyapunov sweep failed: {exc}") from exc
+        if not np.all(np.isfinite(X_new)) or np.linalg.norm(X_new) > 1e50 * scale:
+            raise MeanSquareInstabilityError(
+                f"fixed-point iteration diverged at sweep {sweep}")
+        change = np.linalg.norm(X_new - X)
+        X = X_new
+        if change <= FIXED_POINT_CHANGE_TOL * max(np.linalg.norm(X), 1e-300):
+            break
+    else:
+        raise ConvergenceError(
+            f"fixed-point iteration did not converge within {FIXED_POINT_MAX_SWEEPS} sweeps")
+    residual = _relative_residual(M, N_list, X, RHS, prob.side)
+    if residual > FIXED_POINT_RESIDUAL_TOL:
+        raise ConvergenceError(f"fixed_point residual {residual:.3e} exceeds tolerance")
+    return X, residual
 
 
 def reach_operator(M, N_list):

@@ -27,7 +27,12 @@ from bilbt import (
     type1_gramians,
     type2_gramians,
 )
-from bilbt.verification import build_campaign_systems, random_ms_stable_system
+from bilbt.verification import (
+    K_FRACTIONS,
+    build_campaign_systems,
+    random_ms_stable_system,
+    worked_2x2,
+)
 
 CAMPAIGN_SEED = 2026
 
@@ -41,7 +46,7 @@ def _announce(num, passed, detail):
 def campaign():
     config = CampaignConfig(seed=CAMPAIGN_SEED)
     start = time.time()
-    result = benchmark_campaign(config)
+    result = benchmark_campaign(config, build_campaign_systems(config.seed))
     return config, result, time.time() - start
 
 
@@ -73,7 +78,7 @@ def test_criterion_1_solver_oracle_equivalence():
                 (sys.A, "observability", -sys.C.T @ sys.C),
                 (A_s, "observability", -sys.C.T @ sys.C)):
             prob = GeneralizedLyapunovProblem(M=M, N=sys.N, RHS=RHS, side=side)
-            X, _ = solve_generalized_lyapunov(prob, method="fixed_point")
+            X, _ = solve_generalized_lyapunov(prob)
             oracle = _kron_oracle(M, list(sys.N), RHS, side)
             rel = np.linalg.norm(X - oracle) / max(np.linalg.norm(oracle), 1e-30)
             worst = max(worst, rel)
@@ -101,11 +106,11 @@ def test_criterion_3_lmi_certification(campaign):
     config, _, _ = campaign
     worst = -np.inf
     checked = 0
-    for label, sys in build_campaign_systems(config):
+    for label, sys in build_campaign_systems(config.seed):
         rep = stability_report(sys)
         if rep.ms_abscissa >= 0.0:
             continue
-        for frac in config.k_fractions:
+        for frac in K_FRACTIONS:
             k = frac * rep.k_max_estimate
             pair = type2_gramians(sys, k, delta=config.delta)
             cert = check_lmi_feasibility(sys, k, pair.P)
@@ -216,10 +221,11 @@ def test_criterion_7_integrator_order():
 
 def test_criterion_8_deterministic_reports():
     """Identical seeds produce byte-identical campaign reports."""
-    config = CampaignConfig(seed=77, T=1.0, h=1e-3, random_dims=(2, 4),
-                            include_repeated_hsv=False, k_fractions=(0.5,),
-                            observ_x0_count=1)
-    a = campaign_to_json(benchmark_campaign(config))
-    b = campaign_to_json(benchmark_campaign(config))
+    config = CampaignConfig(seed=77, T=1.0, h=1e-3)
+    systems = [("worked-2x2", worked_2x2())] + [
+        (f"random-{n}", random_ms_stable_system(n, 1, 1, np.random.default_rng([77, n])))
+        for n in (2, 4)]
+    a = campaign_to_json(benchmark_campaign(config, systems))
+    b = campaign_to_json(benchmark_campaign(config, systems))
     _announce(8, a == b,
               f"two runs, {len(a)} bytes each, byte-identical: {a == b}")

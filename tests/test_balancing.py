@@ -76,7 +76,7 @@ def test_balanced_system_lmi_feasible_with_sigma():
     k = 0.3
     pair = type2_gramians(sys, k)
     bal = square_root_balance(sys, pair)
-    rep = check_lmi_feasibility(bal.system, k, np.diag(bal.hsv), tol=1e-7)
+    rep = check_lmi_feasibility(bal.system, k, np.diag(bal.hsv))
     assert rep.feasible
 
 
@@ -120,9 +120,9 @@ def test_truncate_grouping_arithmetic():
 
 
 def test_group_distinct_tolerance():
-    reps = group_distinct(np.array([3.0, 3.0 - 1e-12, 1.0]), rel_tol=1e-10)
+    reps = group_distinct(np.array([3.0, 3.0 - 1e-12, 1.0]))
     assert reps == [3.0, 1.0]
-    reps = group_distinct(np.array([3.0, 2.9, 1.0]), rel_tol=1e-10)
+    reps = group_distinct(np.array([3.0, 2.9, 1.0]))
     assert len(reps) == 3
 
 

@@ -8,7 +8,7 @@ from bilbt.cli import main
 from bilbt.kronecker import MAX_KRON_N
 from bilbt.verification import worked_2x2
 
-from conftest import make_random_system
+from conftest import make_random_system, small_campaign_systems
 
 
 @pytest.fixture
@@ -124,6 +124,30 @@ def test_reduce_requires_order_or_tol(sys_file):
                  "--k", "1.0", "--quiet"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--input", "f.json", "--order", "1", "--tol", "1e-3"],
+    ["reduce", "--order", "1"],
+    ["validate", "--input", "f.json", "--csv", "x"],
+])
+def test_usage_errors_exit_validation_with_payload(argv, capsys):
+    # exit 2 means a certified bound was violated; a bad command line is a
+    # validation error
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"]["exit_code"] == 1
+    assert captured.err.startswith("error: ")
+
+
+def test_subcommands_register_only_the_flags_they_read(capsys):
+    from bilbt.cli import _COMMAND_FLAGS
+    assert sum(len(flags) for flags in _COMMAND_FLAGS.values()) == 42
+    assert main(["campaign", "--k", "1.0"]) == 1
+    assert "--k" in json.loads(capsys.readouterr().out)["error"]["message"]
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--help"])
+    assert exc.value.code == 0
+
+
 def test_simulate_writes_csv_and_summary(sys_file, tmp_path):
     csv_path = tmp_path / "traj.csv"
     code = main(["simulate", "--input", str(sys_file), "--k", "0.5",
@@ -154,13 +178,11 @@ def test_verify_command(sys_file, tmp_path):
 
 def test_campaign_deterministic_reports(tmp_path):
     out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"
-    # the default campaign is big; use a shrunk config through the API
+    # the default campaign is big; run two systems through the API
     from bilbt import CampaignConfig, benchmark_campaign, campaign_to_json
-    cfg = CampaignConfig(seed=7, T=0.5, h=2e-3, random_dims=(2,),
-                         include_linear=False, include_repeated_hsv=False,
-                         k_fractions=(0.5,), observ_x0_count=1)
-    out1.write_text(campaign_to_json(benchmark_campaign(cfg)))
-    out2.write_text(campaign_to_json(benchmark_campaign(cfg)))
+    cfg = CampaignConfig(seed=7, T=0.5, h=2e-3)
+    out1.write_text(campaign_to_json(benchmark_campaign(cfg, small_campaign_systems(7))))
+    out2.write_text(campaign_to_json(benchmark_campaign(cfg, small_campaign_systems(7))))
     assert out1.read_bytes() == out2.read_bytes()
 
 

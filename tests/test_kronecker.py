@@ -114,8 +114,7 @@ def test_symmetric_solve_matches_dense_solve(data):
     R = rng.standard_normal((n, n))
     R += R.T
     X, diag = solve_generalized_lyapunov(
-        GeneralizedLyapunovProblem(M=M, N=tuple(N), RHS=R, side=side),
-        method="kronecker_direct")
+        GeneralizedLyapunovProblem(M=M, N=tuple(N), RHS=R, side=side))
     dense = np.linalg.solve(dense_operator(M, N, side),
                             R.reshape(-1, order="F")).reshape((n, n), order="F")
     assert diag.method == "kronecker_direct"

@@ -13,7 +13,7 @@ from bilbt import (
     solve_type2_riccati,
 )
 
-from conftest import make_random_system
+from conftest import make_random_system, solve_fixed_point
 
 
 def kron_oracle(M, N_list, RHS, side):
@@ -31,11 +31,13 @@ def test_scalar_reachability_closed_form(scalar_sys):
     # a p + p a + n1^2 p = -b^2  =>  p = 1 / 1.75 = 4/7
     prob = GeneralizedLyapunovProblem(M=scalar_sys.A, N=scalar_sys.N,
                                       RHS=-scalar_sys.B @ scalar_sys.B.T)
-    for method in ("kronecker_direct", "fixed_point"):
-        X, diag = solve_generalized_lyapunov(prob, method=method)
-        assert X[0, 0] == pytest.approx(4.0 / 7.0, abs=1e-10)
-        assert diag.method == method
-        assert diag.residual_norm < 1e-10 if method == "kronecker_direct" else 1e-8
+    X, diag = solve_generalized_lyapunov(prob)
+    assert X[0, 0] == pytest.approx(4.0 / 7.0, abs=1e-10)
+    assert diag.method == "kronecker_direct"
+    assert diag.residual_norm < 1e-10
+    X, residual = solve_fixed_point(prob)
+    assert X[0, 0] == pytest.approx(4.0 / 7.0, abs=1e-10)
+    assert residual < 1e-8
 
 
 def test_linear_case_matches_scipy_and_oracle():
@@ -64,8 +66,8 @@ def test_methods_agree_on_random_systems():
         sys = make_random_system(100 + seed, n=n, m=2)
         RHS = -sys.B @ sys.B.T
         prob = GeneralizedLyapunovProblem(M=sys.A, N=sys.N, RHS=RHS)
-        X_k, _ = solve_generalized_lyapunov(prob, method="kronecker_direct")
-        X_f, _ = solve_generalized_lyapunov(prob, method="fixed_point")
+        X_k, _ = solve_generalized_lyapunov(prob)
+        X_f, _ = solve_fixed_point(prob)
         assert np.linalg.norm(X_k - X_f) / np.linalg.norm(X_k) < 1e-7
 
 
@@ -75,10 +77,10 @@ def test_solutions_match_kron_oracle():
         for side, RHS in (("reachability", -sys.B @ sys.B.T),
                           ("observability", -sys.C.T @ sys.C)):
             prob = GeneralizedLyapunovProblem(M=sys.A, N=sys.N, RHS=RHS, side=side)
-            X, diag = solve_generalized_lyapunov(prob, method="fixed_point")
+            X, _ = solve_fixed_point(prob)
             oracle = kron_oracle(sys.A, sys.N, RHS, side)
             assert np.linalg.norm(X - oracle) / np.linalg.norm(oracle) < 1e-8
-            assert diag.definiteness_margin > -1e-10
+            assert np.linalg.eigvalsh(X).min() > -1e-10
 
 
 def test_observability_solution_definite_when_observable():
@@ -98,7 +100,7 @@ def test_unstable_pair_detected():
                                       N=(np.array([[2.0]]),),
                                       RHS=-np.ones((1, 1)))
     with pytest.raises((MeanSquareInstabilityError, ConvergenceError)):
-        solve_generalized_lyapunov(prob, method="fixed_point")
+        solve_fixed_point(prob)
 
 
 def test_singular_operator_detected():
@@ -247,13 +249,13 @@ def test_minimal_trace_monotone_in_k_diagonal_family():
 def test_riccati_iterations_count_only_the_winner():
     # the interior point reports its one Lyapunov solve; a homotopy root
     # reports the homotopy's own Newton steps, not the ladder's as well
-    from bilbt import CampaignConfig, stability_report, worked_2x2
+    from bilbt import stability_report, worked_2x2
     from bilbt.gramians import default_delta
     from bilbt.kronecker import coupling_operator, sym_basis
     from bilbt.matrix_equations import _homotopy_solve
     from bilbt.verification import build_campaign_systems
 
-    sys = dict(build_campaign_systems(CampaignConfig(seed=2026)))["random-8-4"]
+    sys = dict(build_campaign_systems(2026))["random-8-4"]
     k = 0.4 * stability_report(sys).k_max_estimate
     prob = RiccatiInequalityProblem(A_shifted=sys.A + 0.5 * k * k * np.eye(sys.n),
                                     N=sys.N, B=sys.B, delta=default_delta(sys))
@@ -309,9 +311,9 @@ def test_riccati_builds_the_newton_coupling_once(monkeypatch):
 
 def test_riccati_labels_the_winning_strategy(scalar_sys):
     # on this campaign system the interior point c * Y has the smallest trace(P)
-    from bilbt import CampaignConfig, stability_report, type2_gramians
+    from bilbt import stability_report, type2_gramians
     from bilbt.verification import build_campaign_systems
-    sys = dict(build_campaign_systems(CampaignConfig(seed=2026)))["random-8-4"]
+    sys = dict(build_campaign_systems(2026))["random-8-4"]
     k = 0.4 * stability_report(sys).k_max_estimate
     assert type2_gramians(sys, k).diagnostics[0].method == "interior_point"
     assert type2_gramians(scalar_sys, 1.0).diagnostics[0].method == "newton"

@@ -8,8 +8,6 @@ from bilbt import (
     ControlSignal,
     SimulationBlowUpError,
     bounded_control_suite,
-    l2_norm,
-    scale_control,
     simulate,
     simulate_batch,
     stability_report,
@@ -74,33 +72,32 @@ def test_fourth_order_convergence(sys, exact):
 
 def test_l2_norm_constant():
     traj = simulate(scalar_linear(), [0.0], ControlSignal.constant([1.0]), 1.0, 1e-3)
-    assert l2_norm(traj, of="input") == pytest.approx(1.0, abs=1e-12)
+    assert l2_richardson(traj.inputs, traj.grid)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_l2_norm_sinusoid():
     u = ControlSignal.sinusoid_bank([[1.0]], [[1.0]], [[0.0]])  # sin(2 pi t)
     traj = simulate(scalar_linear(), [0.0], u, 1.0, 1e-3)
-    assert l2_norm(traj, of="input") == pytest.approx(np.sqrt(0.5), abs=1e-6)
+    assert l2_richardson(traj.inputs, traj.grid)[0] == pytest.approx(np.sqrt(0.5), abs=1e-6)
 
 
 def test_l2_difference_of_identical_is_zero():
     traj = simulate(scalar_linear(), [0.0], ControlSignal.constant([1.0]), 1.0, 1e-3)
-    assert l2_norm(traj, of="output_difference", other=traj) == 0.0
-
-
-def test_l2_grid_mismatch_rejected():
-    t1 = simulate(scalar_linear(), [0.0], ControlSignal.zero(1), 1.0, 1e-3)
-    t2 = simulate(scalar_linear(), [0.0], ControlSignal.zero(1), 1.0, 2e-3)
-    with pytest.raises(ValueError, match="grid"):
-        l2_norm(t1, of="output_difference", other=t2)
+    assert l2_richardson(traj.outputs - traj.outputs, traj.grid)[0] == 0.0
 
 
 def test_running_norms_monotone():
+    # the norms over growing horizons never decrease, and the norm over [0, 1]
+    # is the norm of the first second of a longer run
     u = ControlSignal.sinusoid_bank([[1.0]], [[0.7]], [[0.1]])
-    traj = simulate(scalar_bilinear(), [0.5], u, 3.0, 1e-3)
-    assert np.all(np.diff(traj.u_l2_running) >= 0.0)
-    assert np.all(np.diff(traj.y_l2_running) >= 0.0)
-    assert traj.u_l2 == pytest.approx(l2_norm(traj, of="input"), rel=1e-12)
+    trajs = [simulate(scalar_bilinear(), [0.5], u, T, 1e-3) for T in (1.0, 2.0, 3.0)]
+    assert np.all(np.diff([traj.u_l2 for traj in trajs]) >= 0.0)
+    assert np.all(np.diff([traj.y_l2 for traj in trajs]) >= 0.0)
+    head = slice(0, trajs[0].grid.size)
+    assert trajs[0].u_l2 == pytest.approx(
+        l2_richardson(trajs[-1].inputs[head], trajs[-1].grid[head])[0], rel=1e-12)
+    assert trajs[0].y_l2 == pytest.approx(
+        l2_richardson(trajs[-1].outputs[head], trajs[-1].grid[head])[0], rel=1e-12)
 
 
 def test_suite_zero_bound_is_all_zero():
@@ -133,24 +130,6 @@ def test_suite_deterministic_by_seed():
     for sa, sb in zip(a, b):
         assert sa.label == sb.label
         assert np.array_equal(sa(t), sb(t))
-
-
-def test_scale_control_scales_bound():
-    sig = bounded_control_suite(1, 1.0, 3.0, seed=4)[2]
-    half = scale_control(sig, 0.5)
-    t = np.linspace(0.0, 3.0, 100)
-    assert np.allclose(half(t), 0.5 * sig(t))
-    assert half.k_bound == pytest.approx(0.5 * sig.k_bound)
-
-
-def test_user_samples_interpolation_bound():
-    times = np.linspace(0.0, 1.0, 5)
-    samples = np.array([[0.0], [1.0], [-1.0], [0.5], [0.0]])
-    sig = ControlSignal.from_samples(times, samples)
-    assert sig.k_bound == pytest.approx(1.0)
-    t = np.linspace(0.0, 1.0, 301)
-    assert np.abs(sig(t)).max() <= 1.0 + 1e-12
-    assert sig(np.array([0.125]))[0, 0] == pytest.approx(0.5)
 
 
 def test_io_invariance_under_transform(rng):

@@ -17,7 +17,6 @@ from bilbt import (
     check_reach_energy,
     duplicate_system,
     mixed_pair_Q1_P2,
-    scale_control,
     simulate,
     square_root_balance,
     stochastic_type2_P2,
@@ -28,7 +27,7 @@ from bilbt import (
 from bilbt.balancing import ReducedModel
 from bilbt.verification import random_ms_stable_system, worked_2x2
 
-from conftest import make_random_system
+from conftest import make_random_system, small_campaign_systems
 
 
 def _reduced(worked=None, k=1.0, r=1):
@@ -198,7 +197,7 @@ def test_mixed_conditions_small_control_holds():
     pair = mixed_pair_Q1_P2(sys)
     bal = square_root_balance(sys, pair)
     rom = truncate(bal, 1)
-    u = scale_control(bounded_control_suite(1, 1.0, 4.0, seed=11)[2], 1e-3)
+    u = bounded_control_suite(1, 1e-3, 4.0, seed=11)[2]
     rep = check_mixed_side_conditions(bal, rom, u, 4.0, 1e-3)
     assert rep.passed
     assert rep.context["error_within_bound"]
@@ -233,39 +232,29 @@ def test_repeated_hsv_distinct_bound_engaged():
 
 
 def test_empty_campaign():
-    cfg = CampaignConfig(include_worked=False, include_linear=False,
-                         include_repeated_hsv=False, random_dims=())
-    result = benchmark_campaign(cfg)
+    result = benchmark_campaign(CampaignConfig(), [])
     assert result.cases == []
     assert result.summary["total_cases"] == 0
 
 
 def test_small_campaign_no_certified_violations():
-    cfg = CampaignConfig(seed=5, T=1.0, h=1e-3, random_dims=(3,),
-                         include_linear=False, include_repeated_hsv=False,
-                         k_fractions=(0.5,), observ_x0_count=1)
-    result = benchmark_campaign(cfg)
+    cfg = CampaignConfig(seed=5, T=1.0, h=1e-3)
+    result = benchmark_campaign(cfg, small_campaign_systems(5))
     assert result.summary["scored_cases"] > 20
     assert result.summary["certified_violations"] == 0
     assert result.summary["certified_hard_failures"] == 0
 
 
 def test_campaign_deterministic_by_seed():
-    cfg = CampaignConfig(seed=9, T=1.0, h=2e-3, random_dims=(3,),
-                         include_linear=False, include_repeated_hsv=False,
-                         k_fractions=(0.5,), observ_x0_count=1,
-                         include_mixed=False, include_type1_baseline=False)
-    a = campaign_to_json(benchmark_campaign(cfg))
-    b = campaign_to_json(benchmark_campaign(cfg))
+    cfg = CampaignConfig(seed=9, T=1.0, h=2e-3)
+    a = campaign_to_json(benchmark_campaign(cfg, small_campaign_systems(9)))
+    b = campaign_to_json(benchmark_campaign(cfg, small_campaign_systems(9)))
     assert a == b
 
 
 def test_campaign_csv_table():
-    cfg = CampaignConfig(seed=5, T=1.0, h=2e-3, random_dims=(),
-                         include_linear=False, include_repeated_hsv=False,
-                         k_fractions=(0.5,), include_energy_checks=False,
-                         include_mixed=False, include_type1_baseline=False)
-    result = benchmark_campaign(cfg)
+    cfg = CampaignConfig(seed=5, T=1.0, h=2e-3)
+    result = benchmark_campaign(cfg, [("worked-2x2", worked_2x2())])
     csv_text = campaign_to_csv(result)
     header, *rows = csv_text.strip().splitlines()
     assert header.startswith("case,system,kind")
@@ -285,9 +274,7 @@ def test_campaign_solves_p2_once_per_system(monkeypatch):
 
     monkeypatch.setattr(bilbt.gramians, "stochastic_type2_P2", counting)
     monkeypatch.setattr(bilbt.verification, "stochastic_type2_P2", counting)
-    cfg = CampaignConfig(seed=5, T=0.2, h=2e-3, random_dims=(3,),
-                         include_linear=False, include_repeated_hsv=False,
-                         k_fractions=(0.5,), observ_x0_count=1)
-    checks = {c["check"] for c in benchmark_campaign(cfg).cases}
+    cfg = CampaignConfig(seed=5, T=0.2, h=2e-3)
+    checks = {c["check"] for c in benchmark_campaign(cfg, small_campaign_systems(5)).cases}
     assert {"gronwall_P2", "mixed_side_conditions"} <= checks
     assert sorted(calls) == [2, 3]  # worked-2x2 and random-3, once each
