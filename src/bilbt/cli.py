@@ -22,7 +22,7 @@ from .balancing import BalancingError, order_selector, square_root_balance, trun
 from .gramians import mixed_pair_Q1_P2, stochastic_type2_P2, type1_gramians, type2_gramians
 from .kronecker import KroneckerCapError
 from .matrix_equations import MatrixEquationError
-from .simulation import SimulationBlowUpError, bounded_control_suite, simulate
+from .simulation import SimulationBlowUpError, bounded_control_suite, simulate, simulate_batch
 from .system import (
     BilinearSystem,
     SystemFormatError,
@@ -242,19 +242,20 @@ def _cmd_verify(config):
     rom = truncate(bal, r)
     P2, _diag, _delta = stochastic_type2_P2(sys, delta=config.delta)
 
+    suite = bounded_control_suite(sys.m, config.k, config.T, config.seed)
+    full, reduced = simulate_batch([sys, rom.system], suite, config.T, config.h)
     reports = []
-    for u in bounded_control_suite(sys.m, config.k, config.T, config.seed):
-        thm, cor = check_error_bound(sys, rom, u, config.T, config.h)
-        reports.extend([thm, cor])
-        reports.append(check_reach_energy(sys, pair, u, config.T, config.h))
-        reports.append(check_gronwall_P2(sys, P2, u, config.T, config.h))
+    for u, traj, traj_rom in zip(suite, full, reduced):
+        reports.extend(check_error_bound(rom, u, traj, traj_rom))
+        reports.append(check_reach_energy(pair, u, traj))
+        reports.append(check_gronwall_P2(P2, u, traj))
     zero_B = BilinearSystem.from_matrices(sys.A, np.zeros((sys.n, sys.m)),
                                           sys.N, sys.C)
     rng = np.random.default_rng(config.seed)
     x0 = rng.standard_normal(sys.n)
     x0 /= np.linalg.norm(x0)
-    for u in bounded_control_suite(sys.m, config.k, config.T, config.seed)[:3]:
-        reports.append(check_observ_energy(zero_B, pair, x0, u, config.T, config.h))
+    free = simulate_batch([zero_B], suite[:3], config.T, config.h, x0=[x0])[0]
+    reports += [check_observ_energy(zero_B, pair, u, traj) for u, traj in zip(suite, free)]
 
     payload = {
         "r": rom.r, "k": pair.k, "hsv": _matrix(bal.hsv),

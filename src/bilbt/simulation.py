@@ -13,8 +13,8 @@ then finds the exact first bad step.
 All L^2 norms use composite trapezoidal quadrature on the integration grid so
 that quadrature bias cancels to first order when two sides of a bound are
 compared.  The quadrature slack for bound checks is estimated per run by
-Richardson extrapolation (compare the trapezoid sum with its stride-2
-subsample).
+Richardson extrapolation: `trapezoid_pair` gives the trapezoid sum with its
+stride-2 subsample.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from scipy.linalg import block_diag
 
 from .system import BilinearSystem
 
-DEFAULT_H_CAP = 1e-3
 # integration steps between two finiteness checks
 BLOCK_STEPS = 256
 # sinusoid terms per input, and pieces per piecewise-constant signal, in
@@ -178,12 +177,7 @@ def cumulative_trapezoid(f, grid):
     return out
 
 
-def default_step(sys: BilinearSystem) -> float:
-    a_norm = float(np.linalg.norm(sys.A, 2))
-    return min(DEFAULT_H_CAP, 0.01 / a_norm) if a_norm > 0 else DEFAULT_H_CAP
-
-
-def simulate(sys: BilinearSystem, x0, u: ControlSignal, T, h=None) -> Trajectory:
+def simulate(sys: BilinearSystem, x0, u: ControlSignal, T, h) -> Trajectory:
     """Integrate dx/dt = A x + B u + sum_i N_i x u_i with classical 4th-order
     steps of fixed size h on [0, T]; y = C x on the same grid.
 
@@ -191,8 +185,6 @@ def simulate(sys: BilinearSystem, x0, u: ControlSignal, T, h=None) -> Trajectory
     T is not an exact multiple).  Raises SimulationBlowUpError with the first
     bad step if the state leaves the representable range.  This is the
     one-model, one-control case of `simulate_batch`."""
-    if h is None:
-        h = default_step(sys)
     return simulate_batch([sys], [u], T, h, x0=[x0])[0][0]
 
 
@@ -283,25 +275,23 @@ def _integrate(states, U, W, Bt, coupled, h, grid):
                     step=step, time=float(grid[step]))
 
 
-def coarse_trapezoid(f, grid):
-    """Trapezoidal integral of f on every second grid point (the last
-    interval alone when the step count is odd): the 2h sum of a Richardson
-    pair."""
+def trapezoid_pair(f, grid):
+    """(I_h, I_2h): the trapezoidal integral of f on the grid, and on every
+    second grid point (the last interval alone when the step count is odd).
+    The difference over 3 estimates the quadrature error of I_h."""
     K = f.size - 1
-    K2 = K if K % 2 == 0 else K - 1
-    total = np.trapezoid(f[:K2 + 1:2], grid[:K2 + 1:2])
+    K2 = K - K % 2
+    coarse = np.trapezoid(f[:K2 + 1:2], grid[:K2 + 1:2])
     if K2 != K:
-        total += np.trapezoid(f[K2:], grid[K2:])
-    return total
+        coarse += np.trapezoid(f[K2:], grid[K2:])
+    return float(np.trapezoid(f, grid)), float(coarse)
 
 
 def l2_richardson(values, grid):
     """(norm at step h, norm at step 2h) for the trapezoidal L^2 norm; the
     difference over 3 estimates the quadrature error of the h result."""
-    sq = (np.atleast_2d(values.T).T ** 2).sum(axis=1)
-    fine = np.sqrt(np.trapezoid(sq, grid))
-    coarse = np.sqrt(max(coarse_trapezoid(sq, grid), 0.0))
-    return float(fine), float(coarse)
+    fine, coarse = trapezoid_pair((np.atleast_2d(values.T).T ** 2).sum(axis=1), grid)
+    return float(np.sqrt(fine)), float(np.sqrt(max(coarse, 0.0)))
 
 
 def quadrature_slack(*pairs, floor=0.0):

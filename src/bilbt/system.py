@@ -96,14 +96,6 @@ def validate(sys: BilinearSystem) -> ValidationResult:
     return ValidationResult(ok=not issues, issues=tuple(issues))
 
 
-def require_valid(sys: BilinearSystem) -> BilinearSystem:
-    """Raise ValueError listing every violation if the system is invalid."""
-    result = validate(sys)
-    if not result.ok:
-        raise ValueError("invalid bilinear system: " + "; ".join(result.issues))
-    return sys
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     """Stability spectra of a bilinear system.

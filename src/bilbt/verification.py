@@ -15,7 +15,9 @@ Checks implemented:
   the (P2, Q1) pair needs before its error bound applies, plus the bound
   itself (informational when the conditions fail).
 
-Every check carries a quadrature slack tolerance estimated per run; a hard
+Each check judges the trajectories its caller integrated (one
+`simulate_batch` per suite) and reports the T and h of their grid.  Every
+check carries a quadrature slack tolerance estimated per run; a hard
 failure is declared only when the slack is exceeded tenfold.  The campaign
 driver runs a fixed grid of control bounds, orders and controls over a given
 list of systems (by default the seeded families of `build_campaign_systems`)
@@ -34,7 +36,6 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .balancing import (
-    BalancedRealization,
     BalancingError,
     ReducedModel,
     square_root_balance,
@@ -53,12 +54,11 @@ from .simulation import (
     ControlSignal,
     Trajectory,
     bounded_control_suite,
-    coarse_trapezoid,
     cumulative_trapezoid,
     l2_richardson,
     quadrature_slack,
-    simulate,
     simulate_batch,
+    trapezoid_pair,
 )
 from .system import BilinearSystem, stability_report
 
@@ -111,118 +111,106 @@ def _floor(*scales):
     return EPS_FLOOR_REL * (1.0 + sum(abs(s) for s in scales))
 
 
-def _base_context(context, **kw):
-    out = dict(context or {})
-    for key, val in kw.items():
-        out.setdefault(key, val)
-    return out
+def _require_control_bound(kind, k, u: ControlSignal):
+    if kind == "type2_bilinear" and u.k_bound > k + 1e-12:
+        raise PreconditionViolation(
+            f"control bound {u.k_bound:.6g} exceeds the Gramian bound k={k:.6g}; "
+            "the certified bound does not apply"
+        )
 
 
-def check_error_bound(full: BilinearSystem, rom: ReducedModel, u: ControlSignal,
-                      T, h, traj_full: Trajectory = None, traj_rom: Trajectory = None,
-                      context=None):
+def _require_same_run(traj_full: Trajectory, traj_rom: Trajectory):
+    if not (np.array_equal(traj_full.grid, traj_rom.grid)
+            and np.array_equal(traj_full.inputs, traj_rom.inputs)):
+        raise ValueError("full and reduced runs are not on the same grid under the same control")
+
+
+def _run_context(context, traj: Trajectory, u: ControlSignal, **kw):
+    """The run's T, h and control and `kw`; the caller's `context` keys win."""
+    return {"T": float(traj.grid[-1]), "h": traj.h, "control": u.label, **kw,
+            **(context or {})}
+
+
+def check_error_bound(rom: ReducedModel, u: ControlSignal, traj_full: Trajectory,
+                      traj_rom: Trajectory, context=None):
     """Compare the output error of a reduction against its certified constants.
 
-    Returns two reports: the sharper distinct-value constant first, the plain
-    tail-sum constant second.  Both start from zero initial conditions; for a
-    reduction from the control-bounded pair the control must respect the
-    bound k stored in the reduction.
+    `traj_full` and `traj_rom` are the full model and `rom.system` under `u`
+    from zero, on one grid.  Returns two reports: the sharper distinct-value
+    constant first, the plain tail-sum constant second.  For a reduction from
+    the control-bounded pair the control must respect the bound k stored in
+    the reduction.
     """
-    if rom.gramian_kind == "type2_bilinear" and u.k_bound > rom.k + 1e-12:
-        raise PreconditionViolation(
-            f"control bound {u.k_bound:.6g} exceeds the Gramian bound k={rom.k:.6g}; "
-            "the certified error bound does not apply"
-        )
-    if traj_full is None:
-        traj_full = simulate(full, np.zeros(full.n), u, T, h)
-    if traj_rom is None:
-        traj_rom = simulate(rom.system, np.zeros(rom.r), u, T, h)
+    _require_control_bound(rom.gramian_kind, rom.k, u)
+    _require_same_run(traj_full, traj_rom)
     diff = traj_full.outputs - traj_rom.outputs
     lhs, lhs_coarse = l2_richardson(diff, traj_full.grid)
     u_norm, u_coarse = l2_richardson(traj_full.inputs, traj_full.grid)
 
-    context = _base_context(context, T=float(T), h=float(h), control=u.label,
-                            control_bound=float(u.k_bound), r=int(rom.r),
-                            kind=rom.gramian_kind, k=float(rom.k))
+    context = _run_context(context, traj_full, u, control_bound=float(u.k_bound),
+                           r=int(rom.r), kind=rom.gramian_kind, k=float(rom.k))
     reports = []
     for check, bound in (("error_bound_thm", rom.bound_distinct),
                          ("error_bound_cor", rom.bound_all)):
         rhs = bound * u_norm
-        eps = quadrature_slack((lhs, lhs_coarse),
-                               (bound * u_norm, bound * u_coarse),
+        eps = quadrature_slack((lhs, lhs_coarse), (rhs, bound * u_coarse),
                                floor=_floor(lhs, rhs))
         reports.append(_report(check, lhs, rhs, eps, dict(context)))
     return tuple(reports)
 
 
-def check_reach_energy(sys: BilinearSystem, pair: GramianPair, u: ControlSignal,
-                       T, h, traj: Trajectory = None, context=None) -> BoundCheckReport:
-    """Worst-direction reachability energy bound from x(0) = 0: for every
-    eigenpair of P the scaled peak component must stay below ||u||_{L2_T}."""
-    if pair.kind == "type2_bilinear" and u.k_bound > pair.k + 1e-12:
-        raise PreconditionViolation(
-            f"control bound {u.k_bound:.6g} exceeds the Gramian bound k={pair.k:.6g}"
-        )
+def check_reach_energy(pair: GramianPair, u: ControlSignal, traj: Trajectory,
+                       context=None) -> BoundCheckReport:
+    """Worst-direction reachability energy bound on `traj`, run under `u` from
+    x(0) = 0: for every eigenpair of P the scaled peak component must stay
+    below ||u||_{L2_T}."""
+    _require_control_bound(pair.kind, pair.k, u)
     w, vecs = np.linalg.eigh(0.5 * (pair.P + pair.P.T))
     if w.min() <= 0.0:
         raise MatrixEquationError(
             f"reachability Gramian singular after clamp (lambda_min = {w.min():.3e})"
         )
-    if traj is None:
-        traj = simulate(sys, np.zeros(sys.n), u, T, h)
     proj = traj.states @ vecs
     scaled_peaks = np.abs(proj).max(axis=0) / np.sqrt(w)
     worst = int(np.argmax(scaled_peaks))
     lhs = float(scaled_peaks[worst])
     rhs, rhs_coarse = l2_richardson(traj.inputs, traj.grid)
     eps = quadrature_slack((rhs, rhs_coarse), floor=_floor(lhs, rhs))
-    context = _base_context(context, T=float(T), h=float(h), control=u.label,
-                            kind=pair.kind, k=float(pair.k),
-                            worst_eigenvalue=float(w[worst]))
+    context = _run_context(context, traj, u, kind=pair.kind, k=float(pair.k),
+                           worst_eigenvalue=float(w[worst]))
     return _report("reach_energy", lhs, rhs, eps, context)
 
 
-def check_observ_energy(sys: BilinearSystem, pair: GramianPair, x0,
-                        u: ControlSignal, T, h, traj: Trajectory = None,
-                        context=None) -> BoundCheckReport:
-    """Output energy against the quadratic form of Q.
+def check_observ_energy(sys: BilinearSystem, pair: GramianPair, u: ControlSignal,
+                        traj: Trajectory, context=None) -> BoundCheckReport:
+    """Output energy of `traj`, run of `sys` under `u`, against the quadratic
+    form of Q at x0 = traj.states[0].
 
     Strict pass/fail requires B = 0 (then int ||y||^2 dt <= x0^T Q x0); for
     B != 0 the cross-term 2 int x^T Q B u dt is added to the right-hand side
     and the report is informational."""
-    if pair.kind == "type2_bilinear" and u.k_bound > pair.k + 1e-12:
-        raise PreconditionViolation(
-            f"control bound {u.k_bound:.6g} exceeds the Gramian bound k={pair.k:.6g}"
-        )
-    x0 = np.asarray(x0, dtype=float).reshape(sys.n)
-    if traj is None:
-        traj = simulate(sys, x0, u, T, h)
+    _require_control_bound(pair.kind, pair.k, u)
+    x0 = traj.states[0]
     Q = 0.5 * (pair.Q + pair.Q.T)
-    ysq = (traj.outputs ** 2).sum(axis=1)
-    lhs = float(np.trapezoid(ysq, traj.grid))
-    lhs_coarse = float(coarse_trapezoid(ysq, traj.grid))
-    rhs = float(x0 @ Q @ x0)
-    rhs_coarse = rhs
+    lhs, lhs_coarse = trapezoid_pair((traj.outputs ** 2).sum(axis=1), traj.grid)
+    rhs = rhs_coarse = float(x0 @ Q @ x0)
     informational = bool(np.any(sys.B != 0.0))
     if informational:
         cross = 2.0 * np.einsum("ki,ij,kj->k", traj.states, Q @ sys.B, traj.inputs)
-        rhs += float(np.trapezoid(cross, traj.grid))
-        rhs_coarse += float(coarse_trapezoid(cross, traj.grid))
+        fine, coarse = trapezoid_pair(cross, traj.grid)
+        rhs, rhs_coarse = rhs + fine, rhs_coarse + coarse
     eps = quadrature_slack((lhs, lhs_coarse), (rhs, rhs_coarse),
                            floor=_floor(lhs, rhs))
-    context = _base_context(context, T=float(T), h=float(h), control=u.label,
-                            kind=pair.kind, k=float(pair.k),
-                            informational=informational)
+    context = _run_context(context, traj, u, kind=pair.kind, k=float(pair.k),
+                           informational=informational)
     return _report("observ_energy", lhs, rhs, eps, context)
 
 
-def check_gronwall_P2(sys: BilinearSystem, P2, u: ControlSignal, T, h,
-                      traj: Trajectory = None, context=None) -> BoundCheckReport:
-    """Exponential-in-control-energy bound on x(t)^T P2^-1 x(t) from x(0) = 0;
-    holds for arbitrary (unbounded) controls."""
+def check_gronwall_P2(P2, u: ControlSignal, traj: Trajectory,
+                      context=None) -> BoundCheckReport:
+    """Exponential-in-control-energy bound on x(t)^T P2^-1 x(t) along `traj`,
+    a run under `u` from x(0) = 0; holds for arbitrary (unbounded) controls."""
     X2, _cond = invert_spd(P2)
-    if traj is None:
-        traj = simulate(sys, np.zeros(sys.n), u, T, h)
     lhs_t = np.einsum("ki,ij,kj->k", traj.states, X2, traj.states)
     usq = (traj.inputs ** 2).sum(axis=1)
     cum = cumulative_trapezoid(usq, traj.grid)
@@ -237,28 +225,26 @@ def check_gronwall_P2(sys: BilinearSystem, P2, u: ControlSignal, T, h,
     lhs, rhs = float(lhs_t[worst]), float(rhs_t[worst])
     eps = quadrature_slack((rhs, float(rhs_coarse_t[worst])),
                            floor=_floor(lhs, rhs))
-    context = _base_context(context, T=float(T), h=float(h), control=u.label,
-                            worst_time=float(traj.grid[worst]))
+    context = _run_context(context, traj, u, worst_time=float(traj.grid[worst]))
     # the maximising grid point decides: it passes iff every point passes
     return _report("gronwall_P2", lhs, rhs, eps, context)
 
 
-def check_mixed_side_conditions(bal: BalancedRealization, rom: ReducedModel,
-                                u: ControlSignal, T, h, traj_full: Trajectory = None,
-                                traj_rom: Trajectory = None, context=None) -> BoundCheckReport:
+def check_mixed_side_conditions(rom: ReducedModel, u: ControlSignal,
+                                traj_full: Trajectory, traj_rom: Trajectory,
+                                context=None) -> BoundCheckReport:
     """Evaluate the two side conditions the (P2, Q1) reduction needs: the
     endpoint quadratic forms (error-weighted by diag(hsv), sum-weighted by its
     inverse) must dominate the corresponding control-energy integrals.  When
     both hold the output error bound applies; the bound numbers are reported
-    either way (informational when the conditions fail)."""
+    either way (informational when the conditions fail).  `traj_full` runs
+    the balanced realization of `rom.hsv` that `rom` truncates, `traj_rom`
+    runs `rom.system`, both under `u` from zero on one grid."""
     if rom.gramian_kind != "mixed_Q1_P2":
         raise ValueError("reduction was not built from the mixed (P2, Q1) pair")
-    if traj_full is None:
-        traj_full = simulate(bal.system, np.zeros(bal.system.n), u, T, h)
-    if traj_rom is None:
-        traj_rom = simulate(rom.system, np.zeros(rom.r), u, T, h)
+    _require_same_run(traj_full, traj_rom)
     r = rom.r
-    w = np.asarray(bal.hsv, dtype=float)
+    w = np.asarray(rom.hsv, dtype=float)
     x, xr = traj_full.states, traj_rom.states
     z_err = np.hstack([x[:, :r] - xr, x[:, r:]])
     z_sum = np.hstack([x[:, :r] + xr, x[:, r:]])
@@ -267,10 +253,8 @@ def check_mixed_side_conditions(bal: BalancedRealization, rom: ReducedModel,
     q_err = (z_err ** 2 * w).sum(axis=1)
     q_sum = (z_sum ** 2 / w).sum(axis=1)
     end_err, end_sum = float(q_err[-1]), float(q_sum[-1])
-    int_err = float(np.trapezoid(q_err * usq, traj_full.grid))
-    int_sum = float(np.trapezoid(q_sum * usq, traj_full.grid))
-    int_err_c = float(coarse_trapezoid(q_err * usq, traj_full.grid))
-    int_sum_c = float(coarse_trapezoid(q_sum * usq, traj_full.grid))
+    int_err, int_err_c = trapezoid_pair(q_err * usq, traj_full.grid)
+    int_sum, int_sum_c = trapezoid_pair(q_sum * usq, traj_full.grid)
 
     lhs = max(int_err - end_err, int_sum - end_sum)
     rhs = 0.0
@@ -280,15 +264,14 @@ def check_mixed_side_conditions(bal: BalancedRealization, rom: ReducedModel,
     err, _ = l2_richardson(traj_full.outputs - traj_rom.outputs, traj_full.grid)
     u_norm, _ = l2_richardson(traj_full.inputs, traj_full.grid)
     bound = rom.bound_all * u_norm
-    context = _base_context(context, T=float(T), h=float(h), control=u.label,
-                            control_bound=float(u.k_bound), r=int(rom.r),
-                            kind=rom.gramian_kind,
-                            condition_error_endpoint=end_err,
-                            condition_error_integral=int_err,
-                            condition_sum_endpoint=end_sum,
-                            condition_sum_integral=int_sum,
-                            error_lhs=float(err), error_rhs=float(bound),
-                            error_within_bound=bool(err <= bound + eps + _floor(err, bound)))
+    context = _run_context(context, traj_full, u, control_bound=float(u.k_bound),
+                           r=int(rom.r), kind=rom.gramian_kind,
+                           condition_error_endpoint=end_err,
+                           condition_error_integral=int_err,
+                           condition_sum_endpoint=end_sum,
+                           condition_sum_integral=int_sum,
+                           error_lhs=float(err), error_rhs=float(bound),
+                           error_within_bound=bool(err <= bound + eps + _floor(err, bound)))
     return _report("mixed_side_conditions", lhs, rhs, eps, context)
 
 
@@ -513,17 +496,15 @@ def _type2_cases(log, config, sys_idx, label, sys, k_idx, k):
                                       controls, T, h)
     for s, u in enumerate(controls):
         for rom, trajs in zip(roms, rom_trajs):
-            thm, cor = check_error_bound(
-                sys, rom, u, T, h, traj_full=full[s], traj_rom=trajs[s],
-                context={"system": label})
+            thm, cor = check_error_bound(rom, u, full[s], trajs[s],
+                                         context={"system": label})
             tail = float(rom.tail_hsv.sum())
             log.add(cor, label, sys.n, certified=True, tail_sum=tail)
             if rom.bound_distinct < rom.bound_all * (1.0 - 1e-12):
                 # distinct-value bound engaged only for true multiplicities
                 log.add(thm, label, sys.n, certified=True, tail_sum=tail,
                         note="distinct-value bound")
-        log.add(check_reach_energy(sys, pair, u, T, h, traj=full[s],
-                                   context={"system": label}),
+        log.add(check_reach_energy(pair, u, full[s], context={"system": label}),
                 label, sys.n, certified=True)
     baseline = (controls[1:3], full[1:3])
     del full, rom_trajs
@@ -537,8 +518,8 @@ def _type2_cases(log, config, sys_idx, label, sys, k_idx, k):
         runs += [(x0_idx, x0, u) for u in baseline[0]]
     trajs = simulate_batch([zero_B], [u for _, _, u in runs], T, h,
                            x0=[np.array([x0 for _, x0, _ in runs])])[0]
-    for (x0_idx, x0, u), traj in zip(runs, trajs):
-        log.add(check_observ_energy(zero_B, pair, x0, u, T, h, traj=traj,
+    for (x0_idx, _, u), traj in zip(runs, trajs):
+        log.add(check_observ_energy(zero_B, pair, u, traj,
                                     context={"system": label, "x0_index": x0_idx}),
                 label, sys.n, certified=True)
     return baseline
@@ -558,8 +539,7 @@ def _p2_cases(log, config, sys_idx, label, sys, k_ref):
                                    n_sinusoids=1, n_piecewise=1)
     spikes = spikes[2:]  # the large sinusoid and spike signals
     for u, traj in zip(spikes, simulate_batch([sys], spikes, T, h)[0]):
-        log.add(check_gronwall_P2(sys, p2[0], u, T, h, traj=traj,
-                                  context={"system": label}),
+        log.add(check_gronwall_P2(p2[0], u, traj, context={"system": label}),
                 label, sys.n, certified=True)
 
     try:
@@ -574,8 +554,8 @@ def _p2_cases(log, config, sys_idx, label, sys, k_ref):
                                   n_sinusoids=0, n_piecewise=1)[2:]
     full, reduced = simulate_batch([bal_m.system, rom_m.system], small + large, T, h)
     for u, traj_full, traj_rom in zip(small + large, full, reduced):
-        rep_m = check_mixed_side_conditions(bal_m, rom_m, u, T, h, traj_full=traj_full,
-                                            traj_rom=traj_rom, context={"system": label})
+        rep_m = check_mixed_side_conditions(rom_m, u, traj_full, traj_rom,
+                                            context={"system": label})
         log.add(rep_m, label, sys.n, certified=False,
                 note="side conditions" if rep_m.passed else "side conditions not met")
         if rep_m.passed:
@@ -598,8 +578,8 @@ def _type1_cases(log, config, label, sys, controls, full):
     rom1 = truncate(bal1, _campaign_orders(bal1.hsv)[0])
     reduced = simulate_batch([rom1.system], controls, config.T, config.h)[0]
     for u, traj_full, traj_rom in zip(controls, full, reduced):
-        _, rep1 = check_error_bound(sys, rom1, u, config.T, config.h, traj_full=traj_full,
-                                    traj_rom=traj_rom, context={"system": label})
+        _, rep1 = check_error_bound(rom1, u, traj_full, traj_rom,
+                                    context={"system": label})
         log.add(rep1, label, sys.n, certified=False,
                 tail_sum=float(rom1.tail_hsv.sum()), note="no certified bound")
 

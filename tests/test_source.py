@@ -43,3 +43,26 @@ def test_src_forms_no_kronecker_product():
              or (isinstance(node, ast.ImportFrom) and node.module == "numpy"
                  and any(alias.name == "kron" for alias in node.names))]
     assert found == []
+
+
+def _called_names(node):
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            yield func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_bound_checks_integrate_nothing():
+    # every check_* judges the trajectories its caller passes in; the caller
+    # integrates each batch once
+    found = [f"{path.name}:{node.lineno}: {node.name}"
+             for path, tree in _trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")
+             and {"simulate", "simulate_batch"} & set(_called_names(node))]
+    assert found == []
+    verification = ast.parse((PACKAGE / "verification.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(verification)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert "simulate" not in imported

@@ -18,6 +18,7 @@ from bilbt import (
     duplicate_system,
     mixed_pair_Q1_P2,
     simulate,
+    simulate_batch,
     square_root_balance,
     stochastic_type2_P2,
     truncate,
@@ -37,9 +38,16 @@ def _reduced(worked=None, k=1.0, r=1):
     return sys, pair, bal, truncate(bal, r)
 
 
+def _pair_run(sys, rom, u, T, h=1e-3):
+    """The model `sys` and `rom.system` under u from zero, in one batch."""
+    (full,), (reduced,) = simulate_batch([sys, rom.system], [u], T, h)
+    return full, reduced
+
+
 def test_error_bound_zero_input_passes():
     sys, _, _, rom = _reduced()
-    thm, cor = check_error_bound(sys, rom, ControlSignal.zero(1), 2.0, 1e-3)
+    u = ControlSignal.zero(1)
+    thm, cor = check_error_bound(rom, u, *_pair_run(sys, rom, u, 2.0))
     assert thm.passed and cor.passed
     assert cor.lhs == 0.0 and cor.rhs == 0.0
 
@@ -54,7 +62,7 @@ def test_error_bound_identical_models_pass():
                        distinct_tolerance=1e-10, gramian_kind=pair.kind,
                        k=pair.k, hsv=bal.hsv)
     u = bounded_control_suite(1, 1.0, 2.0, seed=6)[2]
-    thm, cor = check_error_bound(sys, rom, u, 2.0, 1e-3)
+    thm, cor = check_error_bound(rom, u, *_pair_run(sys, rom, u, 2.0))
     assert cor.rhs == 0.0
     assert cor.lhs <= cor.tolerance_used
     assert cor.passed
@@ -62,8 +70,9 @@ def test_error_bound_identical_models_pass():
 
 def test_error_bound_worked_reduction_passes():
     sys, _, _, rom = _reduced()
-    for u in bounded_control_suite(1, 1.0, 5.0, seed=7):
-        thm, cor = check_error_bound(sys, rom, u, 5.0, 1e-3)
+    suite = bounded_control_suite(1, 1.0, 5.0, seed=7)
+    for u, full, reduced in zip(suite, *simulate_batch([sys, rom.system], suite, 5.0, 1e-3)):
+        thm, cor = check_error_bound(rom, u, full, reduced)
         assert thm.passed and cor.passed
         if cor.rhs > 0:
             assert cor.lhs / cor.rhs < 1.0
@@ -71,8 +80,39 @@ def test_error_bound_worked_reduction_passes():
 
 def test_error_bound_rejects_oversized_control():
     sys, _, _, rom = _reduced(k=0.5)
+    u = ControlSignal.constant([1.0])
+    runs = _pair_run(sys, rom, u, 1.0)
     with pytest.raises(PreconditionViolation):
-        check_error_bound(sys, rom, ControlSignal.constant([1.0]), 1.0, 1e-3)
+        check_error_bound(rom, u, *runs)
+
+
+def test_error_bound_rejects_runs_under_different_controls():
+    sys, _, _, rom = _reduced()
+    u, v = bounded_control_suite(1, 1.0, 2.0, seed=7)[1:3]
+    full, _ = _pair_run(sys, rom, u, 2.0)
+    _, reduced = _pair_run(sys, rom, v, 2.0)
+    with pytest.raises(ValueError, match="same control"):
+        check_error_bound(rom, u, full, reduced)
+
+
+def test_error_bound_rejects_runs_on_different_grids():
+    sys, _, _, rom = _reduced()
+    u = ControlSignal.zero(1)
+    full, _ = _pair_run(sys, rom, u, 2.0)
+    _, reduced = _pair_run(sys, rom, u, 2.0, h=2e-3)
+    with pytest.raises(ValueError, match="same grid"):
+        check_error_bound(rom, u, full, reduced)
+
+
+def test_mixed_conditions_reject_runs_under_different_controls():
+    sys = worked_2x2()
+    bal = square_root_balance(sys, mixed_pair_Q1_P2(sys))
+    rom = truncate(bal, 1)
+    u, v = bounded_control_suite(1, 1e-3, 2.0, seed=11)[1:3]
+    full, _ = _pair_run(bal.system, rom, u, 2.0)
+    _, reduced = _pair_run(bal.system, rom, v, 2.0)
+    with pytest.raises(ValueError, match="same control"):
+        check_mixed_side_conditions(rom, u, full, reduced)
 
 
 def test_error_bound_type1_reduction_under_control():
@@ -80,7 +120,7 @@ def test_error_bound_type1_reduction_under_control():
     sys = worked_2x2()
     rom = truncate(square_root_balance(sys, type1_gramians(sys)), 1)
     u = ControlSignal.constant([1.0])
-    thm, cor = check_error_bound(sys, rom, u, 1.0, 1e-3)
+    thm, cor = check_error_bound(rom, u, *_pair_run(sys, rom, u, 1.0))
     assert (thm.check, cor.check) == ("error_bound_thm", "error_bound_cor")
     assert cor.context["kind"] == "type1" and cor.context["k"] == 0.0
     assert cor.lhs > 0.0
@@ -90,14 +130,15 @@ def test_error_bound_type1_reduction_under_control():
 def test_reach_energy_zero_input():
     sys = worked_2x2()
     pair = type2_gramians(sys, 1.0)
-    rep = check_reach_energy(sys, pair, ControlSignal.zero(1), 2.0, 1e-3)
+    u = ControlSignal.zero(1)
+    rep = check_reach_energy(pair, u, simulate(sys, np.zeros(2), u, 2.0, 1e-3))
     assert rep.passed and rep.lhs == 0.0
 
 
 def test_reach_energy_scalar_case(scalar_sys):
     pair = type2_gramians(scalar_sys, 1.0)
-    rep = check_reach_energy(scalar_sys, pair, ControlSignal.constant([1.0]),
-                             5.0, 1e-3)
+    u = ControlSignal.constant([1.0])
+    rep = check_reach_energy(pair, u, simulate(scalar_sys, [0.0], u, 5.0, 1e-3))
     assert rep.passed
     # sup |x| / sqrt(P) <= ||u||_L2 with P ~ 4/3
     assert rep.lhs <= rep.rhs
@@ -108,8 +149,9 @@ def test_reach_energy_random_property():
     from bilbt import stability_report
     k = 0.5 * stability_report(sys).k_max_estimate
     pair = type2_gramians(sys, k)
-    for u in bounded_control_suite(sys.m, k, 4.0, seed=8):
-        rep = check_reach_energy(sys, pair, u, 4.0, 1e-3)
+    suite = bounded_control_suite(sys.m, k, 4.0, seed=8)
+    for u, traj in zip(suite, simulate_batch([sys], suite, 4.0, 1e-3)[0]):
+        rep = check_reach_energy(pair, u, traj)
         assert rep.passed
 
 
@@ -117,8 +159,8 @@ def test_observ_energy_zero_x0():
     sys = worked_2x2()
     no_b = BilinearSystem.from_matrices(sys.A, np.zeros((2, 1)), sys.N, sys.C)
     pair = type2_gramians(sys, 1.0)
-    rep = check_observ_energy(no_b, pair, np.zeros(2),
-                              ControlSignal.constant([1.0]), 2.0, 1e-3)
+    u = ControlSignal.constant([1.0])
+    rep = check_observ_energy(no_b, pair, u, simulate(no_b, np.zeros(2), u, 2.0, 1e-3))
     assert rep.passed and rep.lhs == 0.0
     assert not rep.context["informational"]
 
@@ -127,8 +169,8 @@ def test_observ_energy_scalar_bound(scalar_sys):
     no_b = BilinearSystem.from_matrices(scalar_sys.A, [[0.0]], scalar_sys.N,
                                         scalar_sys.C)
     pair = type2_gramians(scalar_sys, 1.0)
-    rep = check_observ_energy(no_b, pair, [1.0], ControlSignal.constant([1.0]),
-                              5.0, 1e-3)
+    u = ControlSignal.constant([1.0])
+    rep = check_observ_energy(no_b, pair, u, simulate(no_b, [1.0], u, 5.0, 1e-3))
     assert rep.passed
     assert rep.rhs == pytest.approx(4.0 / 3.0, abs=1e-9)
     assert rep.lhs <= rep.rhs + rep.tolerance_used
@@ -144,32 +186,33 @@ def test_observ_energy_random_unit_sphere():
     for _ in range(3):
         x0 = rng.standard_normal(3)
         x0 /= np.linalg.norm(x0)
-        for u in bounded_control_suite(1, k, 3.0, seed=9)[:3]:
-            rep = check_observ_energy(no_b, pair, x0, u, 3.0, 1e-3)
+        suite = bounded_control_suite(1, k, 3.0, seed=9)[:3]
+        for u, traj in zip(suite, simulate_batch([no_b], suite, 3.0, 1e-3, x0=[x0])[0]):
+            rep = check_observ_energy(no_b, pair, u, traj)
             assert rep.passed
 
 
 def test_observ_energy_nonzero_b_informational():
     sys = worked_2x2()
     pair = type2_gramians(sys, 1.0)
-    rep = check_observ_energy(sys, pair, [0.5, -0.5],
-                              ControlSignal.constant([0.8]), 2.0, 1e-3)
+    u = ControlSignal.constant([0.8])
+    rep = check_observ_energy(sys, pair, u, simulate(sys, [0.5, -0.5], u, 2.0, 1e-3))
     assert rep.context["informational"]
 
 
 def test_gronwall_zero_input(scalar_sys):
     P2, _, _ = stochastic_type2_P2(scalar_sys)
-    rep = check_gronwall_P2(scalar_sys, P2, ControlSignal.zero(1), 2.0, 1e-3)
+    u = ControlSignal.zero(1)
+    rep = check_gronwall_P2(P2, u, simulate(scalar_sys, [0.0], u, 2.0, 1e-3))
     assert rep.passed
 
 
 def test_gronwall_scalar_explicit(scalar_sys):
     # x(t)^2 * 1.75 <= t e^t under u = 1 (P2 ~ 4/7)
     P2, _, _ = stochastic_type2_P2(scalar_sys)
-    rep = check_gronwall_P2(scalar_sys, P2, ControlSignal.constant([1.0]),
-                            2.0, 1e-3)
-    assert rep.passed
     traj = simulate(scalar_sys, [0.0], ControlSignal.constant([1.0]), 2.0, 1e-3)
+    rep = check_gronwall_P2(P2, ControlSignal.constant([1.0]), traj)
+    assert rep.passed
     lhs = traj.states[:, 0] ** 2 / P2[0, 0]
     rhs = traj.grid * np.exp(traj.grid)
     assert np.all(lhs <= rhs + 1e-9)
@@ -178,8 +221,9 @@ def test_gronwall_scalar_explicit(scalar_sys):
 def test_gronwall_unbounded_controls():
     sys = make_random_system(97, n=3)
     P2, _, _ = stochastic_type2_P2(sys)
-    for u in bounded_control_suite(sys.m, 3.0, 3.0, seed=10)[2:]:
-        rep = check_gronwall_P2(sys, P2, u, 3.0, 1e-3)
+    suite = bounded_control_suite(sys.m, 3.0, 3.0, seed=10)[2:]
+    for u, traj in zip(suite, simulate_batch([sys], suite, 3.0, 1e-3)[0]):
+        rep = check_gronwall_P2(P2, u, traj)
         assert rep.passed
 
 
@@ -188,7 +232,8 @@ def test_mixed_conditions_zero_input():
     pair = mixed_pair_Q1_P2(sys)
     bal = square_root_balance(sys, pair)
     rom = truncate(bal, 1)
-    rep = check_mixed_side_conditions(bal, rom, ControlSignal.zero(1), 2.0, 1e-3)
+    u = ControlSignal.zero(1)
+    rep = check_mixed_side_conditions(rom, u, *_pair_run(bal.system, rom, u, 2.0))
     assert rep.passed
 
 
@@ -198,7 +243,7 @@ def test_mixed_conditions_small_control_holds():
     bal = square_root_balance(sys, pair)
     rom = truncate(bal, 1)
     u = bounded_control_suite(1, 1e-3, 4.0, seed=11)[2]
-    rep = check_mixed_side_conditions(bal, rom, u, 4.0, 1e-3)
+    rep = check_mixed_side_conditions(rom, u, *_pair_run(bal.system, rom, u, 4.0))
     assert rep.passed
     assert rep.context["error_within_bound"]
 
@@ -209,7 +254,7 @@ def test_mixed_conditions_large_control_flagged():
     bal = square_root_balance(sys, pair)
     rom = truncate(bal, 1)
     u = bounded_control_suite(1, 8.0, 4.0, seed=12)[1]
-    rep = check_mixed_side_conditions(bal, rom, u, 4.0, 1e-3)
+    rep = check_mixed_side_conditions(rom, u, *_pair_run(bal.system, rom, u, 4.0))
     assert not rep.passed  # conditions flagged false; bound not certified here
 
 
@@ -226,7 +271,7 @@ def test_repeated_hsv_distinct_bound_engaged():
     rom = truncate(bal, 2)
     assert rom.bound_distinct < rom.bound_all * (1.0 - 1e-9)
     u = bounded_control_suite(double.m, k, 4.0, seed=13)[2]
-    thm, cor = check_error_bound(double, rom, u, 4.0, 1e-3)
+    thm, cor = check_error_bound(rom, u, *_pair_run(double, rom, u, 4.0))
     assert thm.passed and cor.passed
     assert thm.rhs < cor.rhs
 
