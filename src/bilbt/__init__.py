@@ -60,6 +60,7 @@ from .verification import (
     BoundCheckReport,
     CampaignConfig,
     CampaignResult,
+    CampaignWorkerError,
     PreconditionViolation,
     benchmark_campaign,
     campaign_to_csv,

@@ -33,6 +33,7 @@ from .system import (
 )
 from .verification import (
     CampaignConfig,
+    CampaignWorkerError,
     benchmark_campaign,
     build_campaign_systems,
     campaign_to_csv,
@@ -312,7 +313,7 @@ def run(config: RunConfig) -> int:
               _error_payload(exc, EXIT_IO))
         return EXIT_IO
     except (MatrixEquationError, BalancingError, SimulationBlowUpError,
-            KroneckerCapError, ValueError) as exc:
+            KroneckerCapError, CampaignWorkerError, ValueError) as exc:
         _sys.stderr.write(f"error: {exc}\n")
         _emit(RunConfig(command=config.command, quiet=config.quiet),
               _error_payload(exc, EXIT_VALIDATION))

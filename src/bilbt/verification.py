@@ -20,10 +20,11 @@ Each check judges the trajectories its caller integrated (one
 check carries a quadrature slack tolerance estimated per run; a hard
 failure is declared only when the slack is exceeded tenfold.  The campaign
 driver runs a fixed grid of control bounds, orders and controls over a given
-list of systems (by default the seeded families of `build_campaign_systems`)
-and aggregates pass rates, worst slacks and bound tightness ratios per
-Gramian kind.  Reductions based on the plain (unshifted) Gramian pair carry
-no certified bound and are included as empirical baselines only.
+list of systems (by default the seeded families of `build_campaign_systems`),
+one system per task in a pool of forked worker processes, and aggregates
+pass rates, worst slacks and bound tightness ratios per Gramian kind.
+Reductions based on the plain (unshifted) Gramian pair carry no certified
+bound and are included as empirical baselines only.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -125,6 +127,12 @@ def _require_same_run(traj_full: Trajectory, traj_rom: Trajectory):
         raise ValueError("full and reduced runs are not on the same grid under the same control")
 
 
+def _require_run_under(u: ControlSignal, traj: Trajectory):
+    # simulate_batch samples u on the grid, so a run under u has these inputs bit for bit
+    if not np.array_equal(u(traj.grid), traj.inputs):
+        raise ValueError(f"the run was not made under the control {u.label!r}")
+
+
 def _run_context(context, traj: Trajectory, u: ControlSignal, **kw):
     """The run's T, h and control and `kw`; the caller's `context` keys win."""
     return {"T": float(traj.grid[-1]), "h": traj.h, "control": u.label, **kw,
@@ -143,6 +151,7 @@ def check_error_bound(rom: ReducedModel, u: ControlSignal, traj_full: Trajectory
     """
     _require_control_bound(rom.gramian_kind, rom.k, u)
     _require_same_run(traj_full, traj_rom)
+    _require_run_under(u, traj_full)
     diff = traj_full.outputs - traj_rom.outputs
     lhs, lhs_coarse = l2_richardson(diff, traj_full.grid)
     u_norm, u_coarse = l2_richardson(traj_full.inputs, traj_full.grid)
@@ -165,6 +174,7 @@ def check_reach_energy(pair: GramianPair, u: ControlSignal, traj: Trajectory,
     x(0) = 0: for every eigenpair of P the scaled peak component must stay
     below ||u||_{L2_T}."""
     _require_control_bound(pair.kind, pair.k, u)
+    _require_run_under(u, traj)
     w, vecs = np.linalg.eigh(0.5 * (pair.P + pair.P.T))
     if w.min() <= 0.0:
         raise MatrixEquationError(
@@ -190,6 +200,7 @@ def check_observ_energy(sys: BilinearSystem, pair: GramianPair, u: ControlSignal
     B != 0 the cross-term 2 int x^T Q B u dt is added to the right-hand side
     and the report is informational."""
     _require_control_bound(pair.kind, pair.k, u)
+    _require_run_under(u, traj)
     x0 = traj.states[0]
     Q = 0.5 * (pair.Q + pair.Q.T)
     lhs, lhs_coarse = trapezoid_pair((traj.outputs ** 2).sum(axis=1), traj.grid)
@@ -210,6 +221,7 @@ def check_gronwall_P2(P2, u: ControlSignal, traj: Trajectory,
                       context=None) -> BoundCheckReport:
     """Exponential-in-control-energy bound on x(t)^T P2^-1 x(t) along `traj`,
     a run under `u` from x(0) = 0; holds for arbitrary (unbounded) controls."""
+    _require_run_under(u, traj)
     X2, _cond = invert_spd(P2)
     lhs_t = np.einsum("ki,ij,kj->k", traj.states, X2, traj.states)
     usq = (traj.inputs ** 2).sum(axis=1)
@@ -243,6 +255,7 @@ def check_mixed_side_conditions(rom: ReducedModel, u: ControlSignal,
     if rom.gramian_kind != "mixed_Q1_P2":
         raise ValueError("reduction was not built from the mixed (P2, Q1) pair")
     _require_same_run(traj_full, traj_rom)
+    _require_run_under(u, traj_full)
     r = rom.r
     w = np.asarray(rom.hsv, dtype=float)
     x, xr = traj_full.states, traj_rom.states
@@ -584,41 +597,145 @@ def _type1_cases(log, config, label, sys, controls, full):
                 tail_sum=float(rom1.tail_hsv.sum()), note="no certified bound")
 
 
+def _system_cases(config, sys_idx, label, sys):
+    """The case entries of `sys`, the `sys_idx`-th system of the campaign,
+    numbered from 0.  They depend on the arguments alone, so the systems of a
+    campaign can run in any order and in any process."""
+    log = _CaseLog()
+    rep = stability_report(sys)
+    if rep.ms_abscissa >= 0.0 or rep.k_max_estimate <= 0.0:
+        log.skip("error_bound_cor", label, sys.n, "system not mean-square stable")
+        return log.cases
+    first = None
+    for k_idx, frac in enumerate(K_FRACTIONS):
+        k = frac * rep.k_max_estimate
+        baseline = _type2_cases(log, config, sys_idx, label, sys, k_idx, k)
+        if first is None and baseline is not None:
+            first = (k, baseline)
+    if first is not None:
+        k_ref, (controls, full) = first
+        _p2_cases(log, config, sys_idx, label, sys, k_ref)
+        _type1_cases(log, config, label, sys, controls, full)
+    return log.cases
+
+
+class CampaignWorkerError(RuntimeError):
+    """A campaign worker process died before it returned its system's cases."""
+
+
+# thread-count getters of OpenBLAS, in its plain build and in the builds
+# that numpy and scipy ship
+_OPENBLAS_THREAD_GETTERS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                            "scipy_openblas_get_num_threads",
+                            "scipy_openblas_get_num_threads64_")
+
+
+def _blas_threads():
+    """The most threads any OpenBLAS loaded in this process uses per call; 1
+    where none is loaded or it cannot be asked."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return 1
+    threads = 1
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for name in _OPENBLAS_THREAD_GETTERS:
+            if hasattr(lib, name):
+                getter = getattr(lib, name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                threads = max(threads, getter())
+                break
+    return threads
+
+
+def _worker_count(n_systems):
+    """One worker process per CPU this process may run on, at most one per
+    system.  Each worker brings the BLAS thread pool of its parent, so the
+    CPUs are divided by the BLAS threads: with a multi-threaded BLAS on two
+    CPUs the systems run in this process.  They also do where `fork` or
+    `os.sched_getaffinity` is missing, and in a process with other Python
+    threads, as a thread may hold a lock that the forked child needs."""
+    import multiprocessing
+    import threading
+
+    if (not hasattr(os, "sched_getaffinity") or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return min(n_systems, max(1, len(os.sched_getaffinity(0)) // _blas_threads()))
+
+
+def _cases_per_system(config, systems):
+    """`_system_cases` of every system, in list order.  With more than one
+    worker they run in a pool of forked processes, the largest n submitted
+    first.  The exception raised is that of the first failing system in list
+    order, as in a serial run; the systems after a failing one that have not
+    started are cancelled."""
+    workers = _worker_count(len(systems))
+    if workers <= 1:
+        return [_system_cases(config, i, label, sys)
+                for i, (label, sys) in enumerate(systems)]
+    import multiprocessing
+    from concurrent import futures
+
+    pool = futures.ProcessPoolExecutor(workers,
+                                       mp_context=multiprocessing.get_context("fork"))
+    try:
+        jobs = [None] * len(systems)
+        for i in sorted(range(len(systems)), key=lambda j: -systems[j][1].n):
+            jobs[i] = pool.submit(_system_cases, config, i, *systems[i])
+        pending = set(jobs)
+        while pending:
+            done, pending = futures.wait(pending, return_when=futures.FIRST_EXCEPTION)
+            failed = [i for i, job in enumerate(jobs) if job in done
+                      and not job.cancelled() and job.exception() is not None]
+            for job in jobs[min(failed, default=len(jobs)) + 1:]:
+                job.cancel()
+        return [job.result() for job in jobs]
+    except futures.BrokenExecutor as exc:
+        raise CampaignWorkerError(f"a campaign worker process died: {exc}") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)  # waits for the running workers
+
+
 def benchmark_campaign(config: CampaignConfig, systems) -> CampaignResult:
     """Run every check on each (label, system) pair of `systems` (the default
     grid is `build_campaign_systems(config.seed)`) over the fixed bounds,
     orders and controls.  Individual case failures are recorded and the
     campaign continues; the result is fully determined by the config and the
-    systems."""
-    log = _CaseLog()
-    for sys_idx, (label, sys) in enumerate(systems):
-        rep = stability_report(sys)
-        if rep.ms_abscissa >= 0.0 or rep.k_max_estimate <= 0.0:
-            log.skip("error_bound_cor", label, sys.n, "system not mean-square stable")
-            continue
-        first = None
-        for k_idx, frac in enumerate(K_FRACTIONS):
-            k = frac * rep.k_max_estimate
-            baseline = _type2_cases(log, config, sys_idx, label, sys, k_idx, k)
-            if first is None and baseline is not None:
-                first = (k, baseline)
-        if first is None:
-            continue
-        k_ref, (controls, full) = first
-        _p2_cases(log, config, sys_idx, label, sys, k_ref)
-        _type1_cases(log, config, label, sys, controls, full)
+    systems.
 
-    aggregates = _aggregate(log.cases)
-    scored = [c for c in log.cases if c["passed"] is not None]
+    The systems run in forked worker processes, so nothing is imported
+    again: one per available CPU divided by the BLAS threads, at most one per
+    system, and none where that leaves one worker (the systems then run in
+    this process).  The cases are numbered in list order, so the report is
+    byte-identical to a serial run.  The exception of the first failing
+    system in list order propagates, as in a serial run, and the systems
+    after it that have not started are cancelled; a worker that dies raises
+    CampaignWorkerError.  No worker outlives the call."""
+    cases = []
+    for system_cases in _cases_per_system(config, list(systems)):
+        for entry in system_cases:
+            entry["case"] = len(cases)
+            cases.append(entry)
+
+    aggregates = _aggregate(cases)
+    scored = [c for c in cases if c["passed"] is not None]
     summary = {
-        "total_cases": len(log.cases),
+        "total_cases": len(cases),
         "scored_cases": len(scored),
         "certified_cases": sum(c["certified"] for c in scored),
         "certified_violations": sum(c["violation"] for c in scored),
         "certified_hard_failures": sum(c["hard_failure"] for c in scored),
-        "skipped": len(log.cases) - len(scored),
+        "skipped": len(cases) - len(scored),
     }
-    return CampaignResult(config=asdict(config), cases=log.cases,
+    return CampaignResult(config=asdict(config), cases=cases,
                           aggregates=aggregates, summary=summary)
 
 

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -206,6 +208,29 @@ def test_campaign_deterministic_reports(tmp_path):
     out1.write_text(campaign_to_json(benchmark_campaign(cfg, small_campaign_systems(7))))
     out2.write_text(campaign_to_json(benchmark_campaign(cfg, small_campaign_systems(7))))
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_campaign_worker_death_exits_1_with_payload(monkeypatch, capsys):
+    # a worker that dies breaks the pool; the CLI reports it like any other
+    # campaign failure instead of printing a traceback
+    import bilbt.verification
+    parent = os.getpid()
+
+    def die(sys, *args, **kwargs):
+        if os.getpid() == parent:
+            raise AssertionError("the system ran in the calling process, not in a worker")
+        os._exit(3)
+
+    monkeypatch.setattr(bilbt.verification, "_worker_count", lambda n: min(n, 2))
+    monkeypatch.setattr(bilbt.verification, "stability_report", die)
+    code = main(["campaign", "--T", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "CampaignWorkerError" and error["exit_code"] == 1
+    assert captured.err.startswith("error: a campaign worker process died")
+    assert "Traceback" not in captured.err
+    assert multiprocessing.active_children() == []
 
 
 def test_system_json_round_trip(tmp_path):

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ from bilbt import (
     BilinearSystem,
     CampaignConfig,
     ControlSignal,
+    KroneckerCapError,
     PreconditionViolation,
+    SimulationBlowUpError,
     benchmark_campaign,
     bounded_control_suite,
     campaign_to_csv,
@@ -26,6 +30,7 @@ from bilbt import (
     type2_gramians,
 )
 from bilbt.balancing import ReducedModel
+from bilbt.kronecker import MAX_KRON_N
 from bilbt.verification import random_ms_stable_system, worked_2x2
 
 from conftest import make_random_system, small_campaign_systems
@@ -113,6 +118,48 @@ def test_mixed_conditions_reject_runs_under_different_controls():
     _, reduced = _pair_run(bal.system, rom, v, 2.0)
     with pytest.raises(ValueError, match="same control"):
         check_mixed_side_conditions(rom, u, full, reduced)
+
+
+def test_reach_energy_rejects_a_run_under_another_control():
+    # judged as constant([0.1]), a run made under constant([5.0]) would pass
+    # the k = 0.5 precondition that the true control fails
+    sys = worked_2x2()
+    pair = type2_gramians(worked_2x2(), 0.5)
+    traj = simulate(sys, np.zeros(2), ControlSignal.constant([5.0]), 1.0, 1e-3)
+    with pytest.raises(PreconditionViolation):
+        check_reach_energy(pair, ControlSignal.constant([5.0]), traj)
+    with pytest.raises(ValueError, match="not made under the control 'constant'"):
+        check_reach_energy(type2_gramians(worked_2x2(), 0.5), ControlSignal.constant([0.1]), traj)
+
+
+def test_every_check_rejects_a_run_under_another_control():
+    sys, pair, _, rom = _reduced(k=1.0)
+    P2, _, _ = stochastic_type2_P2(sys)
+    bal_m = square_root_balance(sys, mixed_pair_Q1_P2(sys))
+    rom_m = truncate(bal_m, 1)
+    suite = bounded_control_suite(1, 1e-3, 1.0, seed=11)
+    u, v = suite[2], suite[-1]  # a sinusoid and the piecewise-constant signal
+    full, reduced = _pair_run(sys, rom, u, 1.0)
+    full_m, reduced_m = _pair_run(bal_m.system, rom_m, u, 1.0)
+    free = simulate(sys, [1.0, 0.0], u, 1.0, 1e-3)
+    calls = [lambda w: check_error_bound(rom, w, full, reduced),
+             lambda w: check_reach_energy(pair, w, full),
+             lambda w: check_observ_energy(sys, pair, w, free),
+             lambda w: check_gronwall_P2(P2, w, full),
+             lambda w: check_mixed_side_conditions(rom_m, w, full_m, reduced_m)]
+    for call in calls:
+        call(u)
+        with pytest.raises(ValueError, match="not made under the control 'piecewise-0'"):
+            call(v)
+
+
+def test_batch_inputs_are_the_controls_on_the_grid():
+    # the checks compare u(traj.grid) with traj.inputs bit for bit
+    for m, T, h in ((1, 1.0, 1e-3), (2, 10.0, 1e-3), (3, 0.7, 3e-3)):
+        suite = bounded_control_suite(m, 2.0, T, seed=m, n_sinusoids=2, n_piecewise=3)
+        sys = make_random_system(m, n=2, m=m)
+        for u, traj in zip(suite, simulate_batch([sys], suite, T, h)[0]):
+            assert np.array_equal(u(traj.grid), traj.inputs), u.label
 
 
 def test_error_bound_type1_reduction_under_control():
@@ -306,20 +353,110 @@ def test_campaign_csv_table():
     assert len(rows) == sum(c["check"].startswith("error_bound") for c in result.cases)
 
 
-def test_campaign_solves_p2_once_per_system(monkeypatch):
-    # the Gronwall checks and the mixed pair share one P2 solve
-    import bilbt.gramians
-    import bilbt.verification
-    calls = []
-    solve = bilbt.gramians.stochastic_type2_P2
+def _count_calls_to_file(monkeypatch, module, name, path):
+    """Wrap `module.name` so that every call, in this process or in a forked
+    campaign worker, appends the n of its system argument to `path`."""
+    original = getattr(module, name)
 
     def counting(sys, *args, **kwargs):
-        calls.append(sys.n)
-        return solve(sys, *args, **kwargs)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{sys.n}\n")
+        return original(sys, *args, **kwargs)
 
-    monkeypatch.setattr(bilbt.gramians, "stochastic_type2_P2", counting)
-    monkeypatch.setattr(bilbt.verification, "stochastic_type2_P2", counting)
+    monkeypatch.setattr(module, name, counting)
+
+
+def _counted(path):
+    return [int(line) for line in path.read_text(encoding="utf-8").split()] \
+        if path.exists() else []
+
+
+def test_campaign_solves_p2_once_per_system(monkeypatch, tmp_path):
+    # the Gronwall checks and the mixed pair share one P2 solve; the solves
+    # run in worker processes, so the calls are counted in a file
+    import bilbt.gramians
+    import bilbt.verification
+    log = tmp_path / "calls.txt"
+    _count_calls_to_file(monkeypatch, bilbt.gramians, "stochastic_type2_P2", log)
+    monkeypatch.setattr(bilbt.verification, "stochastic_type2_P2",
+                        bilbt.gramians.stochastic_type2_P2)
+    monkeypatch.setattr(bilbt.verification, "_worker_count", lambda n: min(n, 2))
     cfg = CampaignConfig(seed=5, T=0.2, h=2e-3)
     checks = {c["check"] for c in benchmark_campaign(cfg, small_campaign_systems(5)).cases}
     assert {"gronwall_P2", "mixed_side_conditions"} <= checks
+    calls = _counted(log)
     assert sorted(calls) == [2, 3]  # worked-2x2 and random-3, once each
+
+
+def _pool_campaign_systems():
+    rng = np.random.default_rng(41)
+    return small_campaign_systems(5) + [
+        ("random-5", random_ms_stable_system(5, 1, 2, rng)),
+        ("random-2", random_ms_stable_system(2, 2, 2, rng))]
+
+
+def _oversized_system():
+    n = MAX_KRON_N + 1
+    return BilinearSystem.from_matrices(-np.eye(n), np.ones((n, 1)),
+                                        [0.1 * np.eye(n)], np.ones((1, n)))
+
+
+def test_campaign_pool_reports_match_a_serial_run(monkeypatch):
+    import bilbt.verification
+    cfg = CampaignConfig(seed=5, T=0.3, h=2e-3)
+    systems = _pool_campaign_systems()
+    monkeypatch.setattr(bilbt.verification, "_worker_count", lambda n: min(n, 2))
+    pooled = benchmark_campaign(cfg, systems)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(bilbt.verification, "_worker_count", lambda n: 1)
+    serial = benchmark_campaign(cfg, systems)
+    assert [c["case"] for c in pooled.cases] == list(range(len(pooled.cases)))
+    assert {c["system"] for c in pooled.cases} == {label for label, _ in systems}
+    assert campaign_to_json(pooled) == campaign_to_json(serial)
+    assert campaign_to_csv(pooled) == campaign_to_csv(serial)
+
+
+def _blow_up(*args, **kwargs):
+    raise SimulationBlowUpError("state became non-finite at step 7 (t = 0.014)",
+                                step=7, time=0.014)
+
+
+@pytest.mark.parametrize("failure", ["oversized", "blow-up"])
+def test_campaign_worker_exception_matches_a_serial_run(monkeypatch, failure):
+    import bilbt.verification
+    cfg = CampaignConfig(seed=5, T=0.2, h=2e-3)
+    systems = _pool_campaign_systems()
+    if failure == "oversized":
+        systems.insert(2, ("too-large", _oversized_system()))
+        expected = KroneckerCapError
+    else:
+        monkeypatch.setattr(bilbt.verification, "simulate_batch", _blow_up)
+        expected = SimulationBlowUpError
+    errors = []
+    for workers in (2, 1):
+        monkeypatch.setattr(bilbt.verification, "_worker_count",
+                            lambda n, w=workers: min(n, w))
+        with pytest.raises(expected) as info:
+            benchmark_campaign(cfg, systems)
+        assert multiprocessing.active_children() == []
+        errors.append(info.value)
+    pooled, serial = errors
+    assert type(pooled) is type(serial)
+    assert str(pooled) == str(serial) and pooled.args == serial.args
+    assert vars(pooled) == vars(serial)
+
+
+def test_campaign_cancels_the_systems_after_a_failing_one(monkeypatch, tmp_path):
+    import bilbt.verification
+    log = tmp_path / "calls.txt"
+    _count_calls_to_file(monkeypatch, bilbt.verification, "stability_report", log)
+    monkeypatch.setattr(bilbt.verification, "_worker_count", lambda n: min(n, 2))
+    rng = np.random.default_rng(43)
+    others = [(f"random-{i}", random_ms_stable_system(6, 1, 1, rng)) for i in range(12)]
+    cfg = CampaignConfig(seed=5, T=1.0, h=1e-3)
+    with pytest.raises(KroneckerCapError):
+        benchmark_campaign(cfg, [("too-large", _oversized_system())] + others)
+    assert multiprocessing.active_children() == []
+    calls = _counted(log)
+    assert calls.count(MAX_KRON_N + 1) == 1
+    assert len(calls) < 1 + len(others)  # the queued systems ran, the rest did not
