@@ -44,6 +44,7 @@ from .simulation import (
     bounded_control_suite,
     simulate,
     simulate_batch,
+    simulate_groups,
 )
 from .system import (
     BilinearSystem,

@@ -20,6 +20,7 @@ from . import kronecker
 from .kronecker import symmetrize
 from .matrix_equations import (
     GeneralizedLyapunovProblem,
+    LyapunovOperator,
     RiccatiInequalityProblem,
     RiccatiInfeasibleError,
     MeanSquareInstabilityError,
@@ -103,9 +104,10 @@ def _infeasible_bound(sys, k, abscissa):
         abscissa=abscissa, k_max=k_max)
 
 
-def _solve_p_inequality(sys, k, delta):
+def _solve_p_inequality(sys, k, delta, lyapunov=None):
     # the shifted abscissa is computed once, by the solver (or, for B = 0,
-    # here); the unshifted one only when k proves infeasible
+    # here); the unshifted one only when k proves infeasible.  `lyapunov` is
+    # the caller's shifted observability operator, passed on to the solver
     if k < 0:
         raise ValueError(f"control bound k must be nonnegative, got {k}")
     if delta is None:
@@ -122,7 +124,7 @@ def _solve_p_inequality(sys, k, delta):
     try:
         X, diag, delta_used = solve_type2_riccati(
             RiccatiInequalityProblem(A_shifted=_shifted(sys, k), N=sys.N, B=sys.B,
-                                     delta=delta))
+                                     delta=delta), lyapunov)
     except RiccatiInfeasibleError as exc:
         raise _infeasible_bound(sys, k, exc.abscissa) from exc
     P, _ = invert_spd(X)
@@ -134,11 +136,12 @@ def type2_gramians(sys: BilinearSystem, k, delta=None) -> GramianPair:
     observability equation, both at drift A + (k^2/2) I.
 
     Raises RiccatiInfeasibleError (with the largest feasible bound
-    attached) if k is too large for the system."""
-    P, X, diag_p, delta_used = _solve_p_inequality(sys, k, delta)
-    Q, diag_q = solve_generalized_lyapunov(
-        GeneralizedLyapunovProblem(M=_shifted(sys, k), N=sys.N,
-                                   RHS=-sys.C.T @ sys.C, side="observability"))
+    attached) if k is too large for the system.  The interior-point
+    solve inside the P solve and the Q solve share one factored shifted
+    observability operator."""
+    observability = LyapunovOperator(_shifted(sys, k), sys.N, "observability")
+    P, X, diag_p, delta_used = _solve_p_inequality(sys, k, delta, observability)
+    Q, diag_q = observability.solve(-sys.C.T @ sys.C)
     lmi_margin = None
     if X is not None:
         lmi_margin = check_lmi_feasibility(sys, k, P, X=X).largest_eigenvalue

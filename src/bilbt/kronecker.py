@@ -20,6 +20,7 @@ Control*, LNCIS 297, 2004), so its abscissa is a real eigenvalue with a
 positive semidefinite, hence symmetric, eigenvector.
 """
 
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -70,8 +71,13 @@ class SymBasis(NamedTuple):
     eye_scale: np.ndarray
 
 
+@cache
 def sym_basis(n):
-    """The `SymBasis` of the symmetric n x n matrices (n(n+1)/2 elements)."""
+    """The `SymBasis` of the symmetric n x n matrices (n(n+1)/2 elements).
+
+    Built once per n and shared by every caller, so its arrays are
+    read-only; the callers check n against MAX_KRON_N first, which bounds
+    the cache."""
     rows, cols = np.triu_indices(n)
     weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
     m = rows.size
@@ -88,10 +94,13 @@ def sym_basis(n):
         src.append(f_row[p] * n + f_col[q])
     pos = np.concatenate(pos)
     eye_pos, eye_bin = np.unique(pos, return_inverse=True)
-    return SymBasis(n=n, rows=rows, cols=cols, weights=weights,
-                    eye_pos=eye_pos, eye_bin=eye_bin,
-                    eye_src=np.concatenate(src),
-                    eye_scale=0.5 * weights[pos // m] * weights[pos % m])
+    basis = SymBasis(n=n, rows=rows, cols=cols, weights=weights,
+                     eye_pos=eye_pos, eye_bin=eye_bin,
+                     eye_src=np.concatenate(src),
+                     eye_scale=0.5 * weights[pos // m] * weights[pos % m])
+    for array in basis[1:]:
+        array.setflags(write=False)
+    return basis
 
 
 def sym_operator(F, H, basis, out=None):

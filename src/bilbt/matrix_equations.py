@@ -143,25 +143,56 @@ def _relative_residual(M, N_list, X, RHS, side):
     return float(np.linalg.norm(R) / denom)
 
 
-def _solve_kronecker(M, N_list, RHS, side):
-    n = M.shape[0]
-    kronecker.check_kron_dim(n)
-    if side == "observability":
-        M, N_list = M.T, [Ni.T for Ni in N_list]
-    basis = sym_basis(n)
-    K = sym_operator(M, None, basis, out=kronecker.coupling_operator(N_list, basis))
-    b = half_vec(RHS, basis)
-    # one LU factorization serves the solve and its refinement
-    lu, piv, info = dgetrf(K)
-    if info > 0:
-        raise MeanSquareInstabilityError(
-            f"Kronecker matrix singular (zero pivot {info}); the pair is on or "
-            "beyond the mean-square stability boundary"
-        )
-    x = dgetrs(lu, piv, b)[0]
-    # one iterative refinement pass keeps the residual near machine level
-    x += dgetrs(lu, piv, b - K @ x)[0]
-    return half_unvec(x, basis)
+class LyapunovOperator:
+    """The generalized Lyapunov operator of (M, N, side) on the n(n+1)/2
+    symmetric coordinates, gathered and LU-factored at its first solve
+    (n above `kronecker.MAX_KRON_N` raises `KroneckerCapError`); every later
+    solve, with any right-hand side, reuses the factors."""
+
+    def __init__(self, M, N, side):
+        self.M = np.asarray(M, dtype=float)
+        self.N_list = [np.asarray(Ni, dtype=float) for Ni in N]
+        self.side = side
+        self._factors = None
+
+    def _factor(self):
+        n = self.M.shape[0]
+        kronecker.check_kron_dim(n)
+        M, N_list = self.M, self.N_list
+        if self.side == "observability":
+            M, N_list = M.T, [Ni.T for Ni in N_list]
+        basis = sym_basis(n)
+        K = sym_operator(M, None, basis, out=kronecker.coupling_operator(N_list, basis))
+        lu, piv, info = dgetrf(K)
+        if info > 0:
+            raise MeanSquareInstabilityError(
+                f"Kronecker matrix singular (zero pivot {info}); the pair is on or "
+                "beyond the mean-square stability boundary"
+            )
+        return basis, K, lu, piv
+
+    def solve(self, RHS):
+        """The "kronecker_direct" solution X for the symmetric right-hand
+        side RHS, as (X, SolveDiagnostics); X is symmetrized and its smallest
+        eigenvalue is reported as the definiteness margin."""
+        RHS = symmetrize(np.asarray(RHS, dtype=float))
+        if self._factors is None:
+            self._factors = self._factor()
+        basis, K, lu, piv = self._factors
+        b = half_vec(RHS, basis)
+        x = dgetrs(lu, piv, b)[0]
+        # one iterative refinement pass keeps the residual near machine level
+        x += dgetrs(lu, piv, b - K @ x)[0]
+        X = half_unvec(x, basis)
+        residual = _relative_residual(self.M, self.N_list, X, RHS, self.side)
+        if residual > KRON_RESIDUAL_TOL:
+            raise ConvergenceError(
+                f"kronecker_direct residual {residual:.3e} exceeds tolerance "
+                f"{KRON_RESIDUAL_TOL:.1e}"
+            )
+        margin = float(np.linalg.eigvalsh(X).min()) if X.size else 0.0
+        return X, SolveDiagnostics(method="kronecker_direct", iterations=1,
+                                   residual_norm=residual, definiteness_margin=margin)
 
 
 def solve_generalized_lyapunov(prob: GeneralizedLyapunovProblem):
@@ -172,21 +203,7 @@ def solve_generalized_lyapunov(prob: GeneralizedLyapunovProblem):
     Returns (X, SolveDiagnostics); X is symmetrized and its smallest
     eigenvalue is reported as the definiteness margin.
     """
-    M = np.asarray(prob.M, dtype=float)
-    N_list = [np.asarray(Ni, dtype=float) for Ni in prob.N]
-    RHS = symmetrize(np.asarray(prob.RHS, dtype=float))
-    n = M.shape[0]
-
-    X = _solve_kronecker(M, N_list, RHS, prob.side)
-    residual = _relative_residual(M, N_list, X, RHS, prob.side)
-    if residual > KRON_RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"kronecker_direct residual {residual:.3e} exceeds tolerance "
-            f"{KRON_RESIDUAL_TOL:.1e}"
-        )
-    margin = float(np.linalg.eigvalsh(X).min()) if n > 0 else 0.0
-    return X, SolveDiagnostics(method="kronecker_direct", iterations=1,
-                               residual_norm=residual, definiteness_margin=margin)
+    return LyapunovOperator(prob.M, prob.N, prob.side).solve(prob.RHS)
 
 
 def _riccati_residual(A_s, N_list, BBt, X, delta):
@@ -315,7 +332,7 @@ def _equality_candidates(A_s, N_list, B, BBt, bnorm, delta, msab, basis, couplin
     return candidates
 
 
-def solve_type2_riccati(prob: RiccatiInequalityProblem):
+def solve_type2_riccati(prob: RiccatiInequalityProblem, lyapunov=None):
     """Find a positive-definite X with
     A_s^T X + X A_s + sum N_i^T X N_i + X B B^T X <= -delta I.
 
@@ -333,7 +350,9 @@ def solve_type2_riccati(prob: RiccatiInequalityProblem):
     Returns (X, SolveDiagnostics, delta_used).  The diagnostics' iterations
     are the returned solution's own work at delta_used: the Newton steps of
     its ladder start or of its homotopy, or the interior point's Lyapunov
-    solve.
+    solve.  `lyapunov` is the `LyapunovOperator` of (A_shifted, N,
+    "observability") when the caller solves with it too, so that it is
+    factored once; None builds it here.
     """
     A_s = np.asarray(prob.A_shifted, dtype=float)
     N_list = [np.asarray(Ni, dtype=float) for Ni in prob.N]
@@ -351,14 +370,13 @@ def solve_type2_riccati(prob: RiccatiInequalityProblem):
     BBt = B @ B.T
     bnorm = float(np.linalg.norm(BBt, 2))
     eye = np.eye(n)
+    if lyapunov is None:
+        lyapunov = LyapunovOperator(A_s, N_list, "observability")
 
     if bnorm == 0.0:
         # quadratic term vanishes: the equality is a generalized Lyapunov
         # equation and any small positive-definite X is feasible
-        X, diag = solve_generalized_lyapunov(
-            GeneralizedLyapunovProblem(M=A_s, N=tuple(N_list),
-                                       RHS=-float(prob.delta) * eye,
-                                       side="observability"))
+        X, diag = lyapunov.solve(-float(prob.delta) * eye)
         return X, diag, float(prob.delta)
 
     delta = float(prob.delta)
@@ -366,9 +384,7 @@ def solve_type2_riccati(prob: RiccatiInequalityProblem):
     # the step operators of every Newton call share this coupling part
     coupling = kronecker.coupling_operator([Ni.T for Ni in N_list], basis)
     # the interior point scales one generalized Lyapunov solution, whatever delta
-    Y, lyap_diag = solve_generalized_lyapunov(
-        GeneralizedLyapunovProblem(M=A_s, N=tuple(N_list), RHS=-eye,
-                                   side="observability"))
+    Y, lyap_diag = lyapunov.solve(-eye)
     for _halving in range(60):
         candidates = _equality_candidates(A_s, N_list, B, BBt, bnorm, delta, msab,
                                           basis, coupling)

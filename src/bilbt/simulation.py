@@ -1,14 +1,17 @@
 """Trajectory simulation under bounded controls.
 
 Fixed-step classical 4th-order integration keeps every run bit-reproducible.
-One integrator serves every caller: `simulate_batch` stacks several models
-with the same inputs block-diagonally (a full model beside its reductions is
-the error system) and integrates them under several controls at once, with
-one row of the state array per control; `simulate` is its one-model,
-one-control case.  Memory grows with the stored trajectory only: the drift is
-applied term by term at every stage, inputs are turned into forcing terms one
-block of steps at a time, and the finiteness check runs once per block and
-then finds the exact first bad step.
+One integrator serves every caller.  `simulate_groups` steps several groups
+in one loop: a group stacks several models with the same inputs
+block-diagonally (a full model beside its reductions is the error system)
+under several controls, one row per control, and the groups are zero-padded
+to one (groups, rows, n) state, so each stage is one stacked product with
+every group's drift.  `simulate_batch` is its one-group case and `simulate`
+its one-model, one-control case.  Memory grows with the stored trajectories
+only: the drift is applied term by term at every stage, inputs are turned
+into forcing terms one block of steps at a time, states go from a one-block
+buffer straight into per-trajectory arrays, and the finiteness check runs
+once per block and group and then finds the exact first bad step.
 
 All L^2 norms use composite trapezoidal quadrature on the integration grid so
 that quadrature bias cancels to first order when two sides of a bound are
@@ -201,78 +204,130 @@ def simulate_batch(systems, controls, T, h, x0=None):
 
     Returns trajs, where trajs[i][s] is the Trajectory of systems[i] under
     controls[s].  Raises SimulationBlowUpError with the first step at which
-    the sum of some row of the stacked state is not finite."""
-    systems, controls = list(systems), list(controls)
-    m = systems[0].m
-    if any(sys.m != m for sys in systems) or any(u.m != m for u in controls):
+    the sum of some row of the stacked state is not finite.  This is the
+    one-group case of `simulate_groups`."""
+    return simulate_groups([(systems, controls, x0)], T, h)[0]
+
+
+def simulate_groups(groups, T, h):
+    """Integrate several batches in one loop.
+
+    A group is `(systems, controls, x0)`, the arguments of `simulate_batch`,
+    and every model and control of every group must have the same number of
+    inputs.  The groups' stacked states are zero-padded to one
+    (groups, S_max, n_max) array, so each stage is one stacked product with
+    the drift of every group.  Returns one `simulate_batch` result per group,
+    in list order.  Raises SimulationBlowUpError for the first group in list
+    order that becomes non-finite, at that group's own first bad step."""
+    groups = [(list(systems), list(controls), x0) for systems, controls, x0 in groups]
+    input_counts = ({sys.m for systems, _, _ in groups for sys in systems}
+                    | {u.m for _, controls, _ in groups for u in controls})
+    if len(input_counts) > 1:
         raise ValueError("every model and control must have the same number of inputs")
     if h <= 0 or T < h:
         raise ValueError(f"need 0 < h <= T, got h={h}, T={T}")
+    if not groups:
+        return []
+    m = input_counts.pop()
     K = max(1, int(round(T / h)))
     h = T / K
     grid = np.linspace(0.0, T, K + 1)
     half_grid = np.linspace(0.0, T, 2 * K + 1)
-    U = np.stack([u(half_grid) for u in controls], axis=1)  # (2K+1, S, m)
 
-    bounds = np.cumsum([0] + [sys.n for sys in systems])
-    B = np.vstack([sys.B for sys in systems])
-    # x W = [x A^T, x N_i^T, ...] for the inputs whose coupling is nonzero
-    coupled = [i for i in range(m) if any(np.any(sys.N[i]) for sys in systems)]
-    W = np.hstack([block_diag(*(sys.A for sys in systems)).T]
-                  + [block_diag(*(sys.N[i] for sys in systems)).T for i in coupled])
+    # x W[g] = [x A^T, x N_i^T, ...] for group g and the inputs whose coupling
+    # is nonzero in some group.  W and B^T are transposed views of C-ordered
+    # arrays: BLAS rounds the products differently in the other memory order
+    coupled = [i for i in range(m)
+               if any(np.any(sys.N[i]) for systems, _, _ in groups for sys in systems)]
+    sizes = [sum(sys.n for sys in systems) for systems, _, _ in groups]
+    n_max = max(sizes)
+    S_max = max(len(controls) for _, controls, _ in groups)
+    Wt = np.zeros((len(groups), (1 + len(coupled)) * n_max, n_max))
+    B = np.zeros((len(groups), n_max, m))
+    x = np.zeros((len(groups), S_max, n_max))
+    U, states, sinks = [], [], []
+    for g, ((systems, controls, x0), n) in enumerate(zip(groups, sizes)):
+        bounds = np.cumsum([0] + [sys.n for sys in systems])
+        cols = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        drift = [[sys.A for sys in systems]] + [[sys.N[i] for sys in systems] for i in coupled]
+        for c, blocks in enumerate(drift):
+            Wt[g, c * n_max:c * n_max + n, :n] = block_diag(*blocks)
+        B[g, :n] = np.vstack([sys.B for sys in systems])
+        for c, x0_i in zip(cols, x0 if x0 is not None else []):
+            x[g, :len(controls), c] = np.asarray(x0_i, dtype=float)
+        U.append(np.stack([u(half_grid) for u in controls], axis=1))  # (2K+1, S, m)
+        runs = [[np.empty((K + 1, sys.n)) for _ in controls] for sys in systems]
+        for c, row in zip(cols, runs):
+            for s, x_s in enumerate(row):
+                x_s[0] = x[g, s, c]
+                sinks.append((g, s, c, x_s))
+        states.append(runs)
+    _integrate(x, U, Wt.transpose(0, 2, 1), B.transpose(0, 2, 1), coupled, h, grid,
+               sizes, sinks)
 
-    states = np.zeros((K + 1, len(controls), bounds[-1]))
-    for i, x0_i in enumerate(x0 if x0 is not None else []):
-        states[0, :, bounds[i]:bounds[i + 1]] = np.asarray(x0_i, dtype=float)
-    _integrate(states, U, W, B.T, coupled, h, grid)
-
-    inputs = [np.ascontiguousarray(U[::2, s]) for s in range(len(controls))]
-
-    def trajectory(sys, s, cols):
-        x = np.ascontiguousarray(states[:, s, cols])
-        return Trajectory(grid=grid, states=x, inputs=inputs[s], outputs=x @ sys.C.T)
-
-    return [[trajectory(sys, s, slice(lo, hi)) for s in range(len(controls))]
-            for sys, lo, hi in zip(systems, bounds[:-1], bounds[1:])]
+    results = []
+    for (systems, controls, _), Ug, runs in zip(groups, U, states):
+        inputs = [np.ascontiguousarray(Ug[::2, s]) for s in range(len(controls))]
+        results.append([[Trajectory(grid=grid, states=x_s, inputs=u_s, outputs=x_s @ sys.C.T)
+                         for x_s, u_s in zip(row, inputs)]
+                        for sys, row in zip(systems, runs)])
+    return results
 
 
-def _integrate(states, U, W, Bt, coupled, h, grid):
-    """RK4 over the whole grid, filling states[1:] from states[0].  The
-    drift enters through W = [A^T, N_i^T for i in coupled]; the forcing
-    u B^T is formed one block of BLOCK_STEPS steps at a time, and the
-    finiteness check runs once per block."""
-    K, n = states.shape[0] - 1, states.shape[2]
+def _integrate(x, U, W, Bt, coupled, h, grid, sizes, sinks):
+    """RK4 over the whole grid from the padded state x of shape
+    (groups, S_max, n_max).  Group g has sizes[g] state columns; its drift
+    enters through W[g] = [A^T, N_i^T for i in coupled], U[g] holds its
+    inputs on the half-step grid, and its forcing u B^T is formed one block
+    of BLOCK_STEPS steps at a time.  For each (g, s, cols, states) of
+    `sinks`, columns cols of row s of group g at step k go to states[k].
+    The finiteness check runs once per block and group."""
+    K = grid.size - 1
+    G, S_max, n = x.shape
     half_h, sixth_h = 0.5 * h, h / 6.0
-    x = states[0]
+    block = np.empty((min(BLOCK_STEPS, K), G, S_max, n))
+    Ub = np.zeros((2 * block.shape[0] + 1, G, S_max, U[0].shape[2]))
+    failed = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, K, BLOCK_STEPS):
             last = min(first + BLOCK_STEPS, K)
-            Ub = U[2 * first:2 * last + 1]
-            BUb = Ub @ Bt
-            terms = [(Ub[:, :, i:i + 1], slice((c + 1) * n, (c + 2) * n))
+            steps = last - first
+            for g, Ug in enumerate(U):
+                Ub[:2 * steps + 1, g, :Ug.shape[1]] = Ug[2 * first:2 * last + 1]
+            BUb = Ub[:2 * steps + 1] @ Bt
+            terms = [(Ub[:, :, :, i:i + 1], slice((c + 1) * n, (c + 2) * n))
                      for c, i in enumerate(coupled)]
 
             def f(x, j):
                 y = x @ W
-                dx = y[:, :n] + BUb[j]
+                dx = y[..., :n] + BUb[j]
                 for u, cols in terms:
-                    dx += u[j] * y[:, cols]
+                    dx += u[j] * y[..., cols]
                 return dx
 
-            for step in range(last - first):
+            for step in range(steps):
                 j = 2 * step
                 k1 = f(x, j)
                 k2 = f(x + half_h * k1, j + 1)
                 k3 = f(x + half_h * k2, j + 1)
                 k4 = f(x + h * k3, j + 2)
                 x = x + sixth_h * (k1 + 2.0 * (k2 + k3) + k4)
-                states[first + step + 1] = x
-            finite = np.isfinite(states[first + 1:last + 1].sum(axis=2)).all(axis=1)
-            if not finite.all():
-                step = first + 1 + int(np.argmin(finite))
-                raise SimulationBlowUpError(
-                    f"state became non-finite at step {step} (t = {grid[step]:.6g})",
-                    step=step, time=float(grid[step]))
+                block[step] = x
+            for g, s, cols, states in sinks:
+                states[first + 1:last + 1] = block[:steps, g, s, cols]
+            for g, (Ug, n_g) in enumerate(zip(U, sizes)):
+                if g not in failed:
+                    finite = np.isfinite(
+                        block[:steps, g, :Ug.shape[1], :n_g].sum(axis=2)).all(axis=1)
+                    if not finite.all():
+                        failed[g] = first + 1 + int(np.argmin(finite))
+            if 0 in failed:  # no later failure comes first in list order
+                break
+    if failed:
+        step = failed[min(failed)]
+        raise SimulationBlowUpError(
+            f"state became non-finite at step {step} (t = {grid[step]:.6g})",
+            step=step, time=float(grid[step]))
 
 
 def trapezoid_pair(f, grid):

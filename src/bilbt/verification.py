@@ -15,14 +15,16 @@ Checks implemented:
   the (P2, Q1) pair needs before its error bound applies, plus the bound
   itself (informational when the conditions fail).
 
-Each check judges the trajectories its caller integrated (one
-`simulate_batch` per suite) and reports the T and h of their grid.  Every
-check carries a quadrature slack tolerance estimated per run; a hard
-failure is declared only when the slack is exceeded tenfold.  The campaign
-driver runs a fixed grid of control bounds, orders and controls over a given
-list of systems (by default the seeded families of `build_campaign_systems`),
-one system per task in a pool of forked worker processes, and aggregates
-pass rates, worst slacks and bound tightness ratios per Gramian kind.
+Each check judges the trajectories its caller integrated and reports the T
+and h of their grid.  Every check carries a quadrature slack tolerance
+estimated per run; a hard failure is declared only when the slack is
+exceeded tenfold.  The campaign driver runs a fixed grid of control bounds,
+orders and controls over a given list of systems (by default the seeded
+families of `build_campaign_systems`), one system per task in a pool of
+forked worker processes, and aggregates pass rates, worst slacks and bound
+tightness ratios per Gramian kind.  Each system is planned (Gramian solves,
+reductions, controls, initial states), integrated in one `simulate_groups`
+call and then judged, case by case.
 Reductions based on the plain (unshifted) Gramian pair carry no certified
 bound and are included as empirical baselines only.
 """
@@ -59,7 +61,7 @@ from .simulation import (
     cumulative_trapezoid,
     l2_richardson,
     quadrature_slack,
-    simulate_batch,
+    simulate_groups,
     trapezoid_pair,
 )
 from .system import BilinearSystem, stability_report
@@ -128,7 +130,7 @@ def _require_same_run(traj_full: Trajectory, traj_rom: Trajectory):
 
 
 def _require_run_under(u: ControlSignal, traj: Trajectory):
-    # simulate_batch samples u on the grid, so a run under u has these inputs bit for bit
+    # the integrator samples u on the grid, so a run under u has these inputs bit for bit
     if not np.array_equal(u(traj.grid), traj.inputs):
         raise ValueError(f"the run was not made under the control {u.label!r}")
 
@@ -489,133 +491,165 @@ def _aggregate(cases):
     return agg
 
 
-def _type2_cases(log, config, sys_idx, label, sys, k_idx, k):
-    """Error-bound, reachability and observability cases of the type-2
-    reductions at control bound k.  Returns (constant and first sinusoid
-    control, their full-model trajectories) for the type-1 baseline, or None
-    when no reduction could be built."""
-    T, h = config.T, config.h
+def _skip(*args):
+    """A judge that logs one skipped case, for a stage that integrates nothing."""
+    return lambda log, trajs: log.skip(*args)
+
+
+def _type2_cases(config, sys_idx, label, sys, k_idx, k):
+    """Plan of the error-bound, reachability and observability cases of the
+    type-2 reductions at control bound k.  Returns (groups, judge, baseline):
+    the `simulate_groups` groups, the judge that logs the cases from their
+    runs, and the constant and first sinusoid control for the type-1
+    baseline, or None when no reduction could be built."""
+    T = config.T
     try:
         pair = type2_gramians(sys, k, delta=config.delta)
         bal = square_root_balance(sys, pair)
     except (MatrixEquationError, BalancingError, ValueError) as exc:
-        log.skip("error_bound_cor", label, sys.n,
-                 f"k={k:.4g}: {type(exc).__name__}: {exc}")
-        return None
+        return [], _skip("error_bound_cor", label, sys.n,
+                         f"k={k:.4g}: {type(exc).__name__}: {exc}"), None
 
     controls = _campaign_controls(sys.m, k, T, [config.seed, sys_idx, k_idx])
     roms = [truncate(bal, r) for r in _campaign_orders(bal.hsv)]
-    full, *rom_trajs = simulate_batch([sys] + [rom.system for rom in roms],
-                                      controls, T, h)
-    for s, u in enumerate(controls):
-        for rom, trajs in zip(roms, rom_trajs):
-            thm, cor = check_error_bound(rom, u, full[s], trajs[s],
-                                         context={"system": label})
-            tail = float(rom.tail_hsv.sum())
-            log.add(cor, label, sys.n, certified=True, tail_sum=tail)
-            if rom.bound_distinct < rom.bound_all * (1.0 - 1e-12):
-                # distinct-value bound engaged only for true multiplicities
-                log.add(thm, label, sys.n, certified=True, tail_sum=tail,
-                        note="distinct-value bound")
-        log.add(check_reach_energy(pair, u, full[s], context={"system": label}),
-                label, sys.n, certified=True)
-    baseline = (controls[1:3], full[1:3])
-    del full, rom_trajs
-
+    baseline = controls[1:3]
     zero_B = BilinearSystem.from_matrices(sys.A, np.zeros((sys.n, sys.m)), sys.N, sys.C)
     rng = np.random.default_rng([config.seed, sys_idx, k_idx, 17])
     runs = []
     for x0_idx in range(OBSERV_X0_COUNT):
         x0 = rng.standard_normal(sys.n)
         x0 /= np.linalg.norm(x0)
-        runs += [(x0_idx, x0, u) for u in baseline[0]]
-    trajs = simulate_batch([zero_B], [u for _, _, u in runs], T, h,
-                           x0=[np.array([x0 for _, x0, _ in runs])])[0]
-    for (x0_idx, _, u), traj in zip(runs, trajs):
-        log.add(check_observ_energy(zero_B, pair, u, traj,
-                                    context={"system": label, "x0_index": x0_idx}),
-                label, sys.n, certified=True)
-    return baseline
+        runs += [(x0_idx, x0, u) for u in baseline]
+    groups = [([sys] + [rom.system for rom in roms], controls, None),
+              ([zero_B], [u for _, _, u in runs], [np.array([x0 for _, x0, _ in runs])])]
+
+    def judge(log, trajs):
+        (full, *rom_trajs), (free,) = trajs
+        for s, u in enumerate(controls):
+            for rom, runs_r in zip(roms, rom_trajs):
+                thm, cor = check_error_bound(rom, u, full[s], runs_r[s],
+                                             context={"system": label})
+                tail = float(rom.tail_hsv.sum())
+                log.add(cor, label, sys.n, certified=True, tail_sum=tail)
+                if rom.bound_distinct < rom.bound_all * (1.0 - 1e-12):
+                    # distinct-value bound engaged only for true multiplicities
+                    log.add(thm, label, sys.n, certified=True, tail_sum=tail,
+                            note="distinct-value bound")
+            log.add(check_reach_energy(pair, u, full[s], context={"system": label}),
+                    label, sys.n, certified=True)
+        for (x0_idx, _, u), traj in zip(runs, free):
+            log.add(check_observ_energy(zero_B, pair, u, traj,
+                                        context={"system": label, "x0_index": x0_idx}),
+                    label, sys.n, certified=True)
+
+    return groups, judge, baseline
 
 
-def _p2_cases(log, config, sys_idx, label, sys, k_ref):
-    """Gronwall envelopes and the mixed (P2, Q1) pair, from one P2 solve."""
-    T, h = config.T, config.h
+def _p2_cases(config, sys_idx, label, sys, k_ref):
+    """Plan of the Gronwall envelopes and the mixed (P2, Q1) pair, from one
+    P2 solve: (groups, judge)."""
+    T = config.T
     try:
         p2 = stochastic_type2_P2(sys, delta=config.delta)
     except (MatrixEquationError, ValueError) as exc:
-        log.skip("gronwall_P2", label, sys.n, str(exc))
-        log.skip("mixed_side_conditions", label, sys.n, f"{type(exc).__name__}: {exc}")
-        return
+        notes = (str(exc), f"{type(exc).__name__}: {exc}")
+
+        def judge(log, trajs):
+            log.skip("gronwall_P2", label, sys.n, notes[0])
+            log.skip("mixed_side_conditions", label, sys.n, notes[1])
+        return [], judge
 
     spikes = bounded_control_suite(sys.m, 3.0, T, [config.seed, sys_idx, 29],
                                    n_sinusoids=1, n_piecewise=1)
     spikes = spikes[2:]  # the large sinusoid and spike signals
-    for u, traj in zip(spikes, simulate_batch([sys], spikes, T, h)[0]):
-        log.add(check_gronwall_P2(p2[0], u, traj, context={"system": label}),
-                label, sys.n, certified=True)
-
+    groups = [([sys], spikes, None)]
     try:
         bal_m = square_root_balance(sys, mixed_pair_from_P2(sys, p2))
     except (MatrixEquationError, BalancingError, ValueError) as exc:
-        log.skip("mixed_side_conditions", label, sys.n, f"{type(exc).__name__}: {exc}")
-        return
-    rom_m = truncate(bal_m, _campaign_orders(bal_m.hsv)[0])
-    small = bounded_control_suite(sys.m, 1e-3 * k_ref, T, [config.seed, sys_idx, 31],
-                                  n_sinusoids=1, n_piecewise=0)[1:]
-    large = bounded_control_suite(sys.m, 3.0 * k_ref, T, [config.seed, sys_idx, 37],
-                                  n_sinusoids=0, n_piecewise=1)[2:]
-    full, reduced = simulate_batch([bal_m.system, rom_m.system], small + large, T, h)
-    for u, traj_full, traj_rom in zip(small + large, full, reduced):
-        rep_m = check_mixed_side_conditions(rom_m, u, traj_full, traj_rom,
-                                            context={"system": label})
-        log.add(rep_m, label, sys.n, certified=False,
-                note="side conditions" if rep_m.passed else "side conditions not met")
-        if rep_m.passed:
-            lhs, rhs = rep_m.context["error_lhs"], rep_m.context["error_rhs"]
-            log.add(_report("error_bound_cor", lhs, rhs,
-                            rep_m.tolerance_used + _floor(lhs, rhs), dict(rep_m.context)),
-                    label, sys.n, certified=True, tail_sum=float(rom_m.tail_hsv.sum()),
-                    note="mixed pair under small control")
+        mixed = None
+        note = f"{type(exc).__name__}: {exc}"
+    else:
+        rom_m = truncate(bal_m, _campaign_orders(bal_m.hsv)[0])
+        small = bounded_control_suite(sys.m, 1e-3 * k_ref, T, [config.seed, sys_idx, 31],
+                                      n_sinusoids=1, n_piecewise=0)[1:]
+        large = bounded_control_suite(sys.m, 3.0 * k_ref, T, [config.seed, sys_idx, 37],
+                                      n_sinusoids=0, n_piecewise=1)[2:]
+        mixed = small + large
+        groups.append(([bal_m.system, rom_m.system], mixed, None))
+
+    def judge(log, trajs):
+        for u, traj in zip(spikes, trajs[0][0]):
+            log.add(check_gronwall_P2(p2[0], u, traj, context={"system": label}),
+                    label, sys.n, certified=True)
+        if mixed is None:
+            log.skip("mixed_side_conditions", label, sys.n, note)
+            return
+        for u, traj_full, traj_rom in zip(mixed, *trajs[1]):
+            rep_m = check_mixed_side_conditions(rom_m, u, traj_full, traj_rom,
+                                                context={"system": label})
+            log.add(rep_m, label, sys.n, certified=False,
+                    note="side conditions" if rep_m.passed else "side conditions not met")
+            if rep_m.passed:
+                lhs, rhs = rep_m.context["error_lhs"], rep_m.context["error_rhs"]
+                log.add(_report("error_bound_cor", lhs, rhs,
+                                rep_m.tolerance_used + _floor(lhs, rhs), dict(rep_m.context)),
+                        label, sys.n, certified=True, tail_sum=float(rom_m.tail_hsv.sum()),
+                        note="mixed pair under small control")
+
+    return groups, judge
 
 
-def _type1_cases(log, config, label, sys, controls, full):
-    """Uncertified type-1 baseline on the full-model trajectories `full`
-    already computed under `controls`."""
+def _type1_cases(label, sys, controls):
+    """Plan of the uncertified type-1 baseline under `controls`: (groups,
+    judge).  The full model runs beside the reduced one, so the stage needs
+    no other stage's runs."""
     try:
         bal1 = square_root_balance(sys, type1_gramians(sys))
     except (MatrixEquationError, BalancingError, ValueError) as exc:
-        log.skip("error_bound_cor", label, sys.n,
-                 f"type1 baseline: {type(exc).__name__}: {exc}")
-        return
+        return [], _skip("error_bound_cor", label, sys.n,
+                         f"type1 baseline: {type(exc).__name__}: {exc}")
     rom1 = truncate(bal1, _campaign_orders(bal1.hsv)[0])
-    reduced = simulate_batch([rom1.system], controls, config.T, config.h)[0]
-    for u, traj_full, traj_rom in zip(controls, full, reduced):
-        _, rep1 = check_error_bound(rom1, u, traj_full, traj_rom,
-                                    context={"system": label})
-        log.add(rep1, label, sys.n, certified=False,
-                tail_sum=float(rom1.tail_hsv.sum()), note="no certified bound")
+
+    def judge(log, trajs):
+        for u, traj_full, traj_rom in zip(controls, *trajs[0]):
+            _, rep1 = check_error_bound(rom1, u, traj_full, traj_rom,
+                                        context={"system": label})
+            log.add(rep1, label, sys.n, certified=False,
+                    tail_sum=float(rom1.tail_hsv.sum()), note="no certified bound")
+
+    return [([sys, rom1.system], controls, None)], judge
 
 
 def _system_cases(config, sys_idx, label, sys):
     """The case entries of `sys`, the `sys_idx`-th system of the campaign,
     numbered from 0.  They depend on the arguments alone, so the systems of a
-    campaign can run in any order and in any process."""
+    campaign can run in any order and in any process.
+
+    Three phases: the stage helpers plan every Gramian solve, reduction,
+    control and initial state; one `simulate_groups` call integrates all of
+    the system's runs; each stage's judge then logs its cases, or its skip,
+    in stage order."""
     log = _CaseLog()
     rep = stability_report(sys)
     if rep.ms_abscissa >= 0.0 or rep.k_max_estimate <= 0.0:
         log.skip("error_bound_cor", label, sys.n, "system not mean-square stable")
         return log.cases
-    first = None
+    stages, first = [], None
     for k_idx, frac in enumerate(K_FRACTIONS):
         k = frac * rep.k_max_estimate
-        baseline = _type2_cases(log, config, sys_idx, label, sys, k_idx, k)
+        groups, judge, baseline = _type2_cases(config, sys_idx, label, sys, k_idx, k)
+        stages.append((groups, judge))
         if first is None and baseline is not None:
             first = (k, baseline)
     if first is not None:
-        k_ref, (controls, full) = first
-        _p2_cases(log, config, sys_idx, label, sys, k_ref)
-        _type1_cases(log, config, label, sys, controls, full)
+        k_ref, controls = first
+        stages.append(_p2_cases(config, sys_idx, label, sys, k_ref))
+        stages.append(_type1_cases(label, sys, controls))
+
+    runs = iter(simulate_groups([group for groups, _ in stages for group in groups],
+                                config.T, config.h))
+    for groups, judge in stages:
+        judge(log, [next(runs) for _ in groups])
     return log.cases
 
 
@@ -709,7 +743,8 @@ def benchmark_campaign(config: CampaignConfig, systems) -> CampaignResult:
     grid is `build_campaign_systems(config.seed)`) over the fixed bounds,
     orders and controls.  Individual case failures are recorded and the
     campaign continues; the result is fully determined by the config and the
-    systems.
+    systems.  Each system is planned, integrated in one `simulate_groups`
+    call and then judged (`_system_cases`).
 
     The systems run in forked worker processes, so nothing is imported
     again: one per available CPU divided by the BLAS threads, at most one per

@@ -179,25 +179,25 @@ def test_verify_command(sys_file, tmp_path):
 
 
 def test_verify_integrates_each_suite_once(sys_file, tmp_path, monkeypatch):
-    # one batch of the full model beside the ROM feeds the error-bound, reach
-    # and Gronwall checks; one batch of the B = 0 model feeds observability
+    # one grouped call: the full model beside the ROM feeds the error-bound,
+    # reach and Gronwall checks, and the B = 0 model feeds observability
     import bilbt.cli
     import bilbt.simulation
     calls = []
-    batch = bilbt.simulation.simulate_batch
+    grouped = bilbt.simulation.simulate_groups
 
-    def counting(systems, controls, *args, **kwargs):
-        calls.append((len(systems), len(controls)))
-        return batch(systems, controls, *args, **kwargs)
+    def counting(groups, *args, **kwargs):
+        calls.append([(len(systems), len(controls)) for systems, controls, _ in groups])
+        return grouped(groups, *args, **kwargs)
 
-    # `simulate` goes through the module's own simulate_batch
-    monkeypatch.setattr(bilbt.simulation, "simulate_batch", counting)
-    monkeypatch.setattr(bilbt.cli, "simulate_batch", counting)
+    # `simulate` and `simulate_batch` go through the module's own simulate_groups
+    monkeypatch.setattr(bilbt.simulation, "simulate_groups", counting)
+    monkeypatch.setattr(bilbt.cli, "simulate_groups", counting)
     code = main(["verify", "--input", str(sys_file), "--kind", "type2",
                  "--k", "0.8", "--order", "1", "--T", "2",
                  "--output", str(tmp_path / "verify.json")])
     assert code == 0
-    assert calls == [(2, 5), (1, 3)]
+    assert calls == [[(2, 5), (1, 3)]]
 
 
 def test_campaign_deterministic_reports(tmp_path):

@@ -210,3 +210,28 @@ def test_q_continuity_in_k():
     dq_wide = np.linalg.norm(type2_gramians(sys, k0 + 2e-4).Q - q)
     dq_narrow = np.linalg.norm(type2_gramians(sys, k0 + 1e-4).Q - q)
     assert dq_narrow <= 0.75 * dq_wide + 1e-10
+
+
+def test_type2_reduction_builds_one_basis_and_one_factorization(monkeypatch):
+    # the symmetric basis is built once per n, and the interior-point solve
+    # and the Q solve share one LU factorization of the shifted operator
+    import bilbt.matrix_equations
+    from bilbt import square_root_balance, stability_report
+    from bilbt.kronecker import sym_basis
+    sys = make_random_system(58, n=6, m=2, p=2)
+    factored = []
+    dgetrf = bilbt.matrix_equations.dgetrf
+
+    def counting(K):
+        factored.append(K.shape)
+        return dgetrf(K)
+
+    monkeypatch.setattr(bilbt.matrix_equations, "dgetrf", counting)
+    sym_basis.cache_clear()
+    k = 0.5 * stability_report(sys).k_max_estimate
+    square_root_balance(sys, type2_gramians(sys, k))
+    assert sym_basis.cache_info().misses == 1
+    assert factored == [(21, 21)]
+    basis = sym_basis(6)
+    assert basis is sym_basis(6)
+    assert not any(array.flags.writeable for array in basis[1:])

@@ -306,7 +306,7 @@ def test_riccati_builds_the_newton_coupling_once(monkeypatch):
         A_shifted=sys.A + 0.5 * k * k * np.eye(sys.n), N=sys.N, B=sys.B,
         delta=default_delta(sys)))
     assert len(newton_calls) > 5
-    assert sorted(callers) == ["_solve_kronecker", "ms_abscissa", "solve_type2_riccati"]
+    assert sorted(callers) == ["_factor", "ms_abscissa", "solve_type2_riccati"]
 
 
 def test_riccati_labels_the_winning_strategy(scalar_sys):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bilbt import (
     BilinearSystem,
@@ -10,6 +11,7 @@ from bilbt import (
     bounded_control_suite,
     simulate,
     simulate_batch,
+    simulate_groups,
     stability_report,
     transform,
 )
@@ -247,6 +249,79 @@ def test_blow_up_in_batch_reports_first_bad_row():
         simulate_batch([sys], controls, 10.0, 1e-3, x0=[[1.0]])
     _, bad = _reference_rk4(sys, [1.0], controls[1], 10.0, 1e-3)
     assert exc_info.value.step == bad
+
+
+def _random_model(rng, n, m, coupled):
+    """A small random model whose coupling is zero outside the inputs in
+    `coupled`; integrated over short horizons only."""
+    A = rng.standard_normal((n, n)) - 2.0 * np.eye(n)
+    N = [0.3 * rng.standard_normal((n, n)) if i in coupled else np.zeros((n, n))
+         for i in range(m)]
+    return BilinearSystem.from_matrices(A, rng.standard_normal((n, m)), N,
+                                        rng.standard_normal((2, n)))
+
+
+GROUP = st.tuples(st.lists(st.integers(1, 4), min_size=1, max_size=3),  # n per model
+                  st.integers(1, 4),                                    # controls
+                  st.sampled_from([(), (0,), (1,), (0, 1)]),            # coupled inputs
+                  st.booleans())                                        # random x0
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.lists(GROUP, min_size=1, max_size=4))
+def test_groups_match_each_group_alone(seed, shapes):
+    rng = np.random.default_rng(seed)
+    T, h = 3.0, 1e-2  # 300 steps: more than one block of BLOCK_STEPS
+    suite = bounded_control_suite(2, 0.8, T, seed)
+    groups = []
+    for dims, S, coupled, random_x0 in shapes:
+        systems = [_random_model(rng, n, 2, coupled) for n in dims]
+        controls = [suite[int(i)] for i in rng.integers(0, len(suite), S)]
+        x0 = [rng.standard_normal((S, n)) for n in dims] if random_x0 else None
+        groups.append((systems, controls, x0))
+    together = simulate_groups(groups, T, h)
+    assert len(together) == len(groups)
+    for (systems, controls, x0), runs in zip(groups, together):
+        alone = simulate_batch(systems, controls, T, h, x0=x0)
+        assert [len(row) for row in runs] == [len(controls)] * len(systems)
+        for row, row_alone in zip(runs, alone):
+            for traj, ref in zip(row, row_alone):
+                assert np.array_equal(traj.grid, ref.grid)
+                assert np.array_equal(traj.inputs, ref.inputs)
+                assert _rel(traj.states, ref.states) <= 1e-13
+                assert _rel(traj.outputs, ref.outputs) <= 1e-13
+
+
+def _exploding(rate):
+    # dx/dt = rate * x from x(0) = 1 overflows, at step 7035 for rate 100
+    # and within the first block of steps for rate 5000
+    return ([BilinearSystem.from_matrices([[rate]], [[0.0]], [[[0.0]]], [[1.0]])],
+            [ControlSignal.zero(1)], [[1.0]])
+
+
+def test_groups_blow_up_reports_the_first_failing_group():
+    late, early = _exploding(100.0), _exploding(5000.0)
+    steps = {}
+    for name, group in (("late", late), ("early", early)):
+        with pytest.raises(SimulationBlowUpError) as alone:
+            simulate_batch(*group[:2], 10.0, 1e-3, x0=group[2])
+        steps[name] = alone.value
+    assert steps["early"].step < BLOCK_STEPS < steps["late"].step
+    decaying = _exploding(-1.0)
+    for groups, expected in (([decaying, late, early], steps["late"]),
+                             ([early, late], steps["early"])):
+        with pytest.raises(SimulationBlowUpError) as info:
+            simulate_groups(groups, 10.0, 1e-3)
+        assert info.value.args == expected.args
+        assert (info.value.step, info.value.time) == (expected.step, expected.time)
+
+
+def test_groups_reject_mixed_input_counts():
+    one, two = make_random_system(97, m=1), make_random_system(98, m=2)
+    with pytest.raises(ValueError, match="inputs"):
+        simulate_groups([([one], [ControlSignal.zero(1)], None),
+                         ([two], [ControlSignal.zero(2)], None)], 1.0, 1e-3)
+    assert simulate_groups([], 1.0, 1e-3) == []
 
 
 def test_wide_simulation_memory_is_bounded():

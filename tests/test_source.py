@@ -6,6 +6,7 @@ from pathlib import Path
 import bilbt
 
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+INTEGRATORS = {"simulate", "simulate_batch", "simulate_groups"}
 PACKAGE = Path(bilbt.__file__).parent
 
 
@@ -59,10 +60,20 @@ def test_bound_checks_integrate_nothing():
              for path, tree in _trees()
              for node in ast.walk(tree)
              if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")
-             and {"simulate", "simulate_batch"} & set(_called_names(node))]
+             and INTEGRATORS & set(_called_names(node))]
     assert found == []
     verification = ast.parse((PACKAGE / "verification.py").read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(verification)
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names}
     assert "simulate" not in imported
+
+
+def test_verification_integrates_in_one_function():
+    # the campaign plans every run of a system, integrates them in one call
+    # and then judges them; no stage helper integrates on its own
+    verification = ast.parse((PACKAGE / "verification.py").read_text(encoding="utf-8"))
+    callers = {node.name for node in ast.walk(verification)
+               if isinstance(node, ast.FunctionDef)
+               and INTEGRATORS & set(_called_names(node))}
+    assert callers == {"_system_cases"}

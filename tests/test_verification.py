@@ -388,6 +388,45 @@ def test_campaign_solves_p2_once_per_system(monkeypatch, tmp_path):
     assert sorted(calls) == [2, 3]  # worked-2x2 and random-3, once each
 
 
+def _stage_of(case):
+    if case["check"] in ("gronwall_P2", "mixed_side_conditions") \
+            or case["note"] == "mixed pair under small control":
+        return "p2"
+    return "type1" if case["note"] == "no certified bound" else "type2"
+
+
+@pytest.mark.parametrize("stage, target, skips", [
+    ("type2", "type2_gramians", ["error_bound_cor", "error_bound_cor"]),
+    ("p2", "stochastic_type2_P2", ["gronwall_P2", "mixed_side_conditions"]),
+    ("type1", "type1_gramians", ["error_bound_cor"]),
+])
+def test_campaign_logs_a_failed_stage_in_its_place(monkeypatch, stage, target, skips):
+    # a stage whose solve fails logs its skips where its cases would have
+    # been; with no type-2 reduction the later stages are not planned at all
+    import bilbt.verification
+    from bilbt import MatrixEquationError
+    monkeypatch.setattr(bilbt.verification, "_worker_count", lambda n: 1)
+    cfg = CampaignConfig(seed=5, T=0.2, h=2e-3)
+    systems = small_campaign_systems(5)
+    expected, replaced = [], set()
+    for case in benchmark_campaign(cfg, systems).cases:
+        if stage == "type2" or _stage_of(case) == stage:
+            if case["system"] not in replaced:
+                replaced.add(case["system"])
+                expected += [(case["system"], check) for check in skips]
+        else:
+            expected.append((case["system"], case["check"]))
+
+    def fail(*args, **kwargs):
+        raise MatrixEquationError("solve failed")
+
+    monkeypatch.setattr(bilbt.verification, target, fail)
+    cases = benchmark_campaign(cfg, systems).cases
+    assert [(case["system"], case["check"]) for case in cases] == expected
+    assert sum(case["note"].startswith("skipped") for case in cases) \
+        == len(skips) * len(systems)
+
+
 def _pool_campaign_systems():
     rng = np.random.default_rng(41)
     return small_campaign_systems(5) + [
@@ -430,7 +469,7 @@ def test_campaign_worker_exception_matches_a_serial_run(monkeypatch, failure):
         systems.insert(2, ("too-large", _oversized_system()))
         expected = KroneckerCapError
     else:
-        monkeypatch.setattr(bilbt.verification, "simulate_batch", _blow_up)
+        monkeypatch.setattr(bilbt.verification, "simulate_groups", _blow_up)
         expected = SimulationBlowUpError
     errors = []
     for workers in (2, 1):
