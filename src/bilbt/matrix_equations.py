@@ -207,15 +207,16 @@ def solve_generalized_lyapunov(prob: GeneralizedLyapunovProblem):
 
 
 def _riccati_residual(A_s, N_list, BBt, X, delta):
-    G = _apply_lyapunov(A_s, N_list, X, "observability") + X @ BBt @ X \
-        + delta * np.eye(X.shape[0])
-    scale = max(
-        delta * np.sqrt(X.shape[0]),
-        np.linalg.norm(X @ BBt @ X),
-        np.linalg.norm(A_s.T @ X + X @ A_s),
-        1e-300,
-    )
-    return float(np.linalg.norm(G) / scale)
+    """(relative residual of the slacked equality at X, X B B^T X): the
+    quadratic term is the right-hand side of the next Newton step."""
+    quad = X @ BBt @ X
+    G = A_s.T @ X + X @ A_s
+    scale = max(delta * np.sqrt(X.shape[0]), np.linalg.norm(quad), np.linalg.norm(G), 1e-300)
+    for Ni in N_list:
+        G += Ni.T @ X @ Ni
+    G += quad
+    G.flat[::X.shape[0] + 1] += delta
+    return float(np.linalg.norm(G) / scale), quad
 
 
 def _newton_at_coupling(A_s, N_list, BBt, delta, s, X0, max_iter, tol, basis,
@@ -228,25 +229,24 @@ def _newton_at_coupling(A_s, N_list, BBt, delta, s, X0, max_iter, tol, basis,
     `coupling` is the matrix of X -> sum N_i^T X N_i on `basis`.
     Returns (X, residual, iterations); X is None if the iteration broke down.
     """
-    n = A_s.shape[0]
-    eye = np.eye(n)
+    delta_eye = delta * np.eye(A_s.shape[0])
     Ns = [np.sqrt(s) * Ni for Ni in N_list]
-    X = X0
+    s_coupling = s * coupling
+    X, quad = X0, X0 @ BBt @ X0
     best, best_resid = None, np.inf
     scale0 = max(np.linalg.norm(X0), 1.0)
     for it in range(1, max_iter + 1):
         Ac = A_s + BBt @ X
-        K = sym_operator(Ac.T, None, basis, out=s * coupling)
-        rhs = X @ BBt @ X - delta * eye
+        K = sym_operator(Ac.T, None, basis, out=s_coupling.copy())
         try:
-            X_new = half_unvec(np.linalg.solve(K, half_vec(rhs, basis)), basis)
+            X_new = half_unvec(np.linalg.solve(K, half_vec(quad - delta_eye, basis)), basis)
         except np.linalg.LinAlgError:
             return best, best_resid, it
         if not np.all(np.isfinite(X_new)) or np.linalg.norm(X_new) > 1e10 * scale0:
             return best, best_resid, it
         change = np.linalg.norm(X_new - X)
         X = X_new
-        resid = _riccati_residual(A_s, Ns, BBt, X, delta)
+        resid, quad = _riccati_residual(A_s, Ns, BBt, X, delta)
         if resid < best_resid:
             best, best_resid = X, resid
         if resid <= tol or change <= CARE_CHANGE_TOL * max(np.linalg.norm(X), 1e-300):
@@ -289,8 +289,7 @@ def _homotopy_solve(A_s, N_list, B, BBt, delta, basis, coupling):
             ds *= 0.5
             if ds < 1e-4:  # fold in the branch: no solution beyond this s
                 return None, np.inf, iters
-    resid = _riccati_residual(A_s, N_list, BBt, X, delta)
-    return X, resid, iters
+    return X, _riccati_residual(A_s, N_list, BBt, X, delta)[0], iters
 
 
 def _scaled_lyapunov_feasible(Y, BBt, delta):
@@ -407,7 +406,7 @@ def solve_type2_riccati(prob: RiccatiInequalityProblem, lyapunov=None):
                 iterations=iterations,
                 # for the interior point the equality residual is not meaningful;
                 # its certificate is the feasibility margin, reported as 0
-                residual_norm=(_riccati_residual(A_s, N_list, BBt, X, delta)
+                residual_norm=(_riccati_residual(A_s, N_list, BBt, X, delta)[0]
                                if from_equality else 0.0),
                 definiteness_margin=float(np.linalg.eigvalsh(X).min()))
             return X, diag, delta

@@ -6,12 +6,14 @@ in one loop: a group stacks several models with the same inputs
 block-diagonally (a full model beside its reductions is the error system)
 under several controls, one row per control, and the groups are zero-padded
 to one (groups, rows, n) state, so each stage is one stacked product with
-every group's drift.  `simulate_batch` is its one-group case and `simulate`
-its one-model, one-control case.  Memory grows with the stored trajectories
-only: the drift is applied term by term at every stage, inputs are turned
-into forcing terms one block of steps at a time, states go from a one-block
-buffer straight into per-trajectory arrays, and the finiteness check runs
-once per block and group and then finds the exact first bad step.
+every group's drift, coupling and forcing, applied to the state extended by
+u_i x[R] (R: the columns that the couplings N_i read) and by u.
+`simulate_batch` is its one-group case and `simulate` its one-model,
+one-control case.  Memory grows with the stored trajectories only: the
+extended state holds one stage, inputs are gathered one block of steps at a
+time, states go from a one-block buffer straight into per-trajectory arrays,
+and the finiteness check runs once per block and group and then finds the
+exact first bad step.
 
 All L^2 norms use composite trapezoidal quadrature on the integration grid so
 that quadrature bias cancels to first order when two sides of a bound are
@@ -25,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .system import BilinearSystem
 
@@ -216,9 +217,10 @@ def simulate_groups(groups, T, h):
     and every model and control of every group must have the same number of
     inputs.  The groups' stacked states are zero-padded to one
     (groups, S_max, n_max) array, so each stage is one stacked product with
-    the drift of every group.  Returns one `simulate_batch` result per group,
-    in list order.  Raises SimulationBlowUpError for the first group in list
-    order that becomes non-finite, at that group's own first bad step."""
+    the drift, couplings and forcing of every group.  Returns one
+    `simulate_batch` result per group, in list order.  Raises
+    SimulationBlowUpError for the first group in list order that becomes
+    non-finite, at that group's own first bad step."""
     groups = [(list(systems), list(controls), x0) for systems, controls, x0 in groups]
     input_counts = ({sys.m for systems, _, _ in groups for sys in systems}
                     | {u.m for _, controls, _ in groups for u in controls})
@@ -234,25 +236,26 @@ def simulate_groups(groups, T, h):
     grid = np.linspace(0.0, T, K + 1)
     half_grid = np.linspace(0.0, T, 2 * K + 1)
 
-    # x W[g] = [x A^T, x N_i^T, ...] for group g and the inputs whose coupling
-    # is nonzero in some group.  W and B^T are transposed views of C-ordered
-    # arrays: BLAS rounds the products differently in the other memory order
+    # each stage is k = z W_z[g] with z = [x, u_c x[R] for c in coupled, u] and
+    # W_z[g] = [A^T; N_c^T[R]; B^T], block-diagonal over the models of group g.
+    # R holds the padded columns that some coupled N_c reads (is nonzero in),
+    # so the rows of N_c^T left out are exactly zero
     coupled = [i for i in range(m)
                if any(np.any(sys.N[i]) for systems, _, _ in groups for sys in systems)]
     sizes = [sum(sys.n for sys in systems) for systems, _, _ in groups]
     n_max = max(sizes)
     S_max = max(len(controls) for _, controls, _ in groups)
-    Wt = np.zeros((len(groups), (1 + len(coupled)) * n_max, n_max))
-    B = np.zeros((len(groups), n_max, m))
-    x = np.zeros((len(groups), S_max, n_max))
+    G = len(groups)
+    drift = np.zeros((G, 1 + len(coupled), n_max, n_max))  # A^T, N_c^T
+    Bt = np.zeros((G, m, n_max))
+    x = np.zeros((G, S_max, n_max))
     U, states, sinks = [], [], []
-    for g, ((systems, controls, x0), n) in enumerate(zip(groups, sizes)):
+    for g, (systems, controls, x0) in enumerate(groups):
         bounds = np.cumsum([0] + [sys.n for sys in systems])
         cols = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        drift = [[sys.A for sys in systems]] + [[sys.N[i] for sys in systems] for i in coupled]
-        for c, blocks in enumerate(drift):
-            Wt[g, c * n_max:c * n_max + n, :n] = block_diag(*blocks)
-        B[g, :n] = np.vstack([sys.B for sys in systems])
+        for c, sys in zip(cols, systems):
+            drift[g, :, c, c] = [sys.A.T] + [sys.N[i].T for i in coupled]
+            Bt[g, :, c] = sys.B.T
         for c, x0_i in zip(cols, x0 if x0 is not None else []):
             x[g, :len(controls), c] = np.asarray(x0_i, dtype=float)
         U.append(np.stack([u(half_grid) for u in controls], axis=1))  # (2K+1, S, m)
@@ -262,8 +265,12 @@ def simulate_groups(groups, T, h):
                 x_s[0] = x[g, s, c]
                 sinks.append((g, s, c, x_s))
         states.append(runs)
-    _integrate(x, U, Wt.transpose(0, 2, 1), B.transpose(0, 2, 1), coupled, h, grid,
-               sizes, sinks)
+    R = np.flatnonzero(drift[:, 1:].any(axis=(0, 1, 3)))
+    stride = R[1] - R[0] if R.size > 1 else 1
+    if R.size and np.all(np.diff(R) == stride):  # evenly spaced: a view, no gather
+        R = slice(R[0], R[-1] + 1, stride)
+    Wz = np.concatenate([drift[:, 0], drift[:, 1:, R].reshape(G, -1, n_max), Bt], axis=1)
+    _integrate(x, U, Wz, coupled, R, h, grid, sizes, sinks)
 
     results = []
     for (systems, controls, _), Ug, runs in zip(groups, U, states):
@@ -274,19 +281,27 @@ def simulate_groups(groups, T, h):
     return results
 
 
-def _integrate(x, U, W, Bt, coupled, h, grid, sizes, sinks):
+def _integrate(x, U, Wz, coupled, R, h, grid, sizes, sinks):
     """RK4 over the whole grid from the padded state x of shape
-    (groups, S_max, n_max).  Group g has sizes[g] state columns; its drift
-    enters through W[g] = [A^T, N_i^T for i in coupled], U[g] holds its
-    inputs on the half-step grid, and its forcing u B^T is formed one block
-    of BLOCK_STEPS steps at a time.  For each (g, s, cols, states) of
-    `sinks`, columns cols of row s of group g at step k go to states[k].
-    The finiteness check runs once per block and group."""
+    (groups, S_max, n_max).  Group g has sizes[g] state columns and U[g] holds
+    its inputs on the half-step grid.  Each stage is one stacked product
+    k = z W_z with z = [x, u_c x[R] for c in coupled, u], one (groups, S_max, L)
+    buffer filled in place: the stage update writes x, one broadcast multiply
+    the coupled part, and u is copied from the current block of BLOCK_STEPS
+    steps of inputs.  For each (g, s, cols, states) of `sinks`, columns cols
+    of row s of group g at step k go to states[k].  The finiteness check runs
+    once per block and group."""
     K = grid.size - 1
     G, S_max, n = x.shape
+    m, L = U[0].shape[2], Wz.shape[1]
     half_h, sixth_h = 0.5 * h, h / 6.0
     block = np.empty((min(BLOCK_STEPS, K), G, S_max, n))
-    Ub = np.zeros((2 * block.shape[0] + 1, G, S_max, U[0].shape[2]))
+    Ub = np.zeros((2 * block.shape[0] + 1, G, S_max, m))
+    z = np.zeros((G, S_max, L))
+    zx, zu = z[..., :n], z[..., L - m:]
+    zc = z[..., n:L - m].reshape(G, S_max, len(coupled), x[..., R].shape[-1])
+    k1, k2, k3, k4 = (np.empty_like(x) for _ in range(4))
+    zx[...] = x
     failed = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, K, BLOCK_STEPS):
@@ -294,25 +309,29 @@ def _integrate(x, U, W, Bt, coupled, h, grid, sizes, sinks):
             steps = last - first
             for g, Ug in enumerate(U):
                 Ub[:2 * steps + 1, g, :Ug.shape[1]] = Ug[2 * first:2 * last + 1]
-            BUb = Ub[:2 * steps + 1] @ Bt
-            terms = [(Ub[:, :, :, i:i + 1], slice((c + 1) * n, (c + 2) * n))
-                     for c, i in enumerate(coupled)]
+            Uc = Ub[..., coupled, None]
+            zu[...] = Ub[0]
 
-            def f(x, j):
-                y = x @ W
-                dx = y[..., :n] + BUb[j]
-                for u, cols in terms:
-                    dx += u[j] * y[..., cols]
-                return dx
+            def stage(j, k):
+                np.multiply(Uc[j], zx[..., None, R], out=zc)
+                return np.matmul(z, Wz, out=k)
 
             for step in range(steps):
                 j = 2 * step
-                k1 = f(x, j)
-                k2 = f(x + half_h * k1, j + 1)
-                k3 = f(x + half_h * k2, j + 1)
-                k4 = f(x + h * k3, j + 2)
-                x = x + sixth_h * (k1 + 2.0 * (k2 + k3) + k4)
-                block[step] = x
+                np.add(x, np.multiply(stage(j, k1), half_h, out=zx), out=zx)
+                zu[...] = Ub[j + 1]
+                np.add(x, np.multiply(stage(j + 1, k2), half_h, out=zx), out=zx)
+                np.add(x, np.multiply(stage(j + 1, k3), h, out=zx), out=zx)
+                zu[...] = Ub[j + 2]
+                stage(j + 2, k4)
+                # x + h/6 (k1 + 2 (k2 + k3) + k4), in that rounding order
+                k2 += k3
+                k2 *= 2.0
+                k2 += k1
+                k2 += k4
+                k2 *= sixth_h
+                x = np.add(x, k2, out=block[step])
+                zx[...] = x
             for g, s, cols, states in sinks:
                 states[first + 1:last + 1] = block[:steps, g, s, cols]
             for g, (Ug, n_g) in enumerate(zip(U, sizes)):

@@ -317,3 +317,35 @@ def test_riccati_labels_the_winning_strategy(scalar_sys):
     k = 0.4 * stability_report(sys).k_max_estimate
     assert type2_gramians(sys, k).diagnostics[0].method == "interior_point"
     assert type2_gramians(scalar_sys, 1.0).diagnostics[0].method == "newton"
+
+
+def _riccati_residual_formula(A_s, N_list, BBt, X, delta):
+    """The residual as first written, each product formed afresh: the oracle
+    for `_riccati_residual`, which forms each once."""
+    from bilbt.matrix_equations import _apply_lyapunov
+
+    G = _apply_lyapunov(A_s, N_list, X, "observability") + X @ BBt @ X \
+        + delta * np.eye(X.shape[0])
+    scale = max(
+        delta * np.sqrt(X.shape[0]),
+        np.linalg.norm(X @ BBt @ X),
+        np.linalg.norm(A_s.T @ X + X @ A_s),
+        1e-300,
+    )
+    return float(np.linalg.norm(G) / scale)
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 0), (5, 2), (12, 3)])
+def test_riccati_residual_matches_its_formula_bit_for_bit(n, m):
+    from bilbt.matrix_equations import _riccati_residual
+
+    rng = np.random.default_rng([41, n, m])
+    A_s = rng.standard_normal((n, n))
+    N_list = [rng.standard_normal((n, n)) for _ in range(m)]
+    B = rng.standard_normal((n, 2))
+    X = rng.standard_normal((n, n))
+    X = X + X.T
+    for delta in (0.0, 1e-6, 0.3):
+        resid, quad = _riccati_residual(A_s, N_list, B @ B.T, X, delta)
+        assert resid == _riccati_residual_formula(A_s, N_list, B @ B.T, X, delta)
+        assert np.array_equal(quad, X @ (B @ B.T) @ X)

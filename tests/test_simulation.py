@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bilbt import (
     BilinearSystem,
@@ -251,12 +251,22 @@ def test_blow_up_in_batch_reports_first_bad_row():
     assert exc_info.value.step == bad
 
 
-def _random_model(rng, n, m, coupled):
+def _random_model(rng, n, m, coupled, coupling="dense"):
     """A small random model whose coupling is zero outside the inputs in
-    `coupled`; integrated over short horizons only."""
+    `coupled`; integrated over short horizons only.  `coupling` shapes each
+    coupled N_i: "dense", "columns" (dense with some columns zero), "entry"
+    (one diagonal entry at an end of the state, as at a heat rod's boundary)
+    or "zero" (all zero, although the input is listed as coupled)."""
     A = rng.standard_normal((n, n)) - 2.0 * np.eye(n)
-    N = [0.3 * rng.standard_normal((n, n)) if i in coupled else np.zeros((n, n))
-         for i in range(m)]
+    N = [np.zeros((n, n)) for _ in range(m)]
+    for i in coupled:
+        if coupling == "entry":
+            end = (0, n - 1)[i % 2]
+            N[i][end, end] = -rng.uniform(0.1, 1.0)
+        elif coupling != "zero":
+            N[i] = 0.3 * rng.standard_normal((n, n))
+            if coupling == "columns":
+                N[i][:, rng.random(n) < 0.5] = 0.0
     return BilinearSystem.from_matrices(A, rng.standard_normal((n, m)), N,
                                         rng.standard_normal((2, n)))
 
@@ -264,18 +274,24 @@ def _random_model(rng, n, m, coupled):
 GROUP = st.tuples(st.lists(st.integers(1, 4), min_size=1, max_size=3),  # n per model
                   st.integers(1, 4),                                    # controls
                   st.sampled_from([(), (0,), (1,), (0, 1)]),            # coupled inputs
-                  st.booleans())                                        # random x0
+                  st.booleans(),                                        # random x0
+                  st.sampled_from(["dense", "columns", "entry", "zero"]))  # shape of N_i
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.lists(GROUP, min_size=1, max_size=4))
+# heat-rod couplings beside dense, column-sparse and zero ones in one call
+@example(5, [([4], 2, (0, 1), True, "entry"), ([3, 2], 3, (0, 1), False, "dense"),
+             ([4, 1], 1, (1,), True, "columns"), ([2], 2, (0,), False, "zero")])
+@example(6, [([3, 4], 2, (0, 1), True, "entry"), ([1], 1, (0,), False, "zero")])
+@example(7, [([2, 3], 2, (0, 1), True, "zero"), ([4], 3, (1,), False, "zero")])
 def test_groups_match_each_group_alone(seed, shapes):
     rng = np.random.default_rng(seed)
     T, h = 3.0, 1e-2  # 300 steps: more than one block of BLOCK_STEPS
     suite = bounded_control_suite(2, 0.8, T, seed)
     groups = []
-    for dims, S, coupled, random_x0 in shapes:
-        systems = [_random_model(rng, n, 2, coupled) for n in dims]
+    for dims, S, coupled, random_x0, coupling in shapes:
+        systems = [_random_model(rng, n, 2, coupled, coupling) for n in dims]
         controls = [suite[int(i)] for i in rng.integers(0, len(suite), S)]
         x0 = [rng.standard_normal((S, n)) for n in dims] if random_x0 else None
         groups.append((systems, controls, x0))
@@ -284,12 +300,17 @@ def test_groups_match_each_group_alone(seed, shapes):
     for (systems, controls, x0), runs in zip(groups, together):
         alone = simulate_batch(systems, controls, T, h, x0=x0)
         assert [len(row) for row in runs] == [len(controls)] * len(systems)
-        for row, row_alone in zip(runs, alone):
+        for i, (sys, row, row_alone) in enumerate(zip(systems, runs, alone)):
             for traj, ref in zip(row, row_alone):
                 assert np.array_equal(traj.grid, ref.grid)
                 assert np.array_equal(traj.inputs, ref.inputs)
                 assert _rel(traj.states, ref.states) <= 1e-13
                 assert _rel(traj.outputs, ref.outputs) <= 1e-13
+            # the first row of each model against the per-step reference
+            x0_i = x0[i][0] if x0 is not None else np.zeros(sys.n)
+            states, bad = _reference_rk4(sys, x0_i, controls[0], T, h)
+            assert bad is None
+            assert _rel(row[0].states, states) <= 1e-13
 
 
 def _exploding(rate):
@@ -343,6 +364,27 @@ def test_wide_simulation_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 10e6
+
+
+def test_stacked_groups_memory_is_bounded():
+    # a campaign system's call: 7 groups of a 20-state model beside its three
+    # reductions (n = 50) under 7 controls, over two blocks of steps; beside
+    # the stored states, working memory holds one block and no per-block
+    # forcing of every state column
+    rng = np.random.default_rng(12)
+    T = 0.5
+    suite = bounded_control_suite(2, 0.8, T, seed=12)
+    groups = [([_random_model(rng, n, 2, (0, 1)) for n in (20, 1, 10, 19)],
+               [suite[i % len(suite)] for i in range(7)], None) for _ in range(7)]
+    assert round(T / 1e-3) > BLOCK_STEPS
+    tracemalloc.start()
+    try:
+        runs = simulate_groups(groups, T, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stored = sum(traj.states.nbytes for group in runs for row in group for traj in row)
+    assert peak - stored < 10e6
 
 
 def test_grid_uniform_and_h_adjusted():
