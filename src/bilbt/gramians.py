@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kronecker
 from .kronecker import symmetrize
 from .matrix_equations import (
     GeneralizedLyapunovProblem,
@@ -24,7 +23,6 @@ from .matrix_equations import (
     RiccatiInequalityProblem,
     RiccatiInfeasibleError,
     MeanSquareInstabilityError,
-    SolveDiagnostics,
     check_lmi_feasibility,
     invert_spd,
     solve_generalized_lyapunov,
@@ -94,39 +92,28 @@ def _shifted(sys, k):
     return sys.A + 0.5 * float(k) ** 2 * np.eye(sys.n)
 
 
-def _infeasible_bound(sys, k, abscissa):
-    """The error for a control bound k whose shifted pair has mean-square
-    abscissa `abscissa` >= 0, with the largest feasible bound attached."""
-    k_max = stability_report(sys, 0.0).k_max_estimate
-    return RiccatiInfeasibleError(
-        f"control bound k={k} is infeasible: perturbed mean-square abscissa "
-        f"{abscissa:.3e} >= 0 (largest feasible bound ~ {k_max:.6g})",
-        abscissa=abscissa, k_max=k_max)
-
-
 def _solve_p_inequality(sys, k, delta, lyapunov=None):
-    # the shifted abscissa is computed once, by the solver (or, for B = 0,
-    # here); the unshifted one only when k proves infeasible.  `lyapunov` is
-    # the caller's shifted observability operator, passed on to the solver
+    # the solver certifies mean-square stability of the shifted pair by its
+    # positive-definite Lyapunov solution and computes the shifted abscissa
+    # only when that fails; the unshifted one only when k proves infeasible.
+    # `lyapunov` is the caller's shifted observability operator
     if k < 0:
         raise ValueError(f"control bound k must be nonnegative, got {k}")
-    if delta is None:
-        delta = default_delta(sys)
-    if not np.any(sys.B != 0.0):
-        msab = kronecker.ms_abscissa(_shifted(sys, k), sys.N)
-        if msab >= 0.0:
-            raise _infeasible_bound(sys, k, msab)
-        # nothing is reachable: the honest Gramian is zero (and not minimal);
-        # the inequality itself only pins P down to "inverse of any small X"
-        diag = SolveDiagnostics(method="kronecker_direct", iterations=0,
-                                residual_norm=0.0, definiteness_margin=0.0)
-        return np.zeros((sys.n, sys.n)), None, diag, float(delta)
     try:
         X, diag, delta_used = solve_type2_riccati(
             RiccatiInequalityProblem(A_shifted=_shifted(sys, k), N=sys.N, B=sys.B,
-                                     delta=delta), lyapunov)
+                                     delta=default_delta(sys) if delta is None else delta),
+            lyapunov)
     except RiccatiInfeasibleError as exc:
-        raise _infeasible_bound(sys, k, exc.abscissa) from exc
+        k_max = stability_report(sys, 0.0).k_max_estimate
+        raise RiccatiInfeasibleError(
+            f"control bound k={k} is infeasible: perturbed mean-square abscissa "
+            f"{exc.abscissa:.3e} >= 0 (largest feasible bound ~ {k_max:.6g})",
+            abscissa=exc.abscissa, k_max=k_max) from exc
+    if not np.any(sys.B != 0.0):
+        # nothing is reachable: the honest Gramian is zero (and not minimal);
+        # the inequality itself only pins P down to "inverse of any small X"
+        return np.zeros((sys.n, sys.n)), None, diag, delta_used
     P, _ = invert_spd(X)
     return P, X, diag, delta_used
 
@@ -136,8 +123,8 @@ def type2_gramians(sys: BilinearSystem, k, delta=None) -> GramianPair:
     observability equation, both at drift A + (k^2/2) I.
 
     Raises RiccatiInfeasibleError (with the largest feasible bound
-    attached) if k is too large for the system.  The interior-point
-    solve inside the P solve and the Q solve share one factored shifted
+    attached) if k is too large for the system.  The Lyapunov solve that
+    starts the P solve's barrier and the Q solve share one factored shifted
     observability operator."""
     observability = LyapunovOperator(_shifted(sys, k), sys.N, "observability")
     P, X, diag_p, delta_used = _solve_p_inequality(sys, k, delta, observability)

@@ -8,42 +8,40 @@ Two problem families are covered:
 
 * the Riccati-type inequality
       A_s^T X + X A_s + sum_i N_i^T X N_i + X B B^T X <= -delta I,
-  solved on the slacked equality whenever a root is reachable (the maximal
-  root gives the minimal reachability-side Gramian P = X^-1) and by a
-  certified interior point otherwise.
+  a linear matrix inequality in X through its Schur complement, solved for
+  the smallest trace of the reachability-side Gramian P = X^-1 by a log-det
+  barrier method.
 
 Every solve is certified after the fact: residuals, the smallest eigenvalue
-of the solution, and (for the inequality) the Schur-complement block matrix.
-
-The dense solves (the "kronecker_direct" Lyapunov method and every Newton
-step of the inequality solver) work in symmetric coordinates: the operators
-above map symmetric matrices to symmetric matrices, so each solve has
-n(n+1)/2 unknowns instead of n^2, and its matrix is gathered by
-`kronecker.sym_operator` without forming any n^2 x n^2 array.  A Riccati
-solve forms the coupling part of the Newton step operator once; each Newton
-step scales it by the step's coupling strength and adds the closed-loop
-Lyapunov part.
+of the solution, and (for the inequality) the slack matrix and the
+barrier's duality-gap bound.  The dense solves work in symmetric
+coordinates: the operators above map symmetric matrices to symmetric
+matrices, so each solve has n(n+1)/2 unknowns instead of n^2, and no
+n^2 x n^2 array is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_continuous_are
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs, dtrtri
 
 from . import kronecker
 from .kronecker import half_unvec, half_vec, sym_basis, sym_operator, symmetrize
 from .system import BilinearSystem
 
 KRON_RESIDUAL_TOL = 1e-10
-CARE_CHANGE_TOL = 1e-13
-HOMOTOPY_ITER_BUDGET = 800
-HOMOTOPY_PATH_TOL = 1e-8
-HOMOTOPY_STEP_MAX = 12
-NEWTON_POLISH_MAX = 60
-RICCATI_RESIDUAL_TOL = 1e-10
+# see `_barrier_solve`; a Newton step forms its products in 1 MB chunks
+BARRIER_GAP_REL = 1e-9
+BARRIER_T_STEP = 100.0
+BARRIER_CENTER_TOL = 0.1
+BARRIER_CENTER_MAX = 30
+BARRIER_STEP_MAX = 300
+BARRIER_X_CAP = 1e6
+BARRIER_CHUNK_ENTRIES = 1 << 17
 SPD_COND_CAP = 1e14
 LMI_TOL = 1e-8
 
@@ -109,10 +107,11 @@ class RiccatiInequalityProblem:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    method: str  # kronecker_direct | newton | interior_point
-    iterations: int  # work of the returned solution only
-    residual_norm: float  # relative Frobenius
+    method: str  # kronecker_direct | barrier
+    iterations: int  # linear solves, or Newton steps of the barrier
+    residual_norm: float  # relative Frobenius; 0 for the inequality
     definiteness_margin: float  # smallest eigenvalue of the solution
+    gap: float = 0.0  # the barrier's bound on trace(P) - min trace(P)
 
     def to_dict(self):
         return {
@@ -120,6 +119,7 @@ class SolveDiagnostics:
             "iterations": int(self.iterations),
             "residual_norm": float(self.residual_norm),
             "definiteness_margin": float(self.definiteness_margin),
+            "gap": float(self.gap),
         }
 
 
@@ -206,101 +206,17 @@ def solve_generalized_lyapunov(prob: GeneralizedLyapunovProblem):
     return LyapunovOperator(prob.M, prob.N, prob.side).solve(prob.RHS)
 
 
-def _riccati_residual(A_s, N_list, BBt, X, delta):
-    """(relative residual of the slacked equality at X, X B B^T X): the
-    quadratic term is the right-hand side of the next Newton step."""
-    quad = X @ BBt @ X
-    G = A_s.T @ X + X @ A_s
-    scale = max(delta * np.sqrt(X.shape[0]), np.linalg.norm(quad), np.linalg.norm(G), 1e-300)
-    for Ni in N_list:
-        G += Ni.T @ X @ Ni
-    G += quad
-    G.flat[::X.shape[0] + 1] += delta
-    return float(np.linalg.norm(G) / scale), quad
-
-
-def _newton_at_coupling(A_s, N_list, BBt, delta, s, X0, max_iter, tol, basis,
-                        coupling):
-    """Newton on the slacked equality with the coupling scaled by s: each step
-    solves the generalized Lyapunov equation of the closed loop A_s + B B^T X_j,
-
-        Ac^T X+ + X+ Ac + s * sum N_i^T X+ N_i = X_j B B^T X_j - delta I.
-
-    `coupling` is the matrix of X -> sum N_i^T X N_i on `basis`.
-    Returns (X, residual, iterations); X is None if the iteration broke down.
-    """
-    delta_eye = delta * np.eye(A_s.shape[0])
-    Ns = [np.sqrt(s) * Ni for Ni in N_list]
-    s_coupling = s * coupling
-    X, quad = X0, X0 @ BBt @ X0
-    best, best_resid = None, np.inf
-    scale0 = max(np.linalg.norm(X0), 1.0)
-    for it in range(1, max_iter + 1):
-        Ac = A_s + BBt @ X
-        K = sym_operator(Ac.T, None, basis, out=s_coupling.copy())
-        try:
-            X_new = half_unvec(np.linalg.solve(K, half_vec(quad - delta_eye, basis)), basis)
-        except np.linalg.LinAlgError:
-            return best, best_resid, it
-        if not np.all(np.isfinite(X_new)) or np.linalg.norm(X_new) > 1e10 * scale0:
-            return best, best_resid, it
-        change = np.linalg.norm(X_new - X)
-        X = X_new
-        resid, quad = _riccati_residual(A_s, Ns, BBt, X, delta)
-        if resid < best_resid:
-            best, best_resid = X, resid
-        if resid <= tol or change <= CARE_CHANGE_TOL * max(np.linalg.norm(X), 1e-300):
-            return best, best_resid, it
-    return best, best_resid, max_iter
-
-
-def _homotopy_solve(A_s, N_list, B, BBt, delta, basis, coupling):
-    """Track the maximal-root branch from the uncoupled CARE (coupling scale
-    s = 0) to the full equation (s = 1) with adaptive steps and Newton
-    warm starts; the final point is polished to full residual tolerance.
-
-    The s = 0 equation maps onto a standard CARE with drift -A_s and state
-    weight -delta I; its stabilizing branch makes A_s + B B^T X anti-stable,
-    which is the maximal-root branch (minimal Gramian P)."""
-    n = A_s.shape[0]
-    try:
-        X = symmetrize(solve_continuous_are(-A_s, B, -delta * np.eye(n),
-                                            np.eye(B.shape[1])))
-    except (np.linalg.LinAlgError, ValueError):
-        return None, np.inf, 1
-    if not np.all(np.isfinite(X)):
-        return None, np.inf, 1
-    iters = 1
-    s, ds = 0.0, 0.25
-    while s < 1.0 and iters < HOMOTOPY_ITER_BUDGET:
-        s_next = min(1.0, s + ds)
-        if s_next == 1.0:
-            tol, step_max = 0.01 * RICCATI_RESIDUAL_TOL, NEWTON_POLISH_MAX
-        else:
-            tol, step_max = HOMOTOPY_PATH_TOL, HOMOTOPY_STEP_MAX
-        X_new, resid, it = _newton_at_coupling(A_s, N_list, BBt, delta, s_next,
-                                               X, step_max, tol, basis, coupling)
-        iters += it
-        accept_tol = RICCATI_RESIDUAL_TOL if s_next == 1.0 else HOMOTOPY_PATH_TOL
-        if X_new is not None and resid <= accept_tol:
-            X, s = X_new, s_next
-            ds = min(2.0 * ds, 1.0 - s + 1e-16)
-        else:
-            ds *= 0.5
-            if ds < 1e-4:  # fold in the branch: no solution beyond this s
-                return None, np.inf, iters
-    return X, _riccati_residual(A_s, N_list, BBt, X, delta)[0], iters
+def _slack_margin(A_s, N_list, BBt, X):
+    """Largest eigenvalue of A_s^T X + X A_s + sum N_i^T X N_i + X B B^T X."""
+    slack = _apply_lyapunov(A_s, N_list, X, "observability") + X @ BBt @ X
+    return float(np.linalg.eigvalsh(symmetrize(slack)).max())
 
 
 def _scaled_lyapunov_feasible(Y, BBt, delta):
-    """Certified fallback: with Y solving A_s^T Y + Y A_s + sum N_i^T Y N_i = -I,
+    """The barrier's start: with Y solving A_s^T Y + Y A_s + sum N_i^T Y N_i = -I,
     every X = c Y has slack matrix -c I + c^2 Y B B^T Y, so c can be chosen to
-    keep the margin below -delta.  Conservative (large P) but always exists
-    under mean-square stability; None if delta is too large for it."""
+    keep the margin below -delta (B != 0); None if delta is too large."""
     lam_w = float(np.linalg.eigvalsh(Y @ BBt @ Y).max())
-    if lam_w <= 0.0:
-        # quadratic term vanishes along Y: X = Y has margin -1 <= -delta
-        return Y
     if 4.0 * delta * lam_w >= 1.0:
         return None
     # largest root of -c + c^2 lam_w = -delta, backed off 0.1% for rounding
@@ -308,113 +224,208 @@ def _scaled_lyapunov_feasible(Y, BBt, delta):
     return 0.999 * c_max * Y
 
 
-def _equality_candidates(A_s, N_list, B, BBt, bnorm, delta, msab, basis, coupling):
-    """All positive-definite roots of the slacked equality the two strategies
-    find, as (X, iterations) pairs: plain Newton from a ladder of theta * I
-    starts, plus the coupling-homotopy branch from the uncoupled CARE."""
-    candidates = []
-    theta0 = (-msab) / bnorm
-    n = A_s.shape[0]
-    for factor in (4.0, 16.0, 64.0, 256.0):
-        X, resid, it = _newton_at_coupling(A_s, N_list, BBt, delta, 1.0,
-                                           factor * theta0 * np.eye(n),
-                                           NEWTON_POLISH_MAX,
-                                           0.01 * RICCATI_RESIDUAL_TOL, basis,
-                                           coupling)
-        if X is not None and resid <= RICCATI_RESIDUAL_TOL \
-                and np.linalg.eigvalsh(X).min() > 0.0:
-            candidates.append((X, it))
-    X, resid, it = _homotopy_solve(A_s, N_list, B, BBt, delta, basis, coupling)
-    if X is not None and resid <= RICCATI_RESIDUAL_TOL \
-            and np.linalg.eigvalsh(X).min() > 0.0:
-        candidates.append((X, it))
-    return candidates
+class _Point(NamedTuple):
+    X: np.ndarray
+    S: np.ndarray  # lower Cholesky factor of X
+    S_inv: np.ndarray
+    f: float  # trace(X^-1)
+    logdet: float  # log det F(X) + log(cap - trace(X))
+    LF: np.ndarray  # lower Cholesky factor of F(X)
+
+
+class _LogDetBarrier:
+    """t trace(X^-1) - log det F(X) - log(cap - trace(X)), with
+
+        F(X) = -[[A_s^T X + X A_s + sum N_i^T X N_i + delta I,  X B],
+                 [B^T X,                                        -I ]]
+
+    positive definite iff X satisfies the inequality strictly; F(X) = F0 -
+    J(X) is affine.  The cap bounds X where the inequality does not (rods
+    heated at their ends), before rounding in F(X) hides its sign."""
+
+    def __init__(self, A_s, N_list, B, delta, cap):
+        self.A_s, self.N_list, self.B, self.delta, self.cap = A_s, N_list, B, delta, cap
+        self.n, self.q = B.shape[0], sum(B.shape)
+        self.basis = sym_basis(self.n)
+        rows, cols = np.triu_indices(self.q)
+        # half_vec of the q x q blocks C_p (see `derivatives`), read from T
+        self.upper, self.diagonal = rows * self.q + cols, rows == cols
+        self.scale = 0.5 * self.basis.weights[:, None] * np.where(rows == cols, 1, np.sqrt(2))
+        # work arrays of every Newton step
+        d = self.basis.rows.size
+        self.chunk = min(d, max(1, BARRIER_CHUNK_ENTRIES // self.q ** 2))
+        self._T, self._C = np.empty((self.chunk, self.q, self.q)), np.empty((d, rows.size + 1))
+        self._H_f, self._H_b = np.empty((d, d)), np.empty((d, d), order="F")
+
+    def point(self, X):
+        """The `_Point` at X, or None outside the barrier's domain."""
+        n = self.n
+        F = np.eye(self.q)
+        F[:n, :n] = -_apply_lyapunov(self.A_s, self.N_list, X, "observability")
+        F[:n, :n].flat[::n + 1] -= self.delta
+        F[:n, n:] = -X @ self.B
+        F[n:, :n] = F[:n, n:].T
+        LF, info_F = dpotrf(F, lower=1)
+        S, info_X = dpotrf(X, lower=1)
+        room = self.cap - float(np.trace(X))
+        if info_F != 0 or info_X != 0 or not room > 0.0:
+            return None
+        S_inv = dtrtri(S, lower=1)[0]
+        return _Point(X, S, S_inv, float(np.einsum("ij,ij->", S_inv, S_inv)),
+                      2.0 * float(np.log(LF.diagonal()).sum()) + float(np.log(room)), LF)
+
+    def derivatives(self, pt):
+        """(g_f, H_f, g_b, H_b): gradients and Hessians (H_b upper triangle;
+        both overwritten by the next call) of trace(X^-1) and of the log terms
+        in the coordinates z of Z, X = S Z S^T, at Z = I, which keeps the
+        Newton system well conditioned where X is large.  trace(Z^-1 M),
+        M = S^-1 S^-T, has the Hessian H -> H M + M H.  With [U V] = L^-1 for
+        F = L L^T, -log det F has the Hessian tr(C_p C_q), C_p = L^-1 J(S E_p
+        S^T) L^-T = w_p / 2 [K_a K'_b] [K'_b K_a]^T for p = (a, b), where K_a
+        and K'_b hold column a or b of R S, U S, U N_i^T S in the orders
+        (R, U, N_i) and (U, R, N_i), and R = U A_s^T + V B^T.  C holds the
+        half_vec of each C_p and last the gradient of -log(cap - <S^T S, Z>)."""
+        basis, n, S = self.basis, self.n, pt.S
+        M = pt.S_inv @ pt.S_inv.T
+        self._H_f.fill(0.0)
+        H_f = sym_operator(M, None, basis, out=self._H_f).T  # symmetric: F-ordered
+        Linv = dtrtri(pt.LF, lower=1)[0]
+        US = Linv[:, :n] @ S
+        RS = (Linv[:, :n] @ self.A_s.T + Linv[:, n:] @ self.B.T) @ S
+        coupled = [Linv[:, :n] @ (Ni.T @ S) for Ni in self.N_list]
+        K = np.stack([RS, US] + coupled).transpose(2, 1, 0)
+        K_prime = np.stack([US, RS] + coupled).transpose(2, 1, 0)
+        C, C_half = self._C, self._C[:, :-1]
+        for p in range(0, len(C), self.chunk):
+            a, b = basis.rows[p:p + self.chunk], basis.cols[p:p + self.chunk]
+            left = np.concatenate((K[a], K_prime[b]), axis=2)  # [K_a K'_b]
+            T = np.matmul(left, np.roll(left, K.shape[2], axis=2).transpose(0, 2, 1),
+                          out=self._T[:len(a)]).reshape(len(a), -1)
+            np.take(T, self.upper, axis=1, out=C_half[p:p + self.chunk], mode="wrap")
+        C_half *= self.scale
+        C[:, -1] = half_vec(S.T @ S, basis) / (self.cap - np.trace(pt.X))
+        g_b = C_half[:, self.diagonal].sum(axis=1) + C[:, -1]
+        return (-half_vec(M, basis), H_f, g_b,
+                dsyrk(1.0, C.T, trans=1, c=self._H_b, overwrite_c=1))
+
+
+def _barrier_solve(A_s, N_list, B, BBt, delta, X0):
+    """Minimize trace(X^-1) subject to F(X) > 0 and trace(X) < BARRIER_X_CAP
+    trace(X0) by the log-det barrier method (Boyd & Vandenberghe, Convex
+    Optimization, ch. 11): for t rising by BARRIER_T_STEP from q / trace(X0^-1),
+    q = n + m + 1, damped Newton steps center the barrier, the first along
+    the central path's tangent.  Centered (Newton decrement lambda^2 <=
+    BARRIER_CENTER_TOL), trace(X^-1) is within (q + sqrt(q) lambda) / t of
+    its minimum.  Stops at that gap <= BARRIER_GAP_REL trace(X^-1), or where
+    rounding in F(X) stalls it.  Returns (X, gap, Newton steps) for the last
+    centered X whose recomputed slack is <= -delta, or (X0, inf, steps)."""
+    barrier = _LogDetBarrier(A_s, N_list, B, delta, BARRIER_X_CAP * float(np.trace(X0)))
+    pt = barrier.point(X0)
+    q = barrier.q + 1
+    t = q / pt.f
+    best, steps, centering = (X0, np.inf), 0, 0
+    g_f, H_f, g_b, H_b = barrier.derivatives(pt)
+    while steps < BARRIER_STEP_MAX and centering <= BARRIER_CENTER_MAX:
+        c, info = dpotrf(t * H_f + H_b, overwrite_a=1)
+        if info != 0:
+            break
+        g = t * g_f + g_b
+        dz = -dpotrs(c, g)[0]
+        decrement = -float(g @ dz)
+        if decrement <= BARRIER_CENTER_TOL:
+            gap = float(q + np.sqrt(q * decrement)) / t
+            if _slack_margin(A_s, N_list, BBt, pt.X) <= -delta:
+                best = pt.X, gap
+            if gap <= BARRIER_GAP_REL * pt.f:
+                break
+            t_next = t * min(BARRIER_T_STEP, max(2.0, 1.1 * gap / (BARRIER_GAP_REL * pt.f)))
+            # near its end the central path is about linear in 1/t: predict
+            # its point at t_next along dx/d(1/t) = t^2 H^-1 grad trace(X^-1)
+            dz = -(1.0 - t / t_next) * t * dpotrs(c, g_f)[0]
+            t, centering = t_next, 0
+            slope = float((t * g_f + g_b) @ dz)
+        else:
+            slope = -decrement
+            centering += 1
+        trial = _line_search(barrier, pt, pt.S @ half_unvec(dz, barrier.basis) @ pt.S.T,
+                             t, slope)
+        if trial is None:
+            break
+        pt, steps = trial, steps + 1
+        g_f, H_f, g_b, H_b = barrier.derivatives(pt)
+    return best[0], best[1], steps
+
+
+def _line_search(barrier, pt, dX, t, slope):
+    """X + alpha dX, alpha halving from 1 until the barrier at t falls enough
+    (Armijo; near the center, -slope < 0.1, until X is in the domain), or
+    None.  Far from the center a full step doubles, up to 64 times, while
+    the barrier falls: trace(X^-1) is flatter than its model where X grows."""
+    psi = t * pt.f - pt.logdet
+    for alpha in 0.5 ** np.arange(40.0):
+        trial = barrier.point(pt.X + alpha * dX)
+        if trial is not None and (-slope < 0.1 or t * trial.f - trial.logdet
+                                  <= psi + 0.01 * alpha * slope):
+            break
+    else:
+        return None
+    while alpha == 1.0 and -slope >= 0.5 and alpha < 64.0:
+        longer = barrier.point(pt.X + 2.0 * alpha * dX)
+        if longer is None or t * longer.f - longer.logdet >= t * trial.f - trial.logdet:
+            break
+        trial, alpha = longer, 2.0 * alpha
+    return trial
 
 
 def solve_type2_riccati(prob: RiccatiInequalityProblem, lyapunov=None):
-    """Find a positive-definite X with
+    """Find the positive-definite X of smallest trace(X^-1), the least
+    conservative P = X^-1, with
     A_s^T X + X A_s + sum N_i^T X N_i + X B B^T X <= -delta I.
 
-    Any root of the slacked equality (right-hand side -delta I) is feasible;
-    among the roots found, the one of smallest trace(X^-1) is returned, since
-    small P = X^-1 gives the least conservative truncation bound.  Roots are
-    hunted by Newton iteration (each step a generalized Lyapunov solve of the
-    closed loop) from a ladder of scaled-identity starts and along a homotopy
-    in the coupling strength started from the uncoupled CARE.  The equality
-    is not guaranteed to be solvable; when no root is found, a certified
-    interior point of the inequality built from a scaled generalized Lyapunov
-    solution is returned instead.  Whenever a slack proves unreachable, delta
-    is halved and the solve retried; the delta actually used is returned.
-
-    Returns (X, SolveDiagnostics, delta_used).  The diagnostics' iterations
-    are the returned solution's own work at delta_used: the Newton steps of
-    its ladder start or of its homotopy, or the interior point's Lyapunov
-    solve.  `lyapunov` is the `LyapunovOperator` of (A_shifted, N,
-    "observability") when the caller solves with it too, so that it is
-    factored once; None builds it here.
+    `_barrier_solve` finds it from c Y, Y the generalized Lyapunov solution
+    of A_s^T Y + Y A_s + sum N_i^T Y N_i = -I, with delta halved until some
+    c Y fits.  The operator is resolvent-positive, so a positive-definite Y
+    certifies mean-square stability (Damm, LNCIS 297, 2004); the abscissa
+    is computed only to report a failure.  For B = 0, X solves the Lyapunov
+    equation with -delta I.  Returns (X, SolveDiagnostics, delta_used).
+    `lyapunov` is the `LyapunovOperator` of (A_shifted, N, "observability")
+    when the caller solves with it too, so that it is factored once.
     """
     A_s = np.asarray(prob.A_shifted, dtype=float)
     N_list = [np.asarray(Ni, dtype=float) for Ni in prob.N]
     B = np.atleast_2d(np.asarray(prob.B, dtype=float))
-    n = A_s.shape[0]
-
-    msab = kronecker.ms_abscissa(A_s, N_list)
-    if msab >= 0.0:
+    delta = float(prob.delta)
+    if lyapunov is None:
+        lyapunov = LyapunovOperator(A_s, N_list, "observability")
+    linear = not np.any(B != 0.0)
+    try:
+        Y, diag = lyapunov.solve(-(delta if linear else 1.0) * np.eye(A_s.shape[0]))
+        failure = None if diag.definiteness_margin > 0.0 else ConvergenceError(
+            "generalized Lyapunov solution is not positive definite")
+    except (MeanSquareInstabilityError, ConvergenceError) as exc:
+        failure = exc
+    if failure is not None:
+        msab = kronecker.ms_abscissa(A_s, N_list)
+        if msab < 0.0:
+            raise failure
         raise RiccatiInfeasibleError(
             f"shifted pair is not mean-square stable (abscissa {msab:.3e} >= 0); "
             "no positive-definite solution exists for this control bound",
-            abscissa=msab,
-        )
-
+            abscissa=msab) from failure
+    if linear:
+        return Y, diag, delta
     BBt = B @ B.T
-    bnorm = float(np.linalg.norm(BBt, 2))
-    eye = np.eye(n)
-    if lyapunov is None:
-        lyapunov = LyapunovOperator(A_s, N_list, "observability")
-
-    if bnorm == 0.0:
-        # quadratic term vanishes: the equality is a generalized Lyapunov
-        # equation and any small positive-definite X is feasible
-        X, diag = lyapunov.solve(-float(prob.delta) * eye)
-        return X, diag, float(prob.delta)
-
-    delta = float(prob.delta)
-    basis = sym_basis(n)
-    # the step operators of every Newton call share this coupling part
-    coupling = kronecker.coupling_operator([Ni.T for Ni in N_list], basis)
-    # the interior point scales one generalized Lyapunov solution, whatever delta
-    Y, lyap_diag = lyapunov.solve(-eye)
     for _halving in range(60):
-        candidates = _equality_candidates(A_s, N_list, B, BBt, bnorm, delta, msab,
-                                          basis, coupling)
-
-        X_lyap = _scaled_lyapunov_feasible(Y, BBt, delta)
-        if X_lyap is not None:
-            slack = _apply_lyapunov(A_s, N_list, X_lyap, "observability") \
-                + X_lyap @ BBt @ X_lyap
-            margin = float(np.linalg.eigvalsh(symmetrize(slack)).max())
-            if margin <= -delta and np.linalg.eigvalsh(X_lyap).min() > 0.0:
-                candidates.append((X_lyap, lyap_diag.iterations))
-
-        if candidates:
-            # the iterations reported are the winner's own, at this delta
-            X, iterations = min(candidates,
-                                key=lambda c: float(np.trace(np.linalg.inv(c[0]))))
-            from_equality = X is not X_lyap
-            diag = SolveDiagnostics(
-                method="newton" if from_equality else "interior_point",
-                iterations=iterations,
-                # for the interior point the equality residual is not meaningful;
-                # its certificate is the feasibility margin, reported as 0
-                residual_norm=(_riccati_residual(A_s, N_list, BBt, X, delta)[0]
-                               if from_equality else 0.0),
-                definiteness_margin=float(np.linalg.eigvalsh(X).min()))
-            return X, diag, delta
+        X0 = _scaled_lyapunov_feasible(Y, BBt, delta)
+        if X0 is not None and _slack_margin(A_s, N_list, BBt, X0) <= -delta:
+            X, gap, steps = _barrier_solve(A_s, N_list, B, BBt, delta, X0)
+            return X, SolveDiagnostics(
+                method="barrier", iterations=steps, residual_norm=0.0,
+                definiteness_margin=float(np.linalg.eigvalsh(X).min()), gap=gap), delta
         delta *= 0.5
     raise ConvergenceError(
-        f"inequality solve failed for every slack down to delta={delta:.3e} "
-        f"(started from {prob.delta:.3e})"
-    )
+        f"no scaled Lyapunov start satisfies the inequality for any slack down "
+        f"to delta={delta:.3e} (started from {prob.delta:.3e})")
 
 
 @dataclass(frozen=True)

@@ -77,3 +77,36 @@ def test_verification_integrates_in_one_function():
                if isinstance(node, ast.FunctionDef)
                and INTEGRATORS & set(_called_names(node))}
     assert callers == {"_system_cases"}
+
+
+# the Riccati root hunt that the log-det barrier replaced
+ROOT_HUNT = {"_equality_candidates", "_homotopy_solve", "_newton_at_coupling",
+             "_riccati_residual", "NEWTON_POLISH_MAX", "CARE_CHANGE_TOL"}
+
+
+def _defined_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield node.lineno, target.id
+
+
+def test_src_keeps_one_riccati_path():
+    # the type-2 P comes from the one barrier solve: no CARE-based start
+    # and no Newton or homotopy root hunt beside it
+    found = [f"{path.name}:{line}: {name}"
+             for path, tree in _trees()
+             for line, name in _defined_names(tree)
+             if name in ROOT_HUNT or name.startswith("HOMOTOPY_")]
+    found += [f"{path.name}:{node.lineno}: solve_continuous_are"
+              for path, tree in _trees()
+              for node in ast.walk(tree)
+              if (isinstance(node, ast.Attribute) and node.attr == "solve_continuous_are")
+              or (isinstance(node, ast.Name) and node.id == "solve_continuous_are")
+              or (isinstance(node, (ast.Import, ast.ImportFrom))
+                  and any(alias.name.endswith("solve_continuous_are")
+                          for alias in node.names))]
+    assert found == []
