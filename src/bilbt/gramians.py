@@ -16,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kronecker
 from .kronecker import symmetrize
 from .matrix_equations import (
+    ConvergenceError,
     GeneralizedLyapunovProblem,
     LyapunovOperator,
     RiccatiInequalityProblem,
@@ -60,22 +62,25 @@ def _minimality(P, Q):
     return all(margin > CLAMP_TOL for margin in margins)
 
 
-def _require_ms_stable(sys):
-    report = stability_report(sys, 0.0)
-    if report.ms_abscissa >= 0.0:
-        raise MeanSquareInstabilityError(
-            f"system is not mean-square stable (abscissa {report.ms_abscissa:.3e})"
-        )
-    return report
-
-
 def type1_gramians(sys: BilinearSystem) -> GramianPair:
     """Solve A P1 + P1 A^T + sum N_i P1 N_i^T = -B B^T and the transposed-side
-    analogue with -C^T C."""
-    _require_ms_stable(sys)
-    P, diag_p = solve_generalized_lyapunov(
-        GeneralizedLyapunovProblem(M=sys.A, N=sys.N, RHS=-sys.B @ sys.B.T,
-                                   side="reachability"))
+    analogue with -C^T C.
+
+    The reachability operator is factored once.  Its solution Y of the
+    equation with -I certifies mean-square stability when positive definite
+    (see `solve_type2_riccati`); the abscissa is computed only when that
+    fails, and MeanSquareInstabilityError is raised if it is >= 0."""
+    reachability = LyapunovOperator(sys.A, sys.N, "reachability")
+    try:
+        certified = reachability.solve(-np.eye(sys.n))[1].definiteness_margin > 0.0
+    except (MeanSquareInstabilityError, ConvergenceError):
+        certified = False
+    if not certified:
+        msab = kronecker.ms_abscissa(sys.A, sys.N)
+        if msab >= 0.0:
+            raise MeanSquareInstabilityError(
+                f"system is not mean-square stable (abscissa {msab:.3e})")
+    P, diag_p = reachability.solve(-sys.B @ sys.B.T)
     Q, diag_q = solve_generalized_lyapunov(
         GeneralizedLyapunovProblem(M=sys.A, N=sys.N, RHS=-sys.C.T @ sys.C,
                                    side="observability"))

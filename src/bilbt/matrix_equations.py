@@ -18,20 +18,56 @@ barrier's duality-gap bound.  The dense solves work in symmetric
 coordinates: the operators above map symmetric matrices to symmetric
 matrices, so each solve has n(n+1)/2 unknowns instead of n^2, and no
 n^2 x n^2 array is formed.
+
+The solves call six compiled kernels: LAPACK's dgetrf, dgetrs, dpotrf,
+dpotrs and dtrtri and BLAS's dsyrk, the function objects of
+`scipy.linalg.lapack` and `scipy.linalg.blas`.  They are taken from scipy's
+compiled wrapper modules directly (`_scipy_linalg_extension`), because
+importing `scipy.linalg` itself also imports numpy.f2py and numpy.testing and
+about doubles the start-up time of every bilbt process.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs, dtrtri
 
 from . import kronecker
 from .kronecker import half_unvec, half_vec, sym_basis, sym_operator, symmetrize
 from .system import BilinearSystem
+
+
+def _scipy_linalg_extension(name):
+    """The compiled module scipy.linalg.<name>, taken from `sys.modules` or
+    loaded from scipy's linalg directory and registered there, so that a later
+    `import scipy.linalg` reuses it.  This skips scipy.linalg's package init,
+    which imports numpy.f2py and numpy.testing; ImportError if it is missing."""
+    fullname = f"scipy.linalg.{name}"
+    if fullname not in sys.modules:
+        scipy = find_spec("scipy")
+        if scipy is None:
+            raise ImportError("bilbt needs scipy", name="scipy")
+        finder = FileFinder(os.path.join(scipy.submodule_search_locations[0], "linalg"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(fullname)
+        if spec is None:
+            raise ImportError(f"bilbt needs scipy's compiled {fullname}", name=fullname)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[fullname] = module
+    return sys.modules[fullname]
+
+
+_lapack, _blas = _scipy_linalg_extension("_flapack"), _scipy_linalg_extension("_fblas")
+dgetrf, dgetrs, dpotrf, dpotrs, dtrtri = (
+    _lapack.dgetrf, _lapack.dgetrs, _lapack.dpotrf, _lapack.dpotrs, _lapack.dtrtri)
+dsyrk = _blas.dsyrk
 
 KRON_RESIDUAL_TOL = 1e-10
 # see `_barrier_solve`; a Newton step forms its products in 1 MB chunks
@@ -359,8 +395,9 @@ def _barrier_solve(A_s, N_list, B, BBt, delta, X0):
 def _line_search(barrier, pt, dX, t, slope):
     """X + alpha dX, alpha halving from 1 until the barrier at t falls enough
     (Armijo; near the center, -slope < 0.1, until X is in the domain), or
-    None.  Far from the center a full step doubles, up to 64 times, while
-    the barrier falls: trace(X^-1) is flatter than its model where X grows."""
+    None.  Far from the center (-slope >= 0.5) a full step is doubled once
+    if that lowers the barrier further: trace(X^-1) is flatter than its
+    model where X grows."""
     psi = t * pt.f - pt.logdet
     for alpha in 0.5 ** np.arange(40.0):
         trial = barrier.point(pt.X + alpha * dX)
@@ -369,11 +406,10 @@ def _line_search(barrier, pt, dX, t, slope):
             break
     else:
         return None
-    while alpha == 1.0 and -slope >= 0.5 and alpha < 64.0:
-        longer = barrier.point(pt.X + 2.0 * alpha * dX)
-        if longer is None or t * longer.f - longer.logdet >= t * trial.f - trial.logdet:
-            break
-        trial, alpha = longer, 2.0 * alpha
+    if alpha == 1.0 and -slope >= 0.5:
+        longer = barrier.point(pt.X + 2.0 * dX)
+        if longer is not None and t * longer.f - longer.logdet < t * trial.f - trial.logdet:
+            return longer
     return trial
 
 

@@ -134,9 +134,10 @@ def stability_report(sys: BilinearSystem, k=0.0) -> StabilityReport:
     feasible control bound.
 
     Dense path only: n is capped at `kronecker.MAX_KRON_N`, and a larger
-    system raises `KroneckerCapError`.  The Gramian solves make the same
-    dense eigensolve, so the cap holds for the whole pipeline.  One
-    mean-square eigensolve serves every k.
+    system raises `KroneckerCapError`.  The cap holds for the whole
+    pipeline because every Gramian solve factors the same symmetric-coordinate
+    operator under `kronecker.check_kron_dim`.  One mean-square eigensolve
+    serves every k.
     """
     if k < 0:
         raise ValueError(f"control bound k must be nonnegative, got {k}")

@@ -103,11 +103,11 @@ def test_one_mean_square_eigensolve_per_call(monkeypatch):
 
     monkeypatch.setattr(kronecker, "ms_abscissa", counting)
     sys = make_random_system(64, n=4, m=2)
-    # the inequality solves need none: their positive-definite Lyapunov
-    # solution Y already certifies mean-square stability
+    # the Gramian solves need none: a positive-definite Lyapunov solution
+    # with -I already certifies mean-square stability
     for run, expected in ((lambda: stability_report(sys, 0.0), 1),
                           (lambda: stability_report(sys, 0.5), 1),
-                          (lambda: type1_gramians(sys), 1),
+                          (lambda: type1_gramians(sys), 0),
                           (lambda: type2_gramians(sys, 0.5), 0),
                           (lambda: stochastic_type2_P2(sys), 0)):
         calls.clear()
@@ -117,6 +117,23 @@ def test_one_mean_square_eigensolve_per_call(monkeypatch):
     for k in (0.0, 0.5, 1.3):
         rep = stability_report(sys, k)
         assert rep.perturbed_ms_abscissa == rep.ms_abscissa + k * k
+
+
+def test_type1_unstable_reports_abscissa():
+    from bilbt import MeanSquareInstabilityError, kronecker
+
+    stable = make_random_system(65, n=4, m=2)
+    # beyond the boundary the -I solution is indefinite; on it the operator
+    # is singular: both report the abscissa
+    for sys in (BilinearSystem.from_matrices(stable.A + 3.0 * np.eye(4), stable.B,
+                                             stable.N, stable.C),
+                BilinearSystem.from_matrices([[-1.0]], [[1.0]], [[[1.5]]], [[1.0]]),
+                BilinearSystem.from_matrices([[0.0]], [[1.0]], [[[0.0]]], [[1.0]])):
+        msab = kronecker.ms_abscissa(sys.A, sys.N)
+        assert msab >= 0.0
+        with pytest.raises(MeanSquareInstabilityError) as exc_info:
+            type1_gramians(sys)
+        assert str(exc_info.value) == f"system is not mean-square stable (abscissa {msab:.3e})"
 
 
 def test_type2_q_at_zero_k_equals_type1_q():

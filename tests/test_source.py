@@ -1,13 +1,21 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import bilbt
+from bilbt import matrix_equations
 
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
 INTEGRATORS = {"simulate", "simulate_batch", "simulate_groups"}
 PACKAGE = Path(bilbt.__file__).parent
+KERNELS = (("lapack", "dgetrf"), ("lapack", "dgetrs"), ("lapack", "dpotrf"),
+           ("lapack", "dpotrs"), ("lapack", "dtrtri"), ("blas", "dsyrk"))
 
 
 def _trees():
@@ -110,3 +118,56 @@ def test_src_keeps_one_riccati_path():
                   and any(alias.name.endswith("solve_continuous_are")
                           for alias in node.names))]
     assert found == []
+
+
+def test_src_imports_no_scipy_module():
+    # `matrix_equations` loads scipy's compiled LAPACK and BLAS wrappers on
+    # its own; an import statement would run scipy.linalg's package init
+    found = [f"{path.name}:{node.lineno}"
+             for path, tree in _trees()
+             for node in ast.walk(tree)
+             if (isinstance(node, ast.Import)
+                 and any(alias.name.split(".")[0] == "scipy" for alias in node.names))
+             or (isinstance(node, ast.ImportFrom) and node.level == 0
+                 and node.module.split(".")[0] == "scipy")]
+    assert found == []
+
+
+def _fresh_python(code):
+    """Standard output of `code` run in a new interpreter that imports bilbt
+    from this source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_skips_scipy_linalg_package():
+    loaded = _fresh_python(
+        "import sys, bilbt.cli\n"
+        "print(sorted({'scipy.linalg', 'numpy.f2py', 'numpy.testing'} & set(sys.modules)))")
+    assert loaded.strip() == "[]"
+
+
+@pytest.mark.parametrize("first", ["bilbt", "scipy.linalg"])
+def test_kernels_are_scipy_linalg_functions(first):
+    # whichever is imported first, bilbt calls the very function objects
+    # that scipy.linalg.lapack and scipy.linalg.blas export, and both share
+    # one module object per compiled wrapper
+    second = "scipy.linalg" if first == "bilbt" else "bilbt"
+    same = _fresh_python(
+        f"import {first}, {second}\n"
+        "import scipy.linalg.blas, scipy.linalg.lapack\n"
+        "from bilbt import matrix_equations as me\n"
+        f"print([getattr(me, name) is getattr(getattr(scipy.linalg, lib), name) "
+        f"for lib, name in {KERNELS!r}]\n"
+        "      + [me._lapack is scipy.linalg.lapack._flapack,\n"
+        "         me._blas is scipy.linalg.blas._fblas])")
+    assert same.strip() == str([True] * (len(KERNELS) + 2))
+
+
+def test_missing_scipy_wrapper_raises_import_error():
+    with pytest.raises(ImportError, match="scipy.linalg._no_such_wrapper"):
+        matrix_equations._scipy_linalg_extension("_no_such_wrapper")
+    assert "scipy.linalg._no_such_wrapper" not in sys.modules
