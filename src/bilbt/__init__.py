@@ -27,14 +27,13 @@ from .kronecker import KroneckerCapError
 from .matrix_equations import (
     ConvergenceError,
     FeasibilityReport,
-    GeneralizedLyapunovProblem,
+    LyapunovOperator,
     MatrixEquationError,
     MeanSquareInstabilityError,
     RiccatiInequalityProblem,
     RiccatiInfeasibleError,
     SolveDiagnostics,
     check_lmi_feasibility,
-    solve_generalized_lyapunov,
     solve_type2_riccati,
 )
 from .simulation import (
@@ -43,7 +42,6 @@ from .simulation import (
     Trajectory,
     bounded_control_suite,
     simulate,
-    simulate_batch,
     simulate_groups,
 )
 from .system import (

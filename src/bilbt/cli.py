@@ -5,8 +5,9 @@ One file per artifact (system, gramians, ROM, report); all outputs are
 deterministic given the seed.
 
 Exit codes: 0 success, 1 validation/feasibility error (a command line that
-does not parse is one), 2 bound violation beyond the hard-failure threshold,
-3 I/O or parse error.
+does not parse is one, and so is a system file that `validate` rejects, in
+every command that reads one), 2 bound violation beyond the hard-failure
+threshold, 3 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -108,6 +109,15 @@ def _gramian_pair(config, sys: BilinearSystem):
     raise ValueError(f"kind {config.kind!r} does not define a Gramian pair here")
 
 
+def _load_valid_system(path):
+    """The system in `path`, or ValueError naming every invariant it breaks."""
+    sys = load_system(path)
+    result = validate(sys)
+    if not result.ok:
+        raise ValueError("invalid system: " + "; ".join(result.issues))
+    return sys
+
+
 def _cmd_validate(config):
     sys = load_system(config.input)
     result = validate(sys)
@@ -125,7 +135,7 @@ def _cmd_validate(config):
 
 
 def _cmd_gramians(config):
-    sys = load_system(config.input)
+    sys = _load_valid_system(config.input)
     if config.kind == "p2":
         P2, diag, delta_used = stochastic_type2_P2(sys, delta=config.delta)
         payload = {
@@ -154,7 +164,7 @@ def _report_path(output):
 
 
 def _cmd_reduce(config):
-    sys = load_system(config.input)
+    sys = _load_valid_system(config.input)
     if config.kind == "p2":
         raise ValueError("reduce needs a Gramian pair; use --kind type1|type2|mixed")
     pair = _gramian_pair(config, sys)
@@ -202,7 +212,7 @@ def _pick_control(config, m):
 
 
 def _cmd_simulate(config):
-    sys = load_system(config.input)
+    sys = _load_valid_system(config.input)
     u = _pick_control(config, sys.m)
     traj = simulate(sys, np.zeros(sys.n), u, config.T, config.h)
     if config.output:
@@ -234,7 +244,7 @@ def _cmd_simulate(config):
 
 
 def _cmd_verify(config):
-    sys = load_system(config.input)
+    sys = _load_valid_system(config.input)
     if config.kind != "type2":
         raise ValueError("verify certifies the control-bounded pair; use --kind type2")
     pair = type2_gramians(sys, config.k, delta=config.delta)

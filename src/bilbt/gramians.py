@@ -20,14 +20,12 @@ from . import kronecker
 from .kronecker import symmetrize
 from .matrix_equations import (
     ConvergenceError,
-    GeneralizedLyapunovProblem,
     LyapunovOperator,
     RiccatiInequalityProblem,
     RiccatiInfeasibleError,
     MeanSquareInstabilityError,
     check_lmi_feasibility,
     invert_spd,
-    solve_generalized_lyapunov,
     solve_type2_riccati,
 )
 from .system import BilinearSystem, stability_report
@@ -66,13 +64,14 @@ def type1_gramians(sys: BilinearSystem) -> GramianPair:
     """Solve A P1 + P1 A^T + sum N_i P1 N_i^T = -B B^T and the transposed-side
     analogue with -C^T C.
 
-    The reachability operator is factored once.  Its solution Y of the
-    equation with -I certifies mean-square stability when positive definite
-    (see `solve_type2_riccati`); the abscissa is computed only when that
-    fails, and MeanSquareInstabilityError is raised if it is >= 0."""
-    reachability = LyapunovOperator(sys.A, sys.N, "reachability")
+    One operator is factored once for both sides.  Its reachability
+    solution Y of the equation with -I certifies mean-square stability when
+    positive definite (see `solve_type2_riccati`); the abscissa is computed
+    only when that fails, and MeanSquareInstabilityError is raised if it is
+    >= 0."""
+    operator = LyapunovOperator(sys.A, sys.N)
     try:
-        certified = reachability.solve(-np.eye(sys.n))[1].definiteness_margin > 0.0
+        certified = operator.solve(-np.eye(sys.n), "reachability")[1].definiteness_margin > 0.0
     except (MeanSquareInstabilityError, ConvergenceError):
         certified = False
     if not certified:
@@ -80,10 +79,8 @@ def type1_gramians(sys: BilinearSystem) -> GramianPair:
         if msab >= 0.0:
             raise MeanSquareInstabilityError(
                 f"system is not mean-square stable (abscissa {msab:.3e})")
-    P, diag_p = reachability.solve(-sys.B @ sys.B.T)
-    Q, diag_q = solve_generalized_lyapunov(
-        GeneralizedLyapunovProblem(M=sys.A, N=sys.N, RHS=-sys.C.T @ sys.C,
-                                   side="observability"))
+    P, diag_p = operator.solve(-sys.B @ sys.B.T, "reachability")
+    Q, diag_q = operator.solve(-sys.C.T @ sys.C, "observability")
     return GramianPair(P=P, Q=Q, kind="type1", k=0.0, diagnostics=(diag_p, diag_q),
                        minimal=_minimality(P, Q))
 
@@ -101,7 +98,7 @@ def _solve_p_inequality(sys, k, delta, lyapunov=None):
     # the solver certifies mean-square stability of the shifted pair by its
     # positive-definite Lyapunov solution and computes the shifted abscissa
     # only when that fails; the unshifted one only when k proves infeasible.
-    # `lyapunov` is the caller's shifted observability operator
+    # `lyapunov` is the caller's shifted operator
     if k < 0:
         raise ValueError(f"control bound k must be nonnegative, got {k}")
     try:
@@ -130,10 +127,10 @@ def type2_gramians(sys: BilinearSystem, k, delta=None) -> GramianPair:
     Raises RiccatiInfeasibleError (with the largest feasible bound
     attached) if k is too large for the system.  The Lyapunov solve that
     starts the P solve's barrier and the Q solve share one factored shifted
-    observability operator."""
-    observability = LyapunovOperator(_shifted(sys, k), sys.N, "observability")
-    P, X, diag_p, delta_used = _solve_p_inequality(sys, k, delta, observability)
-    Q, diag_q = observability.solve(-sys.C.T @ sys.C)
+    operator."""
+    operator = LyapunovOperator(_shifted(sys, k), sys.N)
+    P, X, diag_p, delta_used = _solve_p_inequality(sys, k, delta, operator)
+    Q, diag_q = operator.solve(-sys.C.T @ sys.C, "observability")
     lmi_margin = None
     if X is not None:
         lmi_margin = check_lmi_feasibility(sys, k, P, X=X).largest_eigenvalue
@@ -160,9 +157,7 @@ def mixed_pair_from_P2(sys: BilinearSystem, p2) -> GramianPair:
     """The pair (P2, Q1) from a P2 already solved: `p2` is the
     (P2, diagnostics, delta_used) triple that `stochastic_type2_P2` returns."""
     P, diag_p, delta_used = p2
-    Q, diag_q = solve_generalized_lyapunov(
-        GeneralizedLyapunovProblem(M=sys.A, N=sys.N, RHS=-sys.C.T @ sys.C,
-                                   side="observability"))
+    Q, diag_q = LyapunovOperator(sys.A, sys.N).solve(-sys.C.T @ sys.C, "observability")
     lmi_margin = None
     if np.linalg.eigvalsh(P).min() > 0.0:
         lmi_margin = check_lmi_feasibility(sys, 0.0, P).largest_eigenvalue

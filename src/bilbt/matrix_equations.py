@@ -4,7 +4,9 @@ Two problem families are covered:
 
 * generalized Lyapunov equations
       M X + X M^T + sum_i N_i X N_i^T = RHS        (reachability side)
-      M^T X + X M + sum_i N_i^T X N_i = RHS        (observability side)
+      M^T X + X M + sum_i N_i^T X N_i = RHS        (observability side),
+  one operator and its adjoint.  `LyapunovOperator(M, N)` is the one
+  solver: it LU-factors one matrix and answers both sides from it.
 
 * the Riccati-type inequality
       A_s^T X + X A_s + sum_i N_i^T X N_i + X B B^T X <= -delta I,
@@ -105,29 +107,6 @@ class RiccatiInfeasibleError(MatrixEquationError):
 
 
 @dataclass(frozen=True)
-class GeneralizedLyapunovProblem:
-    """Data of one generalized Lyapunov equation.
-
-    `side` is "reachability" (M X + X M^T + sum N_i X N_i^T = RHS) or
-    "observability" (M^T X + X M + sum N_i^T X N_i = RHS).
-    """
-
-    M: np.ndarray
-    N: tuple
-    RHS: np.ndarray
-    side: str = "reachability"
-
-    def __post_init__(self):
-        if self.side not in ("reachability", "observability"):
-            raise ValueError(f"unknown side {self.side!r}")
-        rhs = np.asarray(self.RHS, dtype=float)
-        asym = np.linalg.norm(rhs - rhs.T)
-        scale = max(np.linalg.norm(rhs), 1.0)
-        if asym > 1e-12 * scale:
-            raise ValueError(f"RHS is not symmetric (relative asymmetry {asym / scale:.2e})")
-
-
-@dataclass(frozen=True)
 class RiccatiInequalityProblem:
     """Data of the shifted Riccati-type inequality; A_shifted = A + (k^2/2) I."""
 
@@ -180,25 +159,25 @@ def _relative_residual(M, N_list, X, RHS, side):
 
 
 class LyapunovOperator:
-    """The generalized Lyapunov operator of (M, N, side) on the n(n+1)/2
-    symmetric coordinates, gathered and LU-factored at its first solve
-    (n above `kronecker.MAX_KRON_N` raises `KroneckerCapError`); every later
-    solve, with any right-hand side, reuses the factors."""
+    """The generalized Lyapunov operator of (M, N) on the n(n+1)/2 symmetric
+    coordinates, solved on either side.  On the orthonormal symmetric basis
+    the observability operator is the adjoint of the reachability operator,
+    so its matrix is the transpose: the observability matrix alone is
+    gathered and LU-factored at the first solve (n above
+    `kronecker.MAX_KRON_N` raises `KroneckerCapError`), and every later
+    solve, of either side and with any right-hand side, reuses the factors."""
 
-    def __init__(self, M, N, side):
+    def __init__(self, M, N):
         self.M = np.asarray(M, dtype=float)
         self.N_list = [np.asarray(Ni, dtype=float) for Ni in N]
-        self.side = side
         self._factors = None
 
     def _factor(self):
         n = self.M.shape[0]
         kronecker.check_kron_dim(n)
-        M, N_list = self.M, self.N_list
-        if self.side == "observability":
-            M, N_list = M.T, [Ni.T for Ni in N_list]
         basis = sym_basis(n)
-        K = sym_operator(M, None, basis, out=kronecker.coupling_operator(N_list, basis))
+        K = sym_operator(self.M.T, None, basis,
+                         out=kronecker.coupling_operator([Ni.T for Ni in self.N_list], basis))
         lu, piv, info = dgetrf(K)
         if info > 0:
             raise MeanSquareInstabilityError(
@@ -207,20 +186,31 @@ class LyapunovOperator:
             )
         return basis, K, lu, piv
 
-    def solve(self, RHS):
+    def solve(self, RHS, side):
         """The "kronecker_direct" solution X for the symmetric right-hand
-        side RHS, as (X, SolveDiagnostics); X is symmetrized and its smallest
-        eigenvalue is reported as the definiteness margin."""
-        RHS = symmetrize(np.asarray(RHS, dtype=float))
+        side RHS on `side` ("reachability" or "observability"), as
+        (X, SolveDiagnostics); X is symmetrized and its smallest eigenvalue
+        is reported as the definiteness margin."""
+        if side not in ("reachability", "observability"):
+            raise ValueError(f"unknown side {side!r}")
+        RHS = np.asarray(RHS, dtype=float)
+        asym = np.linalg.norm(RHS - RHS.T)
+        scale = max(np.linalg.norm(RHS), 1.0)
+        if asym > 1e-12 * scale:
+            raise ValueError(f"RHS is not symmetric (relative asymmetry {asym / scale:.2e})")
+        RHS = symmetrize(RHS)
         if self._factors is None:
             self._factors = self._factor()
         basis, K, lu, piv = self._factors
+        # the reachability side solves with K^T through the same factors
+        trans = int(side == "reachability")
+        K = K.T if trans else K
         b = half_vec(RHS, basis)
-        x = dgetrs(lu, piv, b)[0]
+        x = dgetrs(lu, piv, b, trans=trans)[0]
         # one iterative refinement pass keeps the residual near machine level
-        x += dgetrs(lu, piv, b - K @ x)[0]
+        x += dgetrs(lu, piv, b - K @ x, trans=trans)[0]
         X = half_unvec(x, basis)
-        residual = _relative_residual(self.M, self.N_list, X, RHS, self.side)
+        residual = _relative_residual(self.M, self.N_list, X, RHS, side)
         if residual > KRON_RESIDUAL_TOL:
             raise ConvergenceError(
                 f"kronecker_direct residual {residual:.3e} exceeds tolerance "
@@ -229,17 +219,6 @@ class LyapunovOperator:
         margin = float(np.linalg.eigvalsh(X).min()) if X.size else 0.0
         return X, SolveDiagnostics(method="kronecker_direct", iterations=1,
                                    residual_norm=residual, definiteness_margin=margin)
-
-
-def solve_generalized_lyapunov(prob: GeneralizedLyapunovProblem):
-    """Solve a generalized Lyapunov equation by the "kronecker_direct" method:
-    a dense solve on the n(n+1)/2 symmetric coordinates (n above
-    `kronecker.MAX_KRON_N` raises `KroneckerCapError`).
-
-    Returns (X, SolveDiagnostics); X is symmetrized and its smallest
-    eigenvalue is reported as the definiteness margin.
-    """
-    return LyapunovOperator(prob.M, prob.N, prob.side).solve(prob.RHS)
 
 
 def _slack_margin(A_s, N_list, BBt, X):
@@ -424,18 +403,19 @@ def solve_type2_riccati(prob: RiccatiInequalityProblem, lyapunov=None):
     certifies mean-square stability (Damm, LNCIS 297, 2004); the abscissa
     is computed only to report a failure.  For B = 0, X solves the Lyapunov
     equation with -delta I.  Returns (X, SolveDiagnostics, delta_used).
-    `lyapunov` is the `LyapunovOperator` of (A_shifted, N, "observability")
-    when the caller solves with it too, so that it is factored once.
+    `lyapunov` is the `LyapunovOperator` of (A_shifted, N) when the caller
+    solves with it too, so that it is factored once.
     """
     A_s = np.asarray(prob.A_shifted, dtype=float)
     N_list = [np.asarray(Ni, dtype=float) for Ni in prob.N]
     B = np.atleast_2d(np.asarray(prob.B, dtype=float))
     delta = float(prob.delta)
     if lyapunov is None:
-        lyapunov = LyapunovOperator(A_s, N_list, "observability")
+        lyapunov = LyapunovOperator(A_s, N_list)
     linear = not np.any(B != 0.0)
     try:
-        Y, diag = lyapunov.solve(-(delta if linear else 1.0) * np.eye(A_s.shape[0]))
+        Y, diag = lyapunov.solve(-(delta if linear else 1.0) * np.eye(A_s.shape[0]),
+                                 "observability")
         failure = None if diag.definiteness_margin > 0.0 else ConvergenceError(
             "generalized Lyapunov solution is not positive definite")
     except (MeanSquareInstabilityError, ConvergenceError) as exc:

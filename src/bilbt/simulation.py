@@ -8,12 +8,11 @@ under several controls, one row per control, and the groups are zero-padded
 to one (groups, rows, n) state, so each stage is one stacked product with
 every group's drift, coupling and forcing, applied to the state extended by
 u_i x[R] (R: the columns that the couplings N_i read) and by u.
-`simulate_batch` is its one-group case and `simulate` its one-model,
-one-control case.  Memory grows with the stored trajectories only: the
-extended state holds one stage, inputs are gathered one block of steps at a
-time, states go from a one-block buffer straight into per-trajectory arrays,
-and the finiteness check runs once per block and group and then finds the
-exact first bad step.
+`simulate` is its one-model, one-control case.  Memory grows with the
+stored trajectories only: the extended state holds one stage, inputs are
+gathered one block of steps at a time, states go from a one-block buffer
+straight into per-trajectory arrays, and the finiteness check runs once per
+block and group and then finds the exact first bad step.
 
 All L^2 norms use composite trapezoidal quadrature on the integration grid so
 that quadrature bias cancels to first order when two sides of a bound are
@@ -188,39 +187,29 @@ def simulate(sys: BilinearSystem, x0, u: ControlSignal, T, h) -> Trajectory:
     The grid is uniform with K = round(T / h) steps (h is nudged to T / K when
     T is not an exact multiple).  Raises SimulationBlowUpError with the first
     bad step if the state leaves the representable range.  This is the
-    one-model, one-control case of `simulate_batch`."""
-    return simulate_batch([sys], [u], T, h, x0=[x0])[0][0]
-
-
-def simulate_batch(systems, controls, T, h, x0=None):
-    """Integrate several models with the same number of inputs under several
-    controls in one loop.
-
-    The models are stacked block-diagonally into one system of dimension
-    n_aug = sum of their n (for a full model and its reductions, the error
-    system), and the S controls into the rows of an (S, n_aug) state.  Every
-    stage evaluates x A^T + u B^T + sum_i u_i (x N_i^T) for all rows at once,
-    on the grid that `simulate` uses.  `x0` is None (zero initial states) or
-    one initial state per model, of shape (n,) or (S, n).
-
-    Returns trajs, where trajs[i][s] is the Trajectory of systems[i] under
-    controls[s].  Raises SimulationBlowUpError with the first step at which
-    the sum of some row of the stacked state is not finite.  This is the
-    one-group case of `simulate_groups`."""
-    return simulate_groups([(systems, controls, x0)], T, h)[0]
+    one-model, one-control case of `simulate_groups`."""
+    return simulate_groups([([sys], [u], [x0])], T, h)[0][0][0]
 
 
 def simulate_groups(groups, T, h):
-    """Integrate several batches in one loop.
+    """Integrate several groups of models under several controls in one loop.
 
-    A group is `(systems, controls, x0)`, the arguments of `simulate_batch`,
-    and every model and control of every group must have the same number of
-    inputs.  The groups' stacked states are zero-padded to one
+    A group is `(systems, controls, x0)`: models with the same number of
+    inputs, stacked block-diagonally into one system of dimension n_aug = sum
+    of their n (for a full model and its reductions, the error system),
+    under S controls, one row of an (S, n_aug) state each.  `x0` is None
+    (zero initial states) or one initial state per model, of shape (n,) or
+    (S, n).  Every model and control of every group must have the same
+    number of inputs.  The groups' stacked states are zero-padded to one
     (groups, S_max, n_max) array, so each stage is one stacked product with
-    the drift, couplings and forcing of every group.  Returns one
-    `simulate_batch` result per group, in list order.  Raises
+    the drift, couplings and forcing of every group, on the grid that
+    `simulate` uses.
+
+    Returns one list trajs per group, in list order, where trajs[i][s] is
+    the Trajectory of systems[i] under controls[s].  Raises
     SimulationBlowUpError for the first group in list order that becomes
-    non-finite, at that group's own first bad step."""
+    non-finite, at that group's own first bad step (the first at which the
+    sum of some row of its stacked state is not finite)."""
     groups = [(list(systems), list(controls), x0) for systems, controls, x0 in groups]
     input_counts = ({sys.m for systems, _, _ in groups for sys in systems}
                     | {u.m for _, controls, _ in groups for u in controls})

@@ -630,6 +630,9 @@ def _system_cases(config, sys_idx, label, sys):
     the system's runs; each stage's judge then logs its cases, or its skip,
     in stage order."""
     log = _CaseLog()
+    if sys.n < 2:
+        log.skip("error_bound_cor", label, sys.n, f"n = {sys.n}: no order to truncate")
+        return log.cases
     rep = stability_report(sys)
     if rep.ms_abscissa >= 0.0 or rep.k_max_estimate <= 0.0:
         log.skip("error_bound_cor", label, sys.n, "system not mean-square stable")

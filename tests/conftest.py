@@ -38,20 +38,20 @@ def small_campaign_systems(seed):
             ("random-3", random_ms_stable_system(3, 2, 1, np.random.default_rng(seed)))]
 
 
-def solve_fixed_point(prob):
-    """Oracle for `solve_generalized_lyapunov`: splitting sweeps that solve the
+def solve_fixed_point(M, N, RHS, side):
+    """Oracle for `LyapunovOperator.solve`: splitting sweeps that solve the
     plain Lyapunov part and move the coupling terms to the right-hand side;
     they contract exactly under mean-square stability.  Returns (X, relative
     residual); raises MeanSquareInstabilityError on divergence and
     ConvergenceError when the sweeps or the residual miss their tolerances."""
-    M = np.asarray(prob.M, dtype=float)
-    N_list = [np.asarray(Ni, dtype=float) for Ni in prob.N]
-    RHS = symmetrize(np.asarray(prob.RHS, dtype=float))
-    a = M if prob.side == "reachability" else M.T
+    M = np.asarray(M, dtype=float)
+    N_list = [np.asarray(Ni, dtype=float) for Ni in N]
+    RHS = symmetrize(np.asarray(RHS, dtype=float))
+    a = M if side == "reachability" else M.T
     X = np.zeros_like(RHS)
     scale = max(np.linalg.norm(RHS), 1.0)
     for sweep in range(1, FIXED_POINT_MAX_SWEEPS + 1):
-        if prob.side == "reachability":
+        if side == "reachability":
             Q = RHS - sum(Ni @ X @ Ni.T for Ni in N_list)
         else:
             Q = RHS - sum(Ni.T @ X @ Ni for Ni in N_list)
@@ -69,7 +69,7 @@ def solve_fixed_point(prob):
     else:
         raise ConvergenceError(
             f"fixed-point iteration did not converge within {FIXED_POINT_MAX_SWEEPS} sweeps")
-    residual = _relative_residual(M, N_list, X, RHS, prob.side)
+    residual = _relative_residual(M, N_list, X, RHS, side)
     if residual > FIXED_POINT_RESIDUAL_TOL:
         raise ConvergenceError(f"fixed_point residual {residual:.3e} exceeds tolerance")
     return X, residual

@@ -14,12 +14,11 @@ from bilbt import (
     BilinearSystem,
     CampaignConfig,
     ControlSignal,
-    GeneralizedLyapunovProblem,
+    LyapunovOperator,
     benchmark_campaign,
     campaign_to_json,
     check_lmi_feasibility,
     simulate,
-    solve_generalized_lyapunov,
     square_root_balance,
     stability_report,
     transform_gramians,
@@ -73,13 +72,14 @@ def test_criterion_1_solver_oracle_equivalence():
         sys = random_ms_stable_system(n, m, p, rng)
         k = 0.5 * stability_report(sys).k_max_estimate
         A_s = sys.A + 0.5 * k * k * np.eye(n)
-        for M, side, RHS in (
-                (sys.A, "reachability", -sys.B @ sys.B.T),
-                (sys.A, "observability", -sys.C.T @ sys.C),
-                (A_s, "observability", -sys.C.T @ sys.C)):
-            prob = GeneralizedLyapunovProblem(M=M, N=sys.N, RHS=RHS, side=side)
-            X, _ = solve_generalized_lyapunov(prob)
-            oracle = _kron_oracle(M, list(sys.N), RHS, side)
+        # one operator per drift serves both of its sides
+        unshifted = LyapunovOperator(sys.A, sys.N)
+        for operator, side, RHS in (
+                (unshifted, "reachability", -sys.B @ sys.B.T),
+                (unshifted, "observability", -sys.C.T @ sys.C),
+                (LyapunovOperator(A_s, sys.N), "observability", -sys.C.T @ sys.C)):
+            X, _ = operator.solve(RHS, side)
+            oracle = _kron_oracle(operator.M, list(sys.N), RHS, side)
             rel = np.linalg.norm(X - oracle) / max(np.linalg.norm(oracle), 1e-30)
             worst = max(worst, rel)
     elapsed = time.time() - start

@@ -54,6 +54,35 @@ def test_validate_dimension_mismatch(tmp_path, capsys):
     assert any("B has shape" in issue for issue in out["issues"])
 
 
+# files that load but break a model invariant: an input without its coupling
+# matrix, and two inputs over a one-column B
+INVALID_SYSTEMS = {
+    "no-coupling": {"n": 2, "m": 1, "p": 1, "A": [[-1.0, 0.0], [0.0, -2.0]],
+                    "B": [[1.0], [0.0]], "N": [], "C": [[1.0, 0.0]]},
+    "short-B": {"n": 2, "m": 2, "p": 1, "A": [[-1.0, 0.0], [0.0, -2.0]],
+                "B": [[1.0], [0.0]], "N": [[[0.0, 0.0], [0.0, 0.0]]] * 2,
+                "C": [[1.0, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_SYSTEMS))
+@pytest.mark.parametrize("command", [
+    ["gramians", "--kind", "type1"], ["gramians", "--kind", "p2"],
+    ["reduce", "--kind", "type2", "--order", "1"],
+    ["reduce", "--kind", "mixed", "--order", "1"],
+    ["simulate"], ["verify", "--kind", "type2"],
+])
+def test_every_command_rejects_an_invalid_system(tmp_path, capsys, name, command):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(INVALID_SYSTEMS[name]))
+    assert main(command + ["--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("invalid system: ")
+    assert "Traceback" not in captured.err
+
+
 def test_validate_huge_decay_rate(tmp_path, capsys):
     # sqrt(-ms_abscissa) = 1.4e8: float spacing of k above 1e-8, where a
     # bisection to that tolerance never stopped
@@ -190,7 +219,7 @@ def test_verify_integrates_each_suite_once(sys_file, tmp_path, monkeypatch):
         calls.append([(len(systems), len(controls)) for systems, controls, _ in groups])
         return grouped(groups, *args, **kwargs)
 
-    # `simulate` and `simulate_batch` go through the module's own simulate_groups
+    # `simulate` goes through the module's own simulate_groups
     monkeypatch.setattr(bilbt.simulation, "simulate_groups", counting)
     monkeypatch.setattr(bilbt.cli, "simulate_groups", counting)
     code = main(["verify", "--input", str(sys_file), "--kind", "type2",

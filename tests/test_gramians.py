@@ -46,6 +46,19 @@ def test_type1_zero_b_or_c():
     assert np.allclose(type1_gramians(no_c).Q, 0.0, atol=1e-14)
 
 
+def test_type1_factors_one_operator(monkeypatch):
+    # the stability certificate, P1 and Q1 all come from one LU factorization
+    from bilbt import matrix_equations
+
+    factored = []
+    dgetrf = matrix_equations.dgetrf
+    monkeypatch.setattr(matrix_equations, "dgetrf",
+                        lambda K: factored.append(K.shape) or dgetrf(K))
+    pair = type1_gramians(make_random_system(53, n=5, m=2, p=2))
+    assert factored == [(15, 15)]
+    assert max(diag.residual_norm for diag in pair.diagnostics) <= 1e-12
+
+
 def test_type2_scalar_closed_forms(scalar_sys):
     pair = type2_gramians(scalar_sys, 1.0)
     assert pair.P[0, 0] == pytest.approx(4.0 / 3.0, abs=1e-5)

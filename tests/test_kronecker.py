@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from bilbt import GeneralizedLyapunovProblem, solve_generalized_lyapunov
+from bilbt import LyapunovOperator
 from bilbt.kronecker import (
     coupling_operator,
     half_unvec,
@@ -79,6 +79,11 @@ def test_symmetric_operator_is_the_restricted_kronecker_operator(data):
     oracle = D.T @ dense_operator(M, N, side) @ D
     S = symmetric_operator(M, N, side, sym_basis(n))
     assert np.linalg.norm(S - oracle) <= 1e-13 * np.linalg.norm(oracle)
+    # the two sides are adjoint, so on the orthonormal basis the matrices
+    # are transposes: `LyapunovOperator` factors one for both
+    other = symmetric_operator(M, N, "reachability" if side == "observability"
+                               else "observability", sym_basis(n))
+    assert np.linalg.norm(S - other.T) <= 1e-13 * np.linalg.norm(oracle)
 
 
 @PROPERTY
@@ -106,20 +111,22 @@ def test_identity_shortcut_and_coordinates(data):
 @PROPERTY
 @given(operator_data())
 def test_symmetric_solve_matches_dense_solve(data):
-    M, N, side, rng = data
+    # one operator, factored once, solves both sides
+    M, N, _, rng = data
     n = M.shape[0]
     # shift M so the operator is well conditioned: -2c (I - E) with |E| <= 1/2
     c = 2.0 * np.linalg.norm(M, 2) + sum(np.linalg.norm(Ni, 2) ** 2 for Ni in N) + 1.0
     M = M - c * np.eye(n)
-    R = rng.standard_normal((n, n))
-    R += R.T
-    X, diag = solve_generalized_lyapunov(
-        GeneralizedLyapunovProblem(M=M, N=tuple(N), RHS=R, side=side))
-    dense = np.linalg.solve(dense_operator(M, N, side),
-                            R.reshape(-1, order="F")).reshape((n, n), order="F")
-    assert diag.method == "kronecker_direct"
-    assert np.array_equal(X, X.T)
-    assert np.linalg.norm(X - dense) <= 1e-12 * np.linalg.norm(dense)
+    operator = LyapunovOperator(M, N)
+    for side in ("reachability", "observability"):
+        R = rng.standard_normal((n, n))
+        R += R.T
+        X, diag = operator.solve(R, side)
+        dense = np.linalg.solve(dense_operator(M, N, side),
+                                R.reshape(-1, order="F")).reshape((n, n), order="F")
+        assert diag.method == "kronecker_direct"
+        assert np.array_equal(X, X.T)
+        assert np.linalg.norm(X - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
 @PROPERTY

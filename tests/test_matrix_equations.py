@@ -6,11 +6,10 @@ from scipy.linalg import solve_continuous_lyapunov
 from bilbt import (
     BilinearSystem,
     ConvergenceError,
-    GeneralizedLyapunovProblem,
+    LyapunovOperator,
     MeanSquareInstabilityError,
     RiccatiInequalityProblem,
     check_lmi_feasibility,
-    solve_generalized_lyapunov,
     solve_type2_riccati,
 )
 
@@ -30,13 +29,12 @@ def kron_oracle(M, N_list, RHS, side):
 
 def test_scalar_reachability_closed_form(scalar_sys):
     # a p + p a + n1^2 p = -b^2  =>  p = 1 / 1.75 = 4/7
-    prob = GeneralizedLyapunovProblem(M=scalar_sys.A, N=scalar_sys.N,
-                                      RHS=-scalar_sys.B @ scalar_sys.B.T)
-    X, diag = solve_generalized_lyapunov(prob)
+    RHS = -scalar_sys.B @ scalar_sys.B.T
+    X, diag = LyapunovOperator(scalar_sys.A, scalar_sys.N).solve(RHS, "reachability")
     assert X[0, 0] == pytest.approx(4.0 / 7.0, abs=1e-10)
     assert diag.method == "kronecker_direct"
     assert diag.residual_norm < 1e-10
-    X, residual = solve_fixed_point(prob)
+    X, residual = solve_fixed_point(scalar_sys.A, scalar_sys.N, RHS, "reachability")
     assert X[0, 0] == pytest.approx(4.0 / 7.0, abs=1e-10)
     assert residual < 1e-8
 
@@ -45,8 +43,7 @@ def test_linear_case_matches_scipy_and_oracle():
     sys = make_random_system(21, n=6, m=2)
     N0 = [np.zeros((6, 6))] * 2
     RHS = -sys.B @ sys.B.T
-    prob = GeneralizedLyapunovProblem(M=sys.A, N=tuple(N0), RHS=RHS)
-    X, _ = solve_generalized_lyapunov(prob)
+    X, _ = LyapunovOperator(sys.A, N0).solve(RHS, "reachability")
     scipy_X = solve_continuous_lyapunov(sys.A, RHS)
     oracle_X = kron_oracle(sys.A, N0, RHS, "reachability")
     assert np.allclose(X, scipy_X, atol=1e-10)
@@ -55,8 +52,7 @@ def test_linear_case_matches_scipy_and_oracle():
 
 def test_zero_rhs_gives_zero():
     sys = make_random_system(22, n=4)
-    prob = GeneralizedLyapunovProblem(M=sys.A, N=sys.N, RHS=np.zeros((4, 4)))
-    X, diag = solve_generalized_lyapunov(prob)
+    X, diag = LyapunovOperator(sys.A, sys.N).solve(np.zeros((4, 4)), "reachability")
     assert np.allclose(X, 0.0, atol=1e-14)
     assert diag.residual_norm == 0.0
 
@@ -66,9 +62,8 @@ def test_methods_agree_on_random_systems():
         n = 3 + 3 * seed
         sys = make_random_system(100 + seed, n=n, m=2)
         RHS = -sys.B @ sys.B.T
-        prob = GeneralizedLyapunovProblem(M=sys.A, N=sys.N, RHS=RHS)
-        X_k, _ = solve_generalized_lyapunov(prob)
-        X_f, _ = solve_fixed_point(prob)
+        X_k, _ = LyapunovOperator(sys.A, sys.N).solve(RHS, "reachability")
+        X_f, _ = solve_fixed_point(sys.A, sys.N, RHS, "reachability")
         assert np.linalg.norm(X_k - X_f) / np.linalg.norm(X_k) < 1e-7
 
 
@@ -77,8 +72,7 @@ def test_solutions_match_kron_oracle():
         sys = make_random_system(200 + seed, n=5, m=1, p=2)
         for side, RHS in (("reachability", -sys.B @ sys.B.T),
                           ("observability", -sys.C.T @ sys.C)):
-            prob = GeneralizedLyapunovProblem(M=sys.A, N=sys.N, RHS=RHS, side=side)
-            X, _ = solve_fixed_point(prob)
+            X, _ = solve_fixed_point(sys.A, sys.N, RHS, side)
             oracle = kron_oracle(sys.A, sys.N, RHS, side)
             assert np.linalg.norm(X - oracle) / np.linalg.norm(oracle) < 1e-8
             assert np.linalg.eigvalsh(X).min() > -1e-10
@@ -87,38 +81,38 @@ def test_solutions_match_kron_oracle():
 def test_observability_solution_definite_when_observable():
     for seed in range(3):
         sys = make_random_system(300 + seed, n=4, p=2)
-        prob = GeneralizedLyapunovProblem(M=sys.A, N=sys.N,
-                                          RHS=-sys.C.T @ sys.C,
-                                          side="observability")
-        Q, diag = solve_generalized_lyapunov(prob)
+        Q, diag = LyapunovOperator(sys.A, sys.N).solve(-sys.C.T @ sys.C, "observability")
         assert diag.residual_norm <= 1e-10
         assert np.linalg.eigvalsh(Q).min() > 0.0
 
 
 def test_unstable_pair_detected():
     # msab = -2 + 4 > 0: the coupling sweep must diverge
-    prob = GeneralizedLyapunovProblem(M=np.array([[-1.0]]),
-                                      N=(np.array([[2.0]]),),
-                                      RHS=-np.ones((1, 1)))
     with pytest.raises((MeanSquareInstabilityError, ConvergenceError)):
-        solve_fixed_point(prob)
+        solve_fixed_point(np.array([[-1.0]]), (np.array([[2.0]]),), -np.ones((1, 1)),
+                          "reachability")
 
 
 def test_singular_operator_detected():
     # on the stability boundary the dense operator has an exact zero pivot:
     # here 2 * (-0.5) + 1^2 = 0 on the E_22 coordinate
     for side in ("reachability", "observability"):
-        prob = GeneralizedLyapunovProblem(M=np.diag([-1.0, -0.5]),
-                                          N=(np.diag([0.0, 1.0]),),
-                                          RHS=-np.eye(2), side=side)
+        operator = LyapunovOperator(np.diag([-1.0, -0.5]), (np.diag([0.0, 1.0]),))
         with pytest.raises(MeanSquareInstabilityError, match="zero pivot"):
-            solve_generalized_lyapunov(prob)
+            operator.solve(-np.eye(2), side)
 
 
 def test_asymmetric_rhs_rejected():
-    with pytest.raises(ValueError, match="symmetric"):
-        GeneralizedLyapunovProblem(M=-np.eye(2), N=(np.zeros((2, 2)),),
-                                   RHS=np.array([[0.0, 1.0], [0.0, 0.0]]))
+    operator = LyapunovOperator(-np.eye(2), (np.zeros((2, 2)),))
+    for side in ("reachability", "observability"):
+        with pytest.raises(ValueError, match="symmetric"):
+            operator.solve(np.array([[0.0, 1.0], [0.0, 0.0]]), side)
+
+
+def test_unknown_side_rejected():
+    operator = LyapunovOperator(-np.eye(2), (np.zeros((2, 2)),))
+    with pytest.raises(ValueError, match="unknown side 'controllability'"):
+        operator.solve(-np.eye(2), "controllability")
 
 
 # --- the control-bounded inequality ---------------------------------------
@@ -262,8 +256,7 @@ def test_riccati_barrier_certifies_its_minimum(seed, n, m, fraction):
     A_s = sys.A + 0.5 * k * k * np.eye(n)
     X, diag, delta_used = solve_type2_riccati(RiccatiInequalityProblem(
         A_shifted=A_s, N=sys.N, B=sys.B, delta=default_delta(sys)))
-    Y, _ = solve_generalized_lyapunov(GeneralizedLyapunovProblem(
-        M=A_s, N=sys.N, RHS=-np.eye(n), side="observability"))
+    Y, _ = LyapunovOperator(A_s, sys.N).solve(-np.eye(n), "observability")
     X_start = _scaled_lyapunov_feasible(Y, sys.B @ sys.B.T, delta_used)
     trace_P = float(np.trace(np.linalg.inv(X)))
     assert diag.method == "barrier"

@@ -17,7 +17,7 @@ from bilbt import (
     check_error_bound,
     load_system,
     save_system,
-    simulate_batch,
+    simulate_groups,
     square_root_balance,
     stability_report,
     transform,
@@ -53,7 +53,8 @@ def test_error_bound_holds_at_every_order(seed, n, m):
     bal = square_root_balance(sys, type2_gramians(sys, k))
     roms = [truncate(bal, r) for r in range(1, n)]
     suite = bounded_control_suite(m, k, 2.0, seed)
-    full, *reduced = simulate_batch([sys] + [rom.system for rom in roms], suite, 2.0, 1e-3)
+    full, *reduced = simulate_groups([([sys] + [rom.system for rom in roms], suite, None)],
+                                     2.0, 1e-3)[0]
     for rom, runs in zip(roms, reduced):
         for u, traj, traj_rom in zip(suite, full, runs):
             _, cor = check_error_bound(rom, u, traj, traj_rom)

@@ -10,7 +10,6 @@ from bilbt import (
     SimulationBlowUpError,
     bounded_control_suite,
     simulate,
-    simulate_batch,
     simulate_groups,
     stability_report,
     transform,
@@ -195,7 +194,7 @@ def test_batch_matches_separate_runs():
     others = [make_random_system(94, n=2, m=2, p=2), make_random_system(95, n=3, m=2, p=2)]
     controls = bounded_control_suite(2, 0.6, 2.0, seed=6)
     assert len(controls) >= 3
-    trajs = simulate_batch([full] + others, controls, 2.0, 1e-3)
+    trajs = simulate_groups([([full] + others, controls, None)], 2.0, 1e-3)[0]
     assert len(trajs) == 3 and all(len(row) == len(controls) for row in trajs)
     for sys, row in zip([full] + others, trajs):
         for u, traj in zip(controls, row):
@@ -216,7 +215,7 @@ def test_batch_initial_state_per_row():
     sys = make_random_system(96, n=3)
     x0 = np.random.default_rng(7).standard_normal((2, 3))
     u = ControlSignal.constant([0.3])
-    trajs = simulate_batch([sys], [u, u], 1.0, 1e-3, x0=[x0])[0]
+    trajs = simulate_groups([([sys], [u, u], [x0])], 1.0, 1e-3)[0][0]
     for x0_s, traj in zip(x0, trajs):
         alone = simulate(sys, x0_s, u, 1.0, 1e-3)
         ref, _ = _reference_rk4(sys, x0_s, u, 1.0, 1e-3)
@@ -226,8 +225,8 @@ def test_batch_initial_state_per_row():
 
 def test_batch_rejects_mixed_input_counts():
     with pytest.raises(ValueError, match="inputs"):
-        simulate_batch([make_random_system(97, m=1), make_random_system(98, m=2)],
-                       [ControlSignal.zero(1)], 1.0, 1e-3)
+        simulate_groups([([make_random_system(97, m=1), make_random_system(98, m=2)],
+                          [ControlSignal.zero(1)], None)], 1.0, 1e-3)
 
 
 def test_blow_up_reports_first_bad_step():
@@ -246,7 +245,7 @@ def test_blow_up_in_batch_reports_first_bad_row():
     sys = BilinearSystem.from_matrices([[-1.0]], [[0.0]], [[[100.0]]], [[1.0]])
     controls = [ControlSignal.zero(1), ControlSignal.constant([1.0])]
     with pytest.raises(SimulationBlowUpError) as exc_info:
-        simulate_batch([sys], controls, 10.0, 1e-3, x0=[[1.0]])
+        simulate_groups([([sys], controls, [[1.0]])], 10.0, 1e-3)
     _, bad = _reference_rk4(sys, [1.0], controls[1], 10.0, 1e-3)
     assert exc_info.value.step == bad
 
@@ -298,7 +297,7 @@ def test_groups_match_each_group_alone(seed, shapes):
     together = simulate_groups(groups, T, h)
     assert len(together) == len(groups)
     for (systems, controls, x0), runs in zip(groups, together):
-        alone = simulate_batch(systems, controls, T, h, x0=x0)
+        alone = simulate_groups([(systems, controls, x0)], T, h)[0]
         assert [len(row) for row in runs] == [len(controls)] * len(systems)
         for i, (sys, row, row_alone) in enumerate(zip(systems, runs, alone)):
             for traj, ref in zip(row, row_alone):
@@ -325,7 +324,7 @@ def test_groups_blow_up_reports_the_first_failing_group():
     steps = {}
     for name, group in (("late", late), ("early", early)):
         with pytest.raises(SimulationBlowUpError) as alone:
-            simulate_batch(*group[:2], 10.0, 1e-3, x0=group[2])
+            simulate_groups([group], 10.0, 1e-3)
         steps[name] = alone.value
     assert steps["early"].step < BLOCK_STEPS < steps["late"].step
     decaying = _exploding(-1.0)

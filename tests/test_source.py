@@ -12,7 +12,7 @@ import bilbt
 from bilbt import matrix_equations
 
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
-INTEGRATORS = {"simulate", "simulate_batch", "simulate_groups"}
+INTEGRATORS = {"simulate", "simulate_groups"}
 PACKAGE = Path(bilbt.__file__).parent
 KERNELS = (("lapack", "dgetrf"), ("lapack", "dgetrs"), ("lapack", "dpotrf"),
            ("lapack", "dpotrs"), ("lapack", "dtrtri"), ("blas", "dsyrk"))
@@ -85,6 +85,18 @@ def test_verification_integrates_in_one_function():
                if isinstance(node, ast.FunctionDef)
                and INTEGRATORS & set(_called_names(node))}
     assert callers == {"_system_cases"}
+
+
+def test_one_place_factors_a_lyapunov_operator():
+    # every generalized Lyapunov solve goes through `LyapunovOperator`, whose
+    # `_factor` is the one place to switch to another solver
+    tree = ast.parse((PACKAGE / "matrix_equations.py").read_text(encoding="utf-8"))
+    operator = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef) and node.name == "LyapunovOperator")
+    factor = next(node for node in operator.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_factor")
+    everywhere = sum(list(_called_names(tree)).count("dgetrf") for _, tree in _trees())
+    assert list(_called_names(factor)).count("dgetrf") == everywhere == 1
 
 
 # the Riccati root hunt that the log-det barrier replaced

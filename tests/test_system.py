@@ -8,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 from bilbt import (
     BilinearSystem,
     ControlSignal,
-    GeneralizedLyapunovProblem,
     KroneckerCapError,
+    LyapunovOperator,
     RiccatiInequalityProblem,
     load_system,
     rescale,
     save_system,
     simulate,
-    solve_generalized_lyapunov,
     solve_type2_riccati,
     stability_report,
     stochastic_type2_P2,
@@ -142,8 +141,8 @@ def test_kronecker_cap():
         "type1_gramians": lambda: type1_gramians(sys),
         "type2_gramians": lambda: type2_gramians(sys, 0.1),
         "stochastic_type2_P2": lambda: stochastic_type2_P2(sys),
-        "solve_generalized_lyapunov": lambda: solve_generalized_lyapunov(
-            GeneralizedLyapunovProblem(M=sys.A, N=sys.N, RHS=-sys.B @ sys.B.T)),
+        "LyapunovOperator": lambda: LyapunovOperator(sys.A, sys.N).solve(
+            -sys.B @ sys.B.T, "reachability"),
         "solve_type2_riccati": lambda: solve_type2_riccati(
             RiccatiInequalityProblem(A_shifted=sys.A, N=sys.N, B=sys.B, delta=1e-6)),
     }

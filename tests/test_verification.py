@@ -22,7 +22,7 @@ from bilbt import (
     duplicate_system,
     mixed_pair_Q1_P2,
     simulate,
-    simulate_batch,
+    simulate_groups,
     square_root_balance,
     stochastic_type2_P2,
     truncate,
@@ -45,7 +45,7 @@ def _reduced(worked=None, k=1.0, r=1):
 
 def _pair_run(sys, rom, u, T, h=1e-3):
     """The model `sys` and `rom.system` under u from zero, in one batch."""
-    (full,), (reduced,) = simulate_batch([sys, rom.system], [u], T, h)
+    (full,), (reduced,) = simulate_groups([([sys, rom.system], [u], None)], T, h)[0]
     return full, reduced
 
 
@@ -76,7 +76,8 @@ def test_error_bound_identical_models_pass():
 def test_error_bound_worked_reduction_passes():
     sys, _, _, rom = _reduced()
     suite = bounded_control_suite(1, 1.0, 5.0, seed=7)
-    for u, full, reduced in zip(suite, *simulate_batch([sys, rom.system], suite, 5.0, 1e-3)):
+    runs = simulate_groups([([sys, rom.system], suite, None)], 5.0, 1e-3)[0]
+    for u, full, reduced in zip(suite, *runs):
         thm, cor = check_error_bound(rom, u, full, reduced)
         assert thm.passed and cor.passed
         if cor.rhs > 0:
@@ -158,7 +159,7 @@ def test_batch_inputs_are_the_controls_on_the_grid():
     for m, T, h in ((1, 1.0, 1e-3), (2, 10.0, 1e-3), (3, 0.7, 3e-3)):
         suite = bounded_control_suite(m, 2.0, T, seed=m, n_sinusoids=2, n_piecewise=3)
         sys = make_random_system(m, n=2, m=m)
-        for u, traj in zip(suite, simulate_batch([sys], suite, T, h)[0]):
+        for u, traj in zip(suite, simulate_groups([([sys], suite, None)], T, h)[0][0]):
             assert np.array_equal(u(traj.grid), traj.inputs), u.label
 
 
@@ -197,7 +198,7 @@ def test_reach_energy_random_property():
     k = 0.5 * stability_report(sys).k_max_estimate
     pair = type2_gramians(sys, k)
     suite = bounded_control_suite(sys.m, k, 4.0, seed=8)
-    for u, traj in zip(suite, simulate_batch([sys], suite, 4.0, 1e-3)[0]):
+    for u, traj in zip(suite, simulate_groups([([sys], suite, None)], 4.0, 1e-3)[0][0]):
         rep = check_reach_energy(pair, u, traj)
         assert rep.passed
 
@@ -234,7 +235,8 @@ def test_observ_energy_random_unit_sphere():
         x0 = rng.standard_normal(3)
         x0 /= np.linalg.norm(x0)
         suite = bounded_control_suite(1, k, 3.0, seed=9)[:3]
-        for u, traj in zip(suite, simulate_batch([no_b], suite, 3.0, 1e-3, x0=[x0])[0]):
+        runs = simulate_groups([([no_b], suite, [x0])], 3.0, 1e-3)[0][0]
+        for u, traj in zip(suite, runs):
             rep = check_observ_energy(no_b, pair, u, traj)
             assert rep.passed
 
@@ -269,7 +271,7 @@ def test_gronwall_unbounded_controls():
     sys = make_random_system(97, n=3)
     P2, _, _ = stochastic_type2_P2(sys)
     suite = bounded_control_suite(sys.m, 3.0, 3.0, seed=10)[2:]
-    for u, traj in zip(suite, simulate_batch([sys], suite, 3.0, 1e-3)[0]):
+    for u, traj in zip(suite, simulate_groups([([sys], suite, None)], 3.0, 1e-3)[0][0]):
         rep = check_gronwall_P2(P2, u, traj)
         assert rep.passed
 
@@ -335,6 +337,21 @@ def test_small_campaign_no_certified_violations():
     assert result.summary["scored_cases"] > 20
     assert result.summary["certified_violations"] == 0
     assert result.summary["certified_hard_failures"] == 0
+
+
+def test_campaign_skips_a_one_state_system():
+    # n = 1 leaves no order to truncate: one skip, and the other systems of
+    # the campaign keep their cases
+    cfg = CampaignConfig(seed=1, T=0.2, h=2e-3)
+    scalar = ("scalar", BilinearSystem.from_matrices([[-1.0]], [[1.0]], [[[0.5]]], [[1.0]]))
+    alone = benchmark_campaign(cfg, [scalar])
+    assert [(c["system"], c["note"]) for c in alone.cases] == [
+        ("scalar", "skipped: n = 1: no order to truncate")]
+    assert alone.summary["skipped"] == 1
+    worked = ("worked-2x2", worked_2x2())
+    beside = benchmark_campaign(cfg, [worked, scalar]).cases
+    assert [c for c in beside if c["system"] == "worked-2x2"] \
+        == benchmark_campaign(cfg, [worked]).cases
 
 
 def test_campaign_deterministic_by_seed():
