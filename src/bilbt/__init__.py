@@ -16,9 +16,7 @@ from .balancing import (
 )
 from .gramians import (
     GramianPair,
-    mixed_pair_from_P2,
     mixed_pair_Q1_P2,
-    stochastic_type2_P2,
     transform_gramians,
     type1_gramians,
     type2_gramians,

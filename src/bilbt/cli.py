@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balancing import BalancingError, order_selector, square_root_balance, truncate
-from .gramians import mixed_pair_Q1_P2, stochastic_type2_P2, type1_gramians, type2_gramians
+from .gramians import mixed_pair_Q1_P2, type1_gramians, type2_gramians
 from .kronecker import KroneckerCapError
 from .matrix_equations import MatrixEquationError
 from .simulation import SimulationBlowUpError, bounded_control_suite, simulate, simulate_groups
@@ -137,12 +137,12 @@ def _cmd_validate(config):
 def _cmd_gramians(config):
     sys = _load_valid_system(config.input)
     if config.kind == "p2":
-        P2, diag, delta_used = stochastic_type2_P2(sys, delta=config.delta)
+        pair = type2_gramians(sys, 0.0, delta=config.delta)
         payload = {
-            "kind": "type2_stochastic", "k": 0.0, "delta": delta_used,
-            "P": _matrix(P2),
-            "eigenvalues": {"P": _matrix(np.linalg.eigvalsh(P2))},
-            "diagnostics": [diag.to_dict()],
+            "kind": "type2_stochastic", "k": 0.0, "delta": pair.delta,
+            "P": _matrix(pair.P),
+            "eigenvalues": {"P": _matrix(np.linalg.eigvalsh(pair.P))},
+            "diagnostics": [pair.diagnostics[0].to_dict()],
         }
     else:
         pair = _gramian_pair(config, sys)
@@ -221,12 +221,9 @@ def _cmd_simulate(config):
                       + [f"u{i + 1}" for i in range(sys.m)]
                       + [f"y{i + 1}" for i in range(sys.p)])
             fh.write(",".join(header) + "\n")
-            for row in range(traj.grid.size):
-                cells = ([repr(float(traj.grid[row]))]
-                         + [repr(float(v)) for v in traj.states[row]]
-                         + [repr(float(v)) for v in traj.inputs[row]]
-                         + [repr(float(v)) for v in traj.outputs[row]])
-                fh.write(",".join(cells) + "\n")
+            table = np.column_stack([traj.grid, traj.states, traj.inputs, traj.outputs])
+            for row in table.tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
     summary = {
         "control": u.label, "k_bound": u.k_bound, "T": config.T,
         "h": traj.h, "steps": int(traj.grid.size - 1),
@@ -251,7 +248,7 @@ def _cmd_verify(config):
     bal = square_root_balance(sys, pair)
     r = config.order if config.order is not None else max(1, sys.n // 2)
     rom = truncate(bal, r)
-    P2, _diag, _delta = stochastic_type2_P2(sys, delta=config.delta)
+    P2 = type2_gramians(sys, 0.0, delta=config.delta).P
 
     suite = bounded_control_suite(sys.m, config.k, config.T, config.seed)
     zero_B = BilinearSystem.from_matrices(sys.A, np.zeros((sys.n, sys.m)),

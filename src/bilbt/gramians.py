@@ -1,18 +1,20 @@
-"""The four Gramian families of a bilinear system.
+"""The four Gramian families of a bilinear system, from two drifts.
 
 * type1: P1, Q1 from the generalized Lyapunov equations with unshifted A.
   They carry no control information and yield only local energy statements.
 * type2_bilinear: P from the Riccati-type inequality and Q from the
   generalized Lyapunov equation, both with A shifted by (k^2/2) I, where k
   bounds the control pointwise.  This pair certifies the output error bound.
-* type2_stochastic: P2, the k = 0 special case of the inequality.
-* mixed_Q1_P2: the pair (P2, Q1), valid for the error bound only under
-  sufficiently small controls (checked empirically downstream).
+* P2: the k = 0 special case of the inequality, the P of the type-2 pair at
+  k = 0, whose Q is then Q1.
+* mixed_Q1_P2: the pair (P2, Q1), the type-2 pair at k = 0 relabelled; it
+  is valid for the error bound only under sufficiently small controls
+  (checked empirically downstream).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .matrix_equations import (
 )
 from .system import BilinearSystem, stability_report
 
-GRAMIAN_KINDS = ("type1", "type2_bilinear", "type2_stochastic", "mixed_Q1_P2")
+GRAMIAN_KINDS = ("type1", "type2_bilinear", "mixed_Q1_P2")
 
 # eigenvalues inside (-CLAMP_TOL, CLAMP_TOL) count as zero: the pair is then
 # flagged not minimal and balancing applies its own regularization
@@ -94,42 +96,39 @@ def _shifted(sys, k):
     return sys.A + 0.5 * float(k) ** 2 * np.eye(sys.n)
 
 
-def _solve_p_inequality(sys, k, delta, lyapunov=None):
-    # the solver certifies mean-square stability of the shifted pair by its
-    # positive-definite Lyapunov solution and computes the shifted abscissa
-    # only when that fails; the unshifted one only when k proves infeasible.
-    # `lyapunov` is the caller's shifted operator
+def type2_gramians(sys: BilinearSystem, k, delta=None) -> GramianPair:
+    """Control-bounded Gramians: P from the inequality and Q from the shifted
+    observability equation, both at drift A + (k^2/2) I.  At k = 0 this is
+    the pair (P2, Q1).
+
+    Raises RiccatiInfeasibleError (with the largest feasible bound
+    attached) if k is too large for the system.  The Lyapunov solve that
+    starts the P solve's barrier and the Q solve share one factored shifted
+    operator."""
     if k < 0:
         raise ValueError(f"control bound k must be nonnegative, got {k}")
+    A_s = _shifted(sys, k)
+    operator = LyapunovOperator(A_s, sys.N)
+    # the solver certifies mean-square stability of the shifted pair by its
+    # positive-definite Lyapunov solution and computes the shifted abscissa
+    # only when that fails; the unshifted one only when k proves infeasible
     try:
-        X, diag, delta_used = solve_type2_riccati(
-            RiccatiInequalityProblem(A_shifted=_shifted(sys, k), N=sys.N, B=sys.B,
+        X, diag_p, delta_used = solve_type2_riccati(
+            RiccatiInequalityProblem(A_shifted=A_s, N=sys.N, B=sys.B,
                                      delta=default_delta(sys) if delta is None else delta),
-            lyapunov)
+            operator)
     except RiccatiInfeasibleError as exc:
         k_max = stability_report(sys, 0.0).k_max_estimate
         raise RiccatiInfeasibleError(
             f"control bound k={k} is infeasible: perturbed mean-square abscissa "
             f"{exc.abscissa:.3e} >= 0 (largest feasible bound ~ {k_max:.6g})",
             abscissa=exc.abscissa, k_max=k_max) from exc
-    if not np.any(sys.B != 0.0):
+    if np.any(sys.B != 0.0):
+        P, _ = invert_spd(X)
+    else:
         # nothing is reachable: the honest Gramian is zero (and not minimal);
         # the inequality itself only pins P down to "inverse of any small X"
-        return np.zeros((sys.n, sys.n)), None, diag, delta_used
-    P, _ = invert_spd(X)
-    return P, X, diag, delta_used
-
-
-def type2_gramians(sys: BilinearSystem, k, delta=None) -> GramianPair:
-    """Control-bounded Gramians: P from the inequality and Q from the shifted
-    observability equation, both at drift A + (k^2/2) I.
-
-    Raises RiccatiInfeasibleError (with the largest feasible bound
-    attached) if k is too large for the system.  The Lyapunov solve that
-    starts the P solve's barrier and the Q solve share one factored shifted
-    operator."""
-    operator = LyapunovOperator(_shifted(sys, k), sys.N)
-    P, X, diag_p, delta_used = _solve_p_inequality(sys, k, delta, operator)
+        P, X = np.zeros((sys.n, sys.n)), None
     Q, diag_q = operator.solve(-sys.C.T @ sys.C, "observability")
     lmi_margin = None
     if X is not None:
@@ -140,31 +139,11 @@ def type2_gramians(sys: BilinearSystem, k, delta=None) -> GramianPair:
                        minimal=_minimality(P, Q))
 
 
-def stochastic_type2_P2(sys: BilinearSystem, delta=None):
-    """The k = 0 inequality Gramian P2.  Returns (P2, diagnostics, delta_used)."""
-    P, _X, diag, delta_used = _solve_p_inequality(sys, 0.0, delta)
-    return P, diag, delta_used
-
-
 def mixed_pair_Q1_P2(sys: BilinearSystem, delta=None) -> GramianPair:
-    """The pair (P2, Q1).  The output error bound built on it holds only when
-    the control is small enough; use the mixed side-condition check on every
-    trajectory before trusting it."""
-    return mixed_pair_from_P2(sys, stochastic_type2_P2(sys, delta))
-
-
-def mixed_pair_from_P2(sys: BilinearSystem, p2) -> GramianPair:
-    """The pair (P2, Q1) from a P2 already solved: `p2` is the
-    (P2, diagnostics, delta_used) triple that `stochastic_type2_P2` returns."""
-    P, diag_p, delta_used = p2
-    Q, diag_q = LyapunovOperator(sys.A, sys.N).solve(-sys.C.T @ sys.C, "observability")
-    lmi_margin = None
-    if np.linalg.eigvalsh(P).min() > 0.0:
-        lmi_margin = check_lmi_feasibility(sys, 0.0, P).largest_eigenvalue
-    return GramianPair(P=P, Q=Q, kind="mixed_Q1_P2", k=0.0,
-                       diagnostics=(diag_p, diag_q), delta=delta_used,
-                       lmi_margin=lmi_margin,
-                       minimal=_minimality(P, Q))
+    """The pair (P2, Q1): the type-2 pair at k = 0, relabelled.  The output
+    error bound built on it holds only when the control is small enough; use
+    the mixed side-condition check on every trajectory before trusting it."""
+    return replace(type2_gramians(sys, 0.0, delta), kind="mixed_Q1_P2")
 
 
 def transform_gramians(pair: GramianPair, T, T_inv=None) -> GramianPair:

@@ -489,9 +489,7 @@ def check_lmi_feasibility(sys: BilinearSystem, k, P, X=None) -> FeasibilityRepor
         w = np.linalg.eigvalsh(symmetrize(np.asarray(P, dtype=float)))
         cond_P = float(w.max() / w.min()) if w.min() > 0 else np.inf
     A_s = sys.A + 0.5 * float(k) ** 2 * np.eye(sys.n)
-    top = A_s.T @ X + X @ A_s
-    for Ni in sys.N:
-        top += Ni.T @ X @ Ni
+    top = _apply_lyapunov(A_s, sys.N, X, "observability")
     S = np.block([[top, X @ sys.B], [sys.B.T @ X, -np.eye(sys.m)]])
     lam = float(np.linalg.eigvalsh(symmetrize(S)).max())
     return FeasibilityReport(largest_eigenvalue=lam, feasible=lam <= LMI_TOL,

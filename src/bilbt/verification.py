@@ -47,8 +47,7 @@ from .balancing import (
 )
 from .gramians import (
     GramianPair,
-    mixed_pair_from_P2,
-    stochastic_type2_P2,
+    mixed_pair_Q1_P2,
     type1_gramians,
     type2_gramians,
 )
@@ -547,10 +546,10 @@ def _type2_cases(config, sys_idx, label, sys, k_idx, k):
 
 def _p2_cases(config, sys_idx, label, sys, k_ref):
     """Plan of the Gronwall envelopes and the mixed (P2, Q1) pair, from one
-    P2 solve: (groups, judge)."""
+    solve of that pair: (groups, judge)."""
     T = config.T
     try:
-        p2 = stochastic_type2_P2(sys, delta=config.delta)
+        pair = mixed_pair_Q1_P2(sys, delta=config.delta)
     except (MatrixEquationError, ValueError) as exc:
         notes = (str(exc), f"{type(exc).__name__}: {exc}")
 
@@ -564,7 +563,7 @@ def _p2_cases(config, sys_idx, label, sys, k_ref):
     spikes = spikes[2:]  # the large sinusoid and spike signals
     groups = [([sys], spikes, None)]
     try:
-        bal_m = square_root_balance(sys, mixed_pair_from_P2(sys, p2))
+        bal_m = square_root_balance(sys, pair)
     except (MatrixEquationError, BalancingError, ValueError) as exc:
         mixed = None
         note = f"{type(exc).__name__}: {exc}"
@@ -579,7 +578,7 @@ def _p2_cases(config, sys_idx, label, sys, k_ref):
 
     def judge(log, trajs):
         for u, traj in zip(spikes, trajs[0][0]):
-            log.add(check_gronwall_P2(p2[0], u, traj, context={"system": label}),
+            log.add(check_gronwall_P2(pair.P, u, traj, context={"system": label}),
                     label, sys.n, certified=True)
         if mixed is None:
             log.skip("mixed_side_conditions", label, sys.n, note)

@@ -7,7 +7,6 @@ from bilbt import (
     RiccatiInfeasibleError,
     check_lmi_feasibility,
     mixed_pair_Q1_P2,
-    stochastic_type2_P2,
     transform_gramians,
     type1_gramians,
     type2_gramians,
@@ -122,7 +121,7 @@ def test_one_mean_square_eigensolve_per_call(monkeypatch):
                           (lambda: stability_report(sys, 0.5), 1),
                           (lambda: type1_gramians(sys), 0),
                           (lambda: type2_gramians(sys, 0.5), 0),
-                          (lambda: stochastic_type2_P2(sys), 0)):
+                          (lambda: mixed_pair_Q1_P2(sys), 0)):
         calls.clear()
         run()
         assert len(calls) == expected
@@ -160,21 +159,30 @@ def test_type2_q_at_zero_k_equals_type1_q():
 
 
 def test_stochastic_p2_scalar(scalar_sys):
-    P2, diag, delta_used = stochastic_type2_P2(scalar_sys)
-    assert P2[0, 0] == pytest.approx(4.0 / 7.0, abs=1e-5)
-    assert diag.definiteness_margin > 0.0
-
-
-def test_stochastic_p2_equals_type2_at_zero(scalar_sys):
-    P2, _, _ = stochastic_type2_P2(scalar_sys)
     pair = type2_gramians(scalar_sys, 0.0)
-    assert np.allclose(P2, pair.P, rtol=1e-10)
+    assert pair.P[0, 0] == pytest.approx(4.0 / 7.0, abs=1e-5)
+    assert pair.diagnostics[0].definiteness_margin > 0.0
+
+
+def test_mixed_pair_is_the_type2_pair_at_zero(scalar_sys):
+    # (P2, Q1) is the type-2 pair at k = 0 relabelled: the same solves and
+    # the same certificate, taken from the solver's X
+    sys = make_random_system(54, n=3)
+    systems = (scalar_sys, sys, make_random_system(56, n=4, m=2, p=2),
+               BilinearSystem.from_matrices(sys.A, np.zeros((3, 1)), sys.N, sys.C))
+    for sys in systems:
+        mixed, pair = mixed_pair_Q1_P2(sys), type2_gramians(sys, 0.0)
+        assert (mixed.kind, pair.kind) == ("mixed_Q1_P2", "type2_bilinear")
+        assert np.array_equal(mixed.P, pair.P) and np.array_equal(mixed.Q, pair.Q)
+        assert mixed.diagnostics == pair.diagnostics
+        assert (mixed.k, mixed.delta, mixed.lmi_margin, mixed.minimal) \
+            == (pair.k, pair.delta, pair.lmi_margin, pair.minimal)
 
 
 def test_stochastic_p2_linear_limit():
     sys = make_random_system(53, n=3)
     lin = BilinearSystem.from_matrices(sys.A, sys.B, [np.zeros((3, 3))], sys.C)
-    P2, _, _ = stochastic_type2_P2(lin, delta=1e-9 * np.linalg.norm(lin.B @ lin.B.T, 2))
+    P2 = type2_gramians(lin, 0.0, delta=1e-9 * np.linalg.norm(lin.B @ lin.B.T, 2)).P
     P_lin = solve_continuous_lyapunov(lin.A, -lin.B @ lin.B.T)
     assert np.linalg.norm(P2 - P_lin) / np.linalg.norm(P_lin) < 1e-6
 

@@ -99,6 +99,17 @@ def test_one_place_factors_a_lyapunov_operator():
     assert list(_called_names(factor)).count("dgetrf") == everywhere == 1
 
 
+def test_one_function_solves_the_type2_inequality():
+    # P2 and the mixed pair are the type-2 pair at k = 0, so no second path
+    # to the inequality comes back for that case
+    callers = [f"{path.name}: {node.name}"
+               for path, tree in _trees()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and "solve_type2_riccati" in _called_names(node)]
+    assert callers == ["gramians.py: type2_gramians"]
+
+
 # the Riccati root hunt that the log-det barrier replaced
 ROOT_HUNT = {"_equality_candidates", "_homotopy_solve", "_newton_at_coupling",
              "_riccati_residual", "NEWTON_POLISH_MAX", "CARE_CHANGE_TOL"}

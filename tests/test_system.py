@@ -12,12 +12,12 @@ from bilbt import (
     LyapunovOperator,
     RiccatiInequalityProblem,
     load_system,
+    mixed_pair_Q1_P2,
     rescale,
     save_system,
     simulate,
     solve_type2_riccati,
     stability_report,
-    stochastic_type2_P2,
     transform,
     type1_gramians,
     type2_gramians,
@@ -140,7 +140,7 @@ def test_kronecker_cap():
         "stability_report": lambda: stability_report(sys),
         "type1_gramians": lambda: type1_gramians(sys),
         "type2_gramians": lambda: type2_gramians(sys, 0.1),
-        "stochastic_type2_P2": lambda: stochastic_type2_P2(sys),
+        "mixed_pair_Q1_P2": lambda: mixed_pair_Q1_P2(sys),
         "LyapunovOperator": lambda: LyapunovOperator(sys.A, sys.N).solve(
             -sys.B @ sys.B.T, "reachability"),
         "solve_type2_riccati": lambda: solve_type2_riccati(

@@ -24,7 +24,6 @@ from bilbt import (
     simulate,
     simulate_groups,
     square_root_balance,
-    stochastic_type2_P2,
     truncate,
     type1_gramians,
     type2_gramians,
@@ -135,8 +134,9 @@ def test_reach_energy_rejects_a_run_under_another_control():
 
 def test_every_check_rejects_a_run_under_another_control():
     sys, pair, _, rom = _reduced(k=1.0)
-    P2, _, _ = stochastic_type2_P2(sys)
-    bal_m = square_root_balance(sys, mixed_pair_Q1_P2(sys))
+    mixed = mixed_pair_Q1_P2(sys)
+    P2 = mixed.P
+    bal_m = square_root_balance(sys, mixed)
     rom_m = truncate(bal_m, 1)
     suite = bounded_control_suite(1, 1e-3, 1.0, seed=11)
     u, v = suite[2], suite[-1]  # a sinusoid and the piecewise-constant signal
@@ -250,7 +250,7 @@ def test_observ_energy_nonzero_b_informational():
 
 
 def test_gronwall_zero_input(scalar_sys):
-    P2, _, _ = stochastic_type2_P2(scalar_sys)
+    P2 = type2_gramians(scalar_sys, 0.0).P
     u = ControlSignal.zero(1)
     rep = check_gronwall_P2(P2, u, simulate(scalar_sys, [0.0], u, 2.0, 1e-3))
     assert rep.passed
@@ -258,7 +258,7 @@ def test_gronwall_zero_input(scalar_sys):
 
 def test_gronwall_scalar_explicit(scalar_sys):
     # x(t)^2 * 1.75 <= t e^t under u = 1 (P2 ~ 4/7)
-    P2, _, _ = stochastic_type2_P2(scalar_sys)
+    P2 = type2_gramians(scalar_sys, 0.0).P
     traj = simulate(scalar_sys, [0.0], ControlSignal.constant([1.0]), 2.0, 1e-3)
     rep = check_gronwall_P2(P2, ControlSignal.constant([1.0]), traj)
     assert rep.passed
@@ -269,7 +269,7 @@ def test_gronwall_scalar_explicit(scalar_sys):
 
 def test_gronwall_unbounded_controls():
     sys = make_random_system(97, n=3)
-    P2, _, _ = stochastic_type2_P2(sys)
+    P2 = type2_gramians(sys, 0.0).P
     suite = bounded_control_suite(sys.m, 3.0, 3.0, seed=10)[2:]
     for u, traj in zip(suite, simulate_groups([([sys], suite, None)], 3.0, 1e-3)[0][0]):
         rep = check_gronwall_P2(P2, u, traj)
@@ -389,20 +389,35 @@ def _counted(path):
 
 
 def test_campaign_solves_p2_once_per_system(monkeypatch, tmp_path):
-    # the Gronwall checks and the mixed pair share one P2 solve; the solves
-    # run in worker processes, so the calls are counted in a file
+    # the Gronwall checks and the mixed pair share one solve of (P2, Q1);
+    # the solves run in worker processes, so the calls are counted in a file
     import bilbt.gramians
     import bilbt.verification
     log = tmp_path / "calls.txt"
-    _count_calls_to_file(monkeypatch, bilbt.gramians, "stochastic_type2_P2", log)
-    monkeypatch.setattr(bilbt.verification, "stochastic_type2_P2",
-                        bilbt.gramians.stochastic_type2_P2)
+    _count_calls_to_file(monkeypatch, bilbt.gramians, "mixed_pair_Q1_P2", log)
+    monkeypatch.setattr(bilbt.verification, "mixed_pair_Q1_P2",
+                        bilbt.gramians.mixed_pair_Q1_P2)
     monkeypatch.setattr(bilbt.verification, "_worker_count", lambda n: min(n, 2))
     cfg = CampaignConfig(seed=5, T=0.2, h=2e-3)
     checks = {c["check"] for c in benchmark_campaign(cfg, small_campaign_systems(5)).cases}
     assert {"gronwall_P2", "mixed_side_conditions"} <= checks
     calls = _counted(log)
     assert sorted(calls) == [2, 3]  # worked-2x2 and random-3, once each
+
+
+def test_campaign_factors_four_operators_per_system(monkeypatch):
+    # type 2 at two k, the (P2, Q1) pair, and the type-1 baseline: one LU
+    # factorization each, the mixed pair's Q1 from its P2's factors
+    import bilbt.matrix_equations
+    import bilbt.verification
+    factored = []
+    dgetrf = bilbt.matrix_equations.dgetrf
+    monkeypatch.setattr(bilbt.matrix_equations, "dgetrf",
+                        lambda K: factored.append(K.shape) or dgetrf(K))
+    monkeypatch.setattr(bilbt.verification, "_worker_count", lambda n: 1)
+    cfg = CampaignConfig(seed=5, T=0.2, h=2e-3)
+    benchmark_campaign(cfg, small_campaign_systems(5)[:1])
+    assert factored == [(3, 3)] * 4
 
 
 def _stage_of(case):
@@ -414,7 +429,7 @@ def _stage_of(case):
 
 @pytest.mark.parametrize("stage, target, skips", [
     ("type2", "type2_gramians", ["error_bound_cor", "error_bound_cor"]),
-    ("p2", "stochastic_type2_P2", ["gronwall_P2", "mixed_side_conditions"]),
+    ("p2", "mixed_pair_Q1_P2", ["gronwall_P2", "mixed_side_conditions"]),
     ("type1", "type1_gramians", ["error_bound_cor"]),
 ])
 def test_campaign_logs_a_failed_stage_in_its_place(monkeypatch, stage, target, skips):
