@@ -119,9 +119,7 @@ def sym_operator(F, H, basis, out=None):
     if out is None:
         out = np.zeros((m, m))
     if H is None:
-        terms = F.ravel()[basis.eye_src] * basis.eye_scale
-        out.reshape(-1)[basis.eye_pos] += np.bincount(
-            basis.eye_bin, weights=terms, minlength=basis.eye_pos.size)
+        out.reshape(-1)[basis.eye_pos] += eye_terms(F, basis)
         return out
     H = np.asarray(H, dtype=float)
     rows, cols, w = basis.rows, basis.cols, basis.weights
@@ -138,6 +136,12 @@ def sym_operator(F, H, basis, out=None):
         G *= w[None, :]
         out[p] += G
     return out
+
+
+def eye_terms(F, basis):
+    """The nonzero entries of sym(F, I), at the flat positions `basis.eye_pos`."""
+    terms = np.asarray(F, dtype=float).ravel()[basis.eye_src] * basis.eye_scale
+    return np.bincount(basis.eye_bin, weights=terms, minlength=basis.eye_pos.size)
 
 
 def coupling_operator(N_list, basis):
@@ -176,10 +180,14 @@ def ms_abscissa(M, N_list):
     eigenvector and equals that of I kron M + M kron I + sum_i N_i kron N_i.
 
     Negative iff the pair (M, (N_i)) is mean-square stable, which is the
-    existence condition for the Gramians solved downstream.
+    existence condition for the Gramians solved downstream.  With M and every
+    N_i exactly symmetric (diffusion) the operator is self-adjoint, so its
+    matrix on the orthonormal basis is symmetric: a symmetric eigensolve.
     """
     M = np.asarray(M, dtype=float)
     check_kron_dim(M.shape[0])
     basis = sym_basis(M.shape[0])
-    return spectral_abscissa(sym_operator(M, None, basis,
-                                          out=coupling_operator(N_list, basis)))
+    L = sym_operator(M, None, basis, out=coupling_operator(N_list, basis))
+    if all(np.array_equal(F, F.T) for F in [M, *map(np.asarray, N_list)]):
+        return float(np.linalg.eigvalsh(L)[-1])
+    return spectral_abscissa(L)

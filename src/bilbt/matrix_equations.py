@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kronecker
-from .kronecker import half_unvec, half_vec, sym_basis, sym_operator, symmetrize
+from .kronecker import eye_terms, half_unvec, half_vec, sym_basis, sym_operator, symmetrize
 from .system import BilinearSystem
 
 
@@ -127,6 +127,7 @@ class SolveDiagnostics:
     residual_norm: float  # relative Frobenius; 0 for the inequality
     definiteness_margin: float  # smallest eigenvalue of the solution
     gap: float = 0.0  # the barrier's bound on trace(P) - min trace(P)
+    stop: str = "direct"  # why the solve stopped; see `_barrier_solve`
 
     def to_dict(self):
         return {
@@ -135,6 +136,7 @@ class SolveDiagnostics:
             "residual_norm": float(self.residual_norm),
             "definiteness_margin": float(self.definiteness_margin),
             "gap": float(self.gap),
+            "stop": self.stop,
         }
 
 
@@ -270,7 +272,7 @@ class _LogDetBarrier:
         d = self.basis.rows.size
         self.chunk = min(d, max(1, BARRIER_CHUNK_ENTRIES // self.q ** 2))
         self._T, self._C = np.empty((self.chunk, self.q, self.q)), np.empty((d, rows.size + 1))
-        self._H_f, self._H_b = np.empty((d, d)), np.empty((d, d), order="F")
+        self._H_b = np.zeros((d, d), order="F")
 
     def point(self, X):
         """The `_Point` at X, or None outside the barrier's domain."""
@@ -280,18 +282,21 @@ class _LogDetBarrier:
         F[:n, :n].flat[::n + 1] -= self.delta
         F[:n, n:] = -X @ self.B
         F[n:, :n] = F[:n, n:].T
-        LF, info_F = dpotrf(F, lower=1)
-        S, info_X = dpotrf(X, lower=1)
+        LF, info = dpotrf(F, lower=1)
+        if info != 0:
+            return None
+        S, info = dpotrf(X, lower=1)
         room = self.cap - float(np.trace(X))
-        if info_F != 0 or info_X != 0 or not room > 0.0:
+        if info != 0 or not room > 0.0:
             return None
         S_inv = dtrtri(S, lower=1)[0]
         return _Point(X, S, S_inv, float(np.einsum("ij,ij->", S_inv, S_inv)),
                       2.0 * float(np.log(LF.diagonal()).sum()) + float(np.log(room)), LF)
 
     def derivatives(self, pt):
-        """(g_f, H_f, g_b, H_b): gradients and Hessians (H_b upper triangle;
-        both overwritten by the next call) of trace(X^-1) and of the log terms
+        """(g_f, h_f, g_b, H_b): gradients and Hessians of trace(X^-1) (h_f the
+        nonzeros of H_f, at `basis.eye_pos` of H_f^T) and of the log terms
+        (H_b Fortran-ordered, upper triangle; the next call overwrites it)
         in the coordinates z of Z, X = S Z S^T, at Z = I, which keeps the
         Newton system well conditioned where X is large.  trace(Z^-1 M),
         M = S^-1 S^-T, has the Hessian H -> H M + M H.  With [U V] = L^-1 for
@@ -299,11 +304,10 @@ class _LogDetBarrier:
         S^T) L^-T = w_p / 2 [K_a K'_b] [K'_b K_a]^T for p = (a, b), where K_a
         and K'_b hold column a or b of R S, U S, U N_i^T S in the orders
         (R, U, N_i) and (U, R, N_i), and R = U A_s^T + V B^T.  C holds the
-        half_vec of each C_p and last the gradient of -log(cap - <S^T S, Z>)."""
+        half_vec of each C_p and last the gradient of -log(cap - <S^T S, Z>),
+        so that H_b = C C^T."""
         basis, n, S = self.basis, self.n, pt.S
         M = pt.S_inv @ pt.S_inv.T
-        self._H_f.fill(0.0)
-        H_f = sym_operator(M, None, basis, out=self._H_f).T  # symmetric: F-ordered
         Linv = dtrtri(pt.LF, lower=1)[0]
         US = Linv[:, :n] @ S
         RS = (Linv[:, :n] @ self.A_s.T + Linv[:, n:] @ self.B.T) @ S
@@ -320,8 +324,13 @@ class _LogDetBarrier:
         C_half *= self.scale
         C[:, -1] = half_vec(S.T @ S, basis) / (self.cap - np.trace(pt.X))
         g_b = C_half[:, self.diagonal].sum(axis=1) + C[:, -1]
-        return (-half_vec(M, basis), H_f, g_b,
+        return (-half_vec(M, basis), eye_terms(M, basis), g_b,
                 dsyrk(1.0, C.T, trans=1, c=self._H_b, overwrite_c=1))
+
+    def local_norm(self, dz):
+        """||C^T dz||, the barrier's Hessian norm of dz at the point of the
+        last `derivatives` call: z + dz is in the Dikin ellipsoid if < 1."""
+        return float(np.linalg.norm(dz @ self._C))
 
 
 def _barrier_solve(A_s, N_list, B, BBt, delta, X0):
@@ -331,18 +340,24 @@ def _barrier_solve(A_s, N_list, B, BBt, delta, X0):
     q = n + m + 1, damped Newton steps center the barrier, the first along
     the central path's tangent.  Centered (Newton decrement lambda^2 <=
     BARRIER_CENTER_TOL), trace(X^-1) is within (q + sqrt(q) lambda) / t of
-    its minimum.  Stops at that gap <= BARRIER_GAP_REL trace(X^-1), or where
-    rounding in F(X) stalls it.  Returns (X, gap, Newton steps) for the last
-    centered X whose recomputed slack is <= -delta, or (X0, inf, steps)."""
+    its minimum.  Stops, and says why, at that gap <= BARRIER_GAP_REL
+    trace(X^-1) ("gap"), where rounding in F(X) stalls it ("rounding", see
+    `_line_search`), where no step is accepted ("line_search") or the Newton
+    matrix does not factor ("hessian"), or at BARRIER_CENTER_MAX ("centering")
+    or BARRIER_STEP_MAX ("steps") steps.  Returns (X, gap, Newton steps, stop)
+    for the last centered X whose recomputed slack is <= -delta, or X0, inf."""
     barrier = _LogDetBarrier(A_s, N_list, B, delta, BARRIER_X_CAP * float(np.trace(X0)))
     pt = barrier.point(X0)
     q = barrier.q + 1
     t = q / pt.f
     best, steps, centering = (X0, np.inf), 0, 0
-    g_f, H_f, g_b, H_b = barrier.derivatives(pt)
+    g_f, h_f, g_b, H_b = barrier.derivatives(pt)
     while steps < BARRIER_STEP_MAX and centering <= BARRIER_CENTER_MAX:
-        c, info = dpotrf(t * H_f + H_b, overwrite_a=1)
+        # t H_f + H_b in place: H_f^T's nonzeros sit at H_b's Fortran positions
+        H_b.reshape(-1, order="F")[barrier.basis.eye_pos] += t * h_f
+        c, info = dpotrf(H_b, overwrite_a=1)
         if info != 0:
+            stop = "hessian"
             break
         g = t * g_f + g_b
         dz = -dpotrs(c, g)[0]
@@ -352,6 +367,7 @@ def _barrier_solve(A_s, N_list, B, BBt, delta, X0):
             if _slack_margin(A_s, N_list, BBt, pt.X) <= -delta:
                 best = pt.X, gap
             if gap <= BARRIER_GAP_REL * pt.f:
+                stop = "gap"
                 break
             t_next = t * min(BARRIER_T_STEP, max(2.0, 1.1 * gap / (BARRIER_GAP_REL * pt.f)))
             # near its end the central path is about linear in 1/t: predict
@@ -362,34 +378,45 @@ def _barrier_solve(A_s, N_list, B, BBt, delta, X0):
         else:
             slope = -decrement
             centering += 1
-        trial = _line_search(barrier, pt, pt.S @ half_unvec(dz, barrier.basis) @ pt.S.T,
-                             t, slope)
+        trial, stop = _line_search(barrier, pt, dz, t, slope)
         if trial is None:
             break
         pt, steps = trial, steps + 1
-        g_f, H_f, g_b, H_b = barrier.derivatives(pt)
-    return best[0], best[1], steps
+        g_f, h_f, g_b, H_b = barrier.derivatives(pt)
+    else:
+        stop = "steps" if steps >= BARRIER_STEP_MAX else "centering"
+    return best[0], best[1], steps, stop
 
 
-def _line_search(barrier, pt, dX, t, slope):
-    """X + alpha dX, alpha halving from 1 until the barrier at t falls enough
-    (Armijo; near the center, -slope < 0.1, until X is in the domain), or
-    None.  Far from the center (-slope >= 0.5) a full step is doubled once
-    if that lowers the barrier further: trace(X^-1) is flatter than its
-    model where X grows."""
+def _line_search(barrier, pt, dz, t, slope):
+    """(X + alpha dX, None), dX = S dZ S^T, alpha halving from 1 until the
+    barrier at t falls enough (Armijo; near the center, -slope < 0.1, until X
+    is in the domain), else (None, "line_search").  Far from the center
+    (-slope >= 0.5) a full step is doubled once if that lowers the barrier
+    further: trace(X^-1) is flatter than its model where X grows.
+    (None, "rounding") where the domain test rejects a trial with
+    alpha ||C^T dz|| < 1: the log terms are self-concordant in z, so that
+    trial is in their Dikin ellipsoid, inside the domain (Boyd & Vandenberghe,
+    Convex Optimization, 9.6; F > 0 gives X > 0 since Y certified the pair),
+    and only rounding in F(X) can reject it."""
+    dX = pt.S @ half_unvec(dz, barrier.basis) @ pt.S.T
     psi = t * pt.f - pt.logdet
+    radius = None
     for alpha in 0.5 ** np.arange(40.0):
         trial = barrier.point(pt.X + alpha * dX)
-        if trial is not None and (-slope < 0.1 or t * trial.f - trial.logdet
-                                  <= psi + 0.01 * alpha * slope):
+        if trial is None:
+            radius = barrier.local_norm(dz) if radius is None else radius
+            if alpha * radius < 1.0:
+                return None, "rounding"
+        elif -slope < 0.1 or t * trial.f - trial.logdet <= psi + 0.01 * alpha * slope:
             break
     else:
-        return None
+        return None, "line_search"
     if alpha == 1.0 and -slope >= 0.5:
         longer = barrier.point(pt.X + 2.0 * dX)
         if longer is not None and t * longer.f - longer.logdet < t * trial.f - trial.logdet:
-            return longer
-    return trial
+            return longer, None
+    return trial, None
 
 
 def solve_type2_riccati(prob: RiccatiInequalityProblem, lyapunov=None):
@@ -434,10 +461,11 @@ def solve_type2_riccati(prob: RiccatiInequalityProblem, lyapunov=None):
     for _halving in range(60):
         X0 = _scaled_lyapunov_feasible(Y, BBt, delta)
         if X0 is not None and _slack_margin(A_s, N_list, BBt, X0) <= -delta:
-            X, gap, steps = _barrier_solve(A_s, N_list, B, BBt, delta, X0)
+            X, gap, steps, stop = _barrier_solve(A_s, N_list, B, BBt, delta, X0)
             return X, SolveDiagnostics(
                 method="barrier", iterations=steps, residual_norm=0.0,
-                definiteness_margin=float(np.linalg.eigvalsh(X).min()), gap=gap), delta
+                definiteness_margin=float(np.linalg.eigvalsh(X).min()), gap=gap,
+                stop=stop), delta
         delta *= 0.5
     raise ConvergenceError(
         f"no scaled Lyapunov start satisfies the inequality for any slack down "

@@ -3,7 +3,7 @@
 import tracemalloc
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bilbt import LyapunovOperator
 from bilbt.kronecker import (
@@ -11,8 +11,10 @@ from bilbt.kronecker import (
     half_unvec,
     half_vec,
     ms_abscissa,
+    spectral_abscissa,
     sym_basis,
     sym_operator,
+    symmetrize,
 )
 
 from conftest import reach_operator
@@ -67,6 +69,14 @@ def scaled_pairs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     M = scale_m * rng.standard_normal((n, n)) - draw(st.floats(0.0, 10.0)) * np.eye(n)
     return M, [scale_n * rng.standard_normal((n, n)) for _ in range(m)]
+
+
+@st.composite
+def symmetric_pairs(draw):
+    """`scaled_pairs` with M and every N_i made exactly symmetric, as a
+    diffusion's are."""
+    M, N = draw(scaled_pairs())
+    return symmetrize(M), [symmetrize(Ni) for Ni in N]
 
 
 @PROPERTY
@@ -158,6 +168,31 @@ def test_ms_abscissa_matches_full_spectrum(pair):
     spectrum = np.linalg.eigvals(reach_operator(M, N))
     rho = float(np.abs(spectrum).max())
     assert abs(ms_abscissa(M, N) - spectrum.real.max()) <= 1e-12 * max(1.0, rho)
+
+
+@PROPERTY
+@given(symmetric_pairs())
+def test_ms_abscissa_of_self_adjoint_pairs_matches_full_spectrum(pair):
+    # symmetric M and N_i make the operator self-adjoint, so its matrix on
+    # the orthonormal basis is symmetric, exactly as computed, and a
+    # symmetric eigensolve gives its abscissa
+    M, N = pair
+    basis = sym_basis(M.shape[0])
+    L = sym_operator(M, None, basis, out=coupling_operator(N, basis))
+    assert np.array_equal(L, L.T)
+    spectrum = np.linalg.eigvals(reach_operator(M, N))
+    rho = float(np.abs(spectrum).max())
+    assert abs(ms_abscissa(M, N) - spectrum.real.max()) <= 1e-12 * max(1.0, rho)
+
+
+@PROPERTY
+@given(scaled_pairs())
+def test_ms_abscissa_of_other_pairs_is_the_general_eigensolve(pair):
+    M, N = pair
+    assume(M.shape[0] > 1)
+    basis = sym_basis(M.shape[0])
+    L = sym_operator(M, None, basis, out=coupling_operator(N, basis))
+    assert ms_abscissa(M, N) == spectral_abscissa(L)
 
 
 def test_ms_abscissa_memory_stays_below_half_a_dense_operator():

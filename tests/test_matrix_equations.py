@@ -260,9 +260,42 @@ def test_riccati_barrier_certifies_its_minimum(seed, n, m, fraction):
     X_start = _scaled_lyapunov_feasible(Y, sys.B @ sys.B.T, delta_used)
     trace_P = float(np.trace(np.linalg.inv(X)))
     assert diag.method == "barrier"
+    assert diag.stop == "gap"
     assert check_lmi_feasibility(sys, k, np.linalg.inv(X), X=X).largest_eigenvalue <= 1e-8
     assert trace_P <= float(np.trace(np.linalg.inv(X_start)))
     assert diag.gap <= 1e-9 * trace_P
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 3),
+       st.sampled_from([0.0, 0.4, 0.8]), st.floats(0.0, 0.99))
+def test_barrier_dikin_ellipsoid_lies_in_its_domain(seed, n, m, fraction, radius):
+    # the "rounding" stop rests on this: the log terms of the barrier are
+    # self-concordant in z, so a step of Hessian norm alpha ||C^T dz|| < 1
+    # from a barrier point stays in the domain; tried from the start c Y and
+    # from the barrier's optimum, near the boundary, along random directions
+    from bilbt import stability_report
+    from bilbt.gramians import default_delta
+    from bilbt.kronecker import half_unvec
+    from bilbt.matrix_equations import (BARRIER_X_CAP, _LogDetBarrier,
+                                        _scaled_lyapunov_feasible)
+
+    sys = make_random_system(seed, n=n, m=m)
+    k = fraction * stability_report(sys).k_max_estimate
+    A_s = sys.A + 0.5 * k * k * np.eye(n)
+    X, _, delta = solve_type2_riccati(RiccatiInequalityProblem(
+        A_shifted=A_s, N=sys.N, B=sys.B, delta=default_delta(sys)))
+    Y, _ = LyapunovOperator(A_s, sys.N).solve(-np.eye(n), "observability")
+    X0 = _scaled_lyapunov_feasible(Y, sys.B @ sys.B.T, delta)
+    barrier = _LogDetBarrier(A_s, sys.N, sys.B, delta, BARRIER_X_CAP * float(np.trace(X0)))
+    rng = np.random.default_rng(seed)
+    for start in (X0, X):
+        pt = barrier.point(start)
+        barrier.derivatives(pt)
+        for dz in rng.standard_normal((4, n * (n + 1) // 2)):
+            dz *= radius / barrier.local_norm(dz)
+            assert barrier.point(pt.X + pt.S @ half_unvec(dz, barrier.basis) @ pt.S.T) \
+                is not None
 
 
 def test_riccati_heat_rod_keeps_the_barrier_optimum():
@@ -288,5 +321,8 @@ def test_riccati_heat_rod_keeps_the_barrier_optimum():
     k = 0.5 * stability_report(sys).k_max_estimate
     pair = type2_gramians(sys, k)
     assert pair.diagnostics[0].method == "barrier"
+    # the last stage stops where the domain test rejects a step inside the
+    # Dikin ellipsoid, which only rounding can do
+    assert pair.diagnostics[0].stop == "rounding"
     assert np.trace(pair.P) <= 1.0
     assert check_lmi_feasibility(sys, k, pair.P).largest_eigenvalue <= 1e-8
