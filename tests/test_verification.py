@@ -1,4 +1,6 @@
+import json
 import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,6 +370,37 @@ def test_campaign_csv_table():
     header, *rows = csv_text.strip().splitlines()
     assert header.startswith("case,system,kind")
     assert len(rows) == sum(c["check"].startswith("error_bound") for c in result.cases)
+
+
+PINNED_CAMPAIGN = Path(__file__).parent / "data" / "campaign_seed5.json"
+PINNED_REL_TOL = 1e-10
+
+
+def _differences(pinned, fresh, path="$"):
+    """Where `fresh` differs from `pinned`: floats by more than PINNED_REL_TOL
+    relative (a pinned 0 only by 0), everything else at all."""
+    if isinstance(pinned, float) and isinstance(fresh, float):
+        if abs(fresh - pinned) > PINNED_REL_TOL * abs(pinned):
+            yield f"{path}: {pinned!r} -> {fresh!r}"
+    elif isinstance(pinned, dict) and isinstance(fresh, dict) and pinned.keys() == fresh.keys():
+        for key in pinned:
+            yield from _differences(pinned[key], fresh[key], f"{path}.{key}")
+    elif isinstance(pinned, list) and isinstance(fresh, list) and len(pinned) == len(fresh):
+        for i, (a, b) in enumerate(zip(pinned, fresh)):
+            yield from _differences(a, b, f"{path}[{i}]")
+    elif type(pinned) is not type(fresh) or pinned != fresh:
+        yield f"{path}: {pinned!r} -> {fresh!r}"
+
+
+def test_campaign_report_matches_the_pinned_report():
+    # a refactor of the campaign keeps every case, check, label and pass/fail
+    # and every number to rounding; tests/data/make_campaign_fixture.py
+    # rewrites the report after a change that is meant to move them
+    cfg = CampaignConfig(seed=5, T=0.2, h=2e-3)
+    fresh = json.loads(campaign_to_json(benchmark_campaign(cfg, small_campaign_systems(5))))
+    pinned = json.loads(PINNED_CAMPAIGN.read_text(encoding="utf-8"))
+    assert pinned["summary"]["total_cases"] == 106
+    assert list(_differences(pinned, fresh))[:5] == []
 
 
 def _count_calls_to_file(monkeypatch, module, name, path):
