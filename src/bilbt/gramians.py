@@ -10,6 +10,10 @@
 * mixed_Q1_P2: the pair (P2, Q1), the type-2 pair at k = 0 relabelled; it
   is valid for the error bound only under sufficiently small controls
   (checked empirically downstream).
+
+Each public solve factors its own operator.  Its private form (`_type1_pair`,
+`_type2_pair`, `_mixed_pair`) takes a `LyapunovOperator`, so that the type-1
+and mixed pairs of one system can share the factored operator of (A, N).
 """
 
 from __future__ import annotations
@@ -64,14 +68,17 @@ def _minimality(P, Q):
 
 def type1_gramians(sys: BilinearSystem) -> GramianPair:
     """Solve A P1 + P1 A^T + sum N_i P1 N_i^T = -B B^T and the transposed-side
-    analogue with -C^T C.
+    analogue with -C^T C, from one factored operator of (A, N).
 
-    One operator is factored once for both sides.  Its reachability
-    solution Y of the equation with -I certifies mean-square stability when
-    positive definite (see `solve_type2_riccati`); the abscissa is computed
-    only when that fails, and MeanSquareInstabilityError is raised if it is
-    >= 0."""
-    operator = LyapunovOperator(sys.A, sys.N)
+    Its reachability solution Y of the equation with -I certifies mean-square
+    stability when positive definite (see `solve_type2_riccati`); the
+    abscissa is computed only when that fails, and
+    MeanSquareInstabilityError is raised if it is >= 0."""
+    return _type1_pair(sys, _operator(sys, 0.0))
+
+
+def _type1_pair(sys, operator):
+    """`type1_gramians` from `operator`, the `LyapunovOperator` of (A, N)."""
     try:
         certified = operator.solve(-np.eye(sys.n), "reachability")[1].definiteness_margin > 0.0
     except (MeanSquareInstabilityError, ConvergenceError):
@@ -92,8 +99,9 @@ def default_delta(sys: BilinearSystem) -> float:
     return 1e-6 * (scale if scale > 0.0 else 1.0)
 
 
-def _shifted(sys, k):
-    return sys.A + 0.5 * float(k) ** 2 * np.eye(sys.n)
+def _operator(sys, k):
+    """The `LyapunovOperator` of the drift A + (k^2/2) I and N, not yet factored."""
+    return LyapunovOperator(sys.A + 0.5 * float(k) ** 2 * np.eye(sys.n), sys.N)
 
 
 def type2_gramians(sys: BilinearSystem, k, delta=None) -> GramianPair:
@@ -105,16 +113,19 @@ def type2_gramians(sys: BilinearSystem, k, delta=None) -> GramianPair:
     attached) if k is too large for the system.  The Lyapunov solve that
     starts the P solve's barrier and the Q solve share one factored shifted
     operator."""
+    return _type2_pair(sys, k, delta, _operator(sys, k))
+
+
+def _type2_pair(sys, k, delta, operator):
+    """`type2_gramians` from `operator`, the `LyapunovOperator` of its drift."""
     if k < 0:
         raise ValueError(f"control bound k must be nonnegative, got {k}")
-    A_s = _shifted(sys, k)
-    operator = LyapunovOperator(A_s, sys.N)
     # the solver certifies mean-square stability of the shifted pair by its
     # positive-definite Lyapunov solution and computes the shifted abscissa
     # only when that fails; the unshifted one only when k proves infeasible
     try:
         X, diag_p, delta_used = solve_type2_riccati(
-            RiccatiInequalityProblem(A_shifted=A_s, N=sys.N, B=sys.B,
+            RiccatiInequalityProblem(A_shifted=operator.M, N=sys.N, B=sys.B,
                                      delta=default_delta(sys) if delta is None else delta),
             operator)
     except RiccatiInfeasibleError as exc:
@@ -130,20 +141,22 @@ def type2_gramians(sys: BilinearSystem, k, delta=None) -> GramianPair:
         # the inequality itself only pins P down to "inverse of any small X"
         P, X = np.zeros((sys.n, sys.n)), None
     Q, diag_q = operator.solve(-sys.C.T @ sys.C, "observability")
-    lmi_margin = None
-    if X is not None:
-        lmi_margin = check_lmi_feasibility(sys, k, P, X=X).largest_eigenvalue
+    lmi_margin = None if X is None else check_lmi_feasibility(sys, k, P, X=X).largest_eigenvalue
     return GramianPair(P=P, Q=Q, kind="type2_bilinear", k=float(k),
                        diagnostics=(diag_p, diag_q), delta=delta_used,
-                       lmi_margin=lmi_margin,
-                       minimal=_minimality(P, Q))
+                       lmi_margin=lmi_margin, minimal=_minimality(P, Q))
 
 
 def mixed_pair_Q1_P2(sys: BilinearSystem, delta=None) -> GramianPair:
     """The pair (P2, Q1): the type-2 pair at k = 0, relabelled.  The output
     error bound built on it holds only when the control is small enough; use
     the mixed side-condition check on every trajectory before trusting it."""
-    return replace(type2_gramians(sys, 0.0, delta), kind="mixed_Q1_P2")
+    return _mixed_pair(sys, delta, _operator(sys, 0.0))
+
+
+def _mixed_pair(sys, delta, operator):
+    """`mixed_pair_Q1_P2` from `operator`, the `LyapunovOperator` of (A, N)."""
+    return replace(_type2_pair(sys, 0.0, delta, operator), kind="mixed_Q1_P2")
 
 
 def transform_gramians(pair: GramianPair, T, T_inv=None) -> GramianPair:

@@ -22,11 +22,13 @@ exceeded tenfold.  The campaign driver runs a fixed grid of control bounds,
 orders and controls over a given list of systems (by default the seeded
 families of `build_campaign_systems`), one system per task in a pool of
 forked worker processes, and aggregates pass rates, worst slacks and bound
-tightness ratios per Gramian kind.  Each system is planned (Gramian solves,
-reductions, controls, initial states), integrated in one `simulate_groups`
-call and then judged, case by case.
-Reductions based on the plain (unshifted) Gramian pair carry no certified
-bound and are included as empirical baselines only.
+tightness ratios per Gramian kind.  A system's cases are planned as a table
+of rows, each a group of runs with the judge of their cases or a skipped
+stage, from the Gramian pairs that one planner solves; one executor
+integrates every row in one `simulate_groups` call and logs the cases in
+table order.  The type-1 pair and the mixed pair (P2, Q1) share one factored
+operator of (A, N).  Reductions based on the plain (unshifted) Gramian pair
+carry no certified bound and are included as empirical baselines only.
 """
 
 from __future__ import annotations
@@ -45,12 +47,7 @@ from .balancing import (
     square_root_balance,
     truncate,
 )
-from .gramians import (
-    GramianPair,
-    mixed_pair_Q1_P2,
-    type1_gramians,
-    type2_gramians,
-)
+from .gramians import GramianPair, _mixed_pair, _operator, _type1_pair, _type2_pair
 from .kronecker import ms_abscissa, spectral_abscissa
 from .matrix_equations import MatrixEquationError, invert_spd
 from .simulation import (
@@ -107,7 +104,7 @@ def _report(check, lhs, rhs, eps, context):
     slack = rhs - lhs
     return BoundCheckReport(check=check, lhs=float(lhs), rhs=float(rhs),
                             slack=float(slack), tolerance_used=float(eps),
-                            passed=bool(slack >= -eps), context=context or {})
+                            passed=bool(slack >= -eps), context=context)
 
 
 def _floor(*scales):
@@ -134,14 +131,13 @@ def _require_run_under(u: ControlSignal, traj: Trajectory):
         raise ValueError(f"the run was not made under the control {u.label!r}")
 
 
-def _run_context(context, traj: Trajectory, u: ControlSignal, **kw):
-    """The run's T, h and control and `kw`; the caller's `context` keys win."""
-    return {"T": float(traj.grid[-1]), "h": traj.h, "control": u.label, **kw,
-            **(context or {})}
+def _run_context(traj: Trajectory, u: ControlSignal, **kw):
+    """The run's T, h and control, and `kw`."""
+    return {"T": float(traj.grid[-1]), "h": traj.h, "control": u.label, **kw}
 
 
 def check_error_bound(rom: ReducedModel, u: ControlSignal, traj_full: Trajectory,
-                      traj_rom: Trajectory, context=None):
+                      traj_rom: Trajectory):
     """Compare the output error of a reduction against its certified constants.
 
     `traj_full` and `traj_rom` are the full model and `rom.system` under `u`
@@ -157,7 +153,7 @@ def check_error_bound(rom: ReducedModel, u: ControlSignal, traj_full: Trajectory
     lhs, lhs_coarse = l2_richardson(diff, traj_full.grid)
     u_norm, u_coarse = l2_richardson(traj_full.inputs, traj_full.grid)
 
-    context = _run_context(context, traj_full, u, control_bound=float(u.k_bound),
+    context = _run_context(traj_full, u, control_bound=float(u.k_bound),
                            r=int(rom.r), kind=rom.gramian_kind, k=float(rom.k))
     reports = []
     for check, bound in (("error_bound_thm", rom.bound_distinct),
@@ -169,8 +165,8 @@ def check_error_bound(rom: ReducedModel, u: ControlSignal, traj_full: Trajectory
     return tuple(reports)
 
 
-def check_reach_energy(pair: GramianPair, u: ControlSignal, traj: Trajectory,
-                       context=None) -> BoundCheckReport:
+def check_reach_energy(pair: GramianPair, u: ControlSignal,
+                       traj: Trajectory) -> BoundCheckReport:
     """Worst-direction reachability energy bound on `traj`, run under `u` from
     x(0) = 0: for every eigenpair of P the scaled peak component must stay
     below ||u||_{L2_T}."""
@@ -187,13 +183,13 @@ def check_reach_energy(pair: GramianPair, u: ControlSignal, traj: Trajectory,
     lhs = float(scaled_peaks[worst])
     rhs, rhs_coarse = l2_richardson(traj.inputs, traj.grid)
     eps = quadrature_slack((rhs, rhs_coarse), floor=_floor(lhs, rhs))
-    context = _run_context(context, traj, u, kind=pair.kind, k=float(pair.k),
+    context = _run_context(traj, u, kind=pair.kind, k=float(pair.k),
                            worst_eigenvalue=float(w[worst]))
     return _report("reach_energy", lhs, rhs, eps, context)
 
 
 def check_observ_energy(sys: BilinearSystem, pair: GramianPair, u: ControlSignal,
-                        traj: Trajectory, context=None) -> BoundCheckReport:
+                        traj: Trajectory) -> BoundCheckReport:
     """Output energy of `traj`, run of `sys` under `u`, against the quadratic
     form of Q at x0 = traj.states[0].
 
@@ -213,13 +209,12 @@ def check_observ_energy(sys: BilinearSystem, pair: GramianPair, u: ControlSignal
         rhs, rhs_coarse = rhs + fine, rhs_coarse + coarse
     eps = quadrature_slack((lhs, lhs_coarse), (rhs, rhs_coarse),
                            floor=_floor(lhs, rhs))
-    context = _run_context(context, traj, u, kind=pair.kind, k=float(pair.k),
+    context = _run_context(traj, u, kind=pair.kind, k=float(pair.k),
                            informational=informational)
     return _report("observ_energy", lhs, rhs, eps, context)
 
 
-def check_gronwall_P2(P2, u: ControlSignal, traj: Trajectory,
-                      context=None) -> BoundCheckReport:
+def check_gronwall_P2(P2, u: ControlSignal, traj: Trajectory) -> BoundCheckReport:
     """Exponential-in-control-energy bound on x(t)^T P2^-1 x(t) along `traj`,
     a run under `u` from x(0) = 0; holds for arbitrary (unbounded) controls."""
     _require_run_under(u, traj)
@@ -238,14 +233,14 @@ def check_gronwall_P2(P2, u: ControlSignal, traj: Trajectory,
     lhs, rhs = float(lhs_t[worst]), float(rhs_t[worst])
     eps = quadrature_slack((rhs, float(rhs_coarse_t[worst])),
                            floor=_floor(lhs, rhs))
-    context = _run_context(context, traj, u, worst_time=float(traj.grid[worst]))
+    context = _run_context(traj, u, worst_time=float(traj.grid[worst]))
     # the maximising grid point decides: it passes iff every point passes
     return _report("gronwall_P2", lhs, rhs, eps, context)
 
 
 def check_mixed_side_conditions(rom: ReducedModel, u: ControlSignal,
-                                traj_full: Trajectory, traj_rom: Trajectory,
-                                context=None) -> BoundCheckReport:
+                                traj_full: Trajectory,
+                                traj_rom: Trajectory) -> BoundCheckReport:
     """Evaluate the two side conditions the (P2, Q1) reduction needs: the
     endpoint quadratic forms (error-weighted by diag(hsv), sum-weighted by its
     inverse) must dominate the corresponding control-energy integrals.  When
@@ -278,7 +273,7 @@ def check_mixed_side_conditions(rom: ReducedModel, u: ControlSignal,
     err, _ = l2_richardson(traj_full.outputs - traj_rom.outputs, traj_full.grid)
     u_norm, _ = l2_richardson(traj_full.inputs, traj_full.grid)
     bound = rom.bound_all * u_norm
-    context = _run_context(context, traj_full, u, control_bound=float(u.k_bound),
+    context = _run_context(traj_full, u, control_bound=float(u.k_bound),
                            r=int(rom.r), kind=rom.gramian_kind,
                            condition_error_endpoint=end_err,
                            condition_error_integral=int_err,
@@ -404,50 +399,35 @@ def _campaign_controls(m, k, T, seed_tags):
         for sig in small[1:]]  # skip the duplicate zero signal
 
 
-def _ratio(lhs, rhs):
-    return float(lhs / rhs) if rhs > 1e-300 else None
-
-
 class _CaseLog:
-    def __init__(self):
-        self.cases = []
+    """The case entries of one system, numbered from 0."""
 
-    def add(self, report: BoundCheckReport, system, n, certified, tail_sum=None,
-            note=""):
-        entry = {
-            "case": len(self.cases),
-            "check": report.check,
-            "system": system,
-            "n": int(n),
-            "kind": report.context.get("kind", ""),
-            "k": report.context.get("k", report.context.get("control_bound", 0.0)),
-            "r": report.context.get("r"),
-            "control": report.context.get("control", ""),
-            "control_bound": report.context.get("control_bound"),
-            "lhs": report.lhs,
-            "rhs": report.rhs,
-            "slack": report.slack,
-            "eps_q": report.tolerance_used,
-            "passed": report.passed,
-            "certified": bool(certified),
-            "violation": bool(certified and not report.passed),
-            "hard_failure": bool(certified and report.hard_failure),
-            "ratio": _ratio(report.lhs, report.rhs),
-            "tail_sum": tail_sum,
-            "note": note,
-        }
-        self.cases.append(entry)
-        return entry
+    def __init__(self, system, n):
+        self.system, self.n, self.cases = system, int(n), []
 
-    def skip(self, check, system, n, note):
+    def _append(self, check, **fields):
         self.cases.append({
-            "case": len(self.cases), "check": check, "system": system,
-            "n": int(n), "kind": "", "k": None, "r": None, "control": "",
+            "case": len(self.cases), "check": check, "system": self.system,
+            "n": self.n, "kind": "", "k": None, "r": None, "control": "",
             "control_bound": None, "lhs": None, "rhs": None, "slack": None,
             "eps_q": None, "passed": None, "certified": False,
             "violation": False, "hard_failure": False, "ratio": None,
-            "tail_sum": None, "note": f"skipped: {note}",
-        })
+            "tail_sum": None, "note": "", **fields})
+
+    def add(self, report: BoundCheckReport, certified, tail_sum=None, note=""):
+        context, lhs, rhs = report.context, report.lhs, report.rhs
+        self._append(
+            report.check, kind=context.get("kind", ""),
+            k=context.get("k", context.get("control_bound", 0.0)),
+            r=context.get("r"), control=context.get("control", ""),
+            control_bound=context.get("control_bound"), lhs=lhs, rhs=rhs,
+            slack=report.slack, eps_q=report.tolerance_used, passed=report.passed,
+            certified=certified, violation=certified and not report.passed,
+            hard_failure=certified and report.hard_failure,
+            ratio=float(lhs / rhs) if rhs > 1e-300 else None, tail_sum=tail_sum, note=note)
+
+    def skip(self, check, note):
+        self._append(check, note=f"skipped: {note}")
 
 
 @dataclass(frozen=True)
@@ -459,164 +439,164 @@ class CampaignResult:
 
 
 def _aggregate(cases):
-    agg = {}
+    """Counts, worst slack and ratios of the scored cases per check and kind."""
+    groups = {}
     for case in cases:
-        if case["passed"] is None:
-            continue
-        key = f"{case['check']}|{case['kind']}"
-        slot = agg.setdefault(key, {
-            "cases": 0, "passes": 0, "violations": 0, "hard_failures": 0,
-            "worst_slack": np.inf, "max_ratio": None, "mean_ratio": 0.0,
-            "_ratio_count": 0,
-        })
-        slot["cases"] += 1
-        slot["passes"] += int(bool(case["passed"]))
-        slot["violations"] += int(case["violation"])
-        slot["hard_failures"] += int(case["hard_failure"])
-        slot["worst_slack"] = min(slot["worst_slack"], case["slack"])
-        if case["ratio"] is not None:
-            slot["_ratio_count"] += 1
-            slot["mean_ratio"] += case["ratio"]
-            slot["max_ratio"] = (case["ratio"] if slot["max_ratio"] is None
-                                 else max(slot["max_ratio"], case["ratio"]))
-    for slot in agg.values():
-        if slot["_ratio_count"]:
-            slot["mean_ratio"] /= slot["_ratio_count"]
-        else:
-            slot["mean_ratio"] = None
-        del slot["_ratio_count"]
-        if not np.isfinite(slot["worst_slack"]):
-            slot["worst_slack"] = None
+        if case["passed"] is not None:
+            groups.setdefault(f"{case['check']}|{case['kind']}", []).append(case)
+    agg = {}
+    for key, group in groups.items():
+        ratios = [case["ratio"] for case in group if case["ratio"] is not None]
+        worst = min([np.inf] + [case["slack"] for case in group])
+        agg[key] = {
+            "cases": len(group),
+            "passes": sum(bool(case["passed"]) for case in group),
+            "violations": sum(case["violation"] for case in group),
+            "hard_failures": sum(case["hard_failure"] for case in group),
+            "worst_slack": worst if np.isfinite(worst) else None,
+            "max_ratio": max(ratios, default=None),
+            "mean_ratio": sum(ratios) / len(ratios) if ratios else None,
+        }
     return agg
 
 
-def _skip(*args):
-    """A judge that logs one skipped case, for a stage that integrates nothing."""
-    return lambda log, trajs: log.skip(*args)
+def _gramian_pairs(sys, ks, delta):
+    """Every Gramian pair of the campaign cases of `sys`, each the pair or the
+    exception its solve raised: (the type-2 pairs at the bounds `ks`, one
+    operator each; the mixed pair (P2, Q1); the type-1 pair).  The last two
+    share one factored operator of (A, N)."""
+    def solved(solve, *args):
+        try:
+            return solve(sys, *args)
+        except (MatrixEquationError, ValueError) as exc:
+            return exc
+
+    unshifted = _operator(sys, 0.0)
+    return ([solved(_type2_pair, k, delta, _operator(sys, k)) for k in ks],
+            solved(_mixed_pair, delta, unshifted), solved(_type1_pair, unshifted))
 
 
-def _type2_cases(config, sys_idx, label, sys, k_idx, k):
-    """Plan of the error-bound, reachability and observability cases of the
-    type-2 reductions at control bound k.  Returns (groups, judge, baseline):
-    the `simulate_groups` groups, the judge that logs the cases from their
-    runs, and the constant and first sinusoid control for the type-1
-    baseline, or None when no reduction could be built."""
-    T = config.T
+def _balanced(sys, pair):
+    """`sys` balanced by `pair`, or the exception of the pair's solve or of
+    the balancing."""
+    if isinstance(pair, Exception):
+        return pair
     try:
-        pair = type2_gramians(sys, k, delta=config.delta)
-        bal = square_root_balance(sys, pair)
+        return square_root_balance(sys, pair)
     except (MatrixEquationError, BalancingError, ValueError) as exc:
-        return [], _skip("error_bound_cor", label, sys.n,
-                         f"k={k:.4g}: {type(exc).__name__}: {exc}"), None
+        return exc
 
-    controls = _campaign_controls(sys.m, k, T, [config.seed, sys_idx, k_idx])
+
+def _type2_rows(config, sys_idx, sys, k_idx, k, pair):
+    """Rows of the error-bound and reachability cases of the reductions from
+    the type-2 pair at control bound k, and of the observability cases of
+    the pair from two unit initial states."""
+    bal = _balanced(sys, pair)
+    if isinstance(bal, Exception):
+        return [("error_bound_cor", f"k={k:.4g}: {type(bal).__name__}: {bal}")]
+    controls = _campaign_controls(sys.m, k, config.T, [config.seed, sys_idx, k_idx])
     roms = [truncate(bal, r) for r in _campaign_orders(bal.hsv)]
-    baseline = controls[1:3]
+
+    def judge(log, u, full, *rom_runs):
+        for rom, run in zip(roms, rom_runs):
+            thm, cor = check_error_bound(rom, u, full, run)
+            tail = float(rom.tail_hsv.sum())
+            log.add(cor, certified=True, tail_sum=tail)
+            if rom.bound_distinct < rom.bound_all * (1.0 - 1e-12):
+                # distinct-value bound engaged only for true multiplicities
+                log.add(thm, certified=True, tail_sum=tail, note="distinct-value bound")
+        log.add(check_reach_energy(pair, u, full), certified=True)
+
     zero_B = BilinearSystem.from_matrices(sys.A, np.zeros((sys.n, sys.m)), sys.N, sys.C)
+
+    def judge_free(log, u, run):
+        log.add(check_observ_energy(zero_B, pair, u, run), certified=True)
+
+    # the constant and the first sinusoid, from each initial state
+    free = controls[1:3]
     rng = np.random.default_rng([config.seed, sys_idx, k_idx, 17])
-    runs = []
-    for x0_idx in range(OBSERV_X0_COUNT):
-        x0 = rng.standard_normal(sys.n)
-        x0 /= np.linalg.norm(x0)
-        runs += [(x0_idx, x0, u) for u in baseline]
-    groups = [([sys] + [rom.system for rom in roms], controls, None),
-              ([zero_B], [u for _, _, u in runs], [np.array([x0 for _, x0, _ in runs])])]
-
-    def judge(log, trajs):
-        (full, *rom_trajs), (free,) = trajs
-        for s, u in enumerate(controls):
-            for rom, runs_r in zip(roms, rom_trajs):
-                thm, cor = check_error_bound(rom, u, full[s], runs_r[s],
-                                             context={"system": label})
-                tail = float(rom.tail_hsv.sum())
-                log.add(cor, label, sys.n, certified=True, tail_sum=tail)
-                if rom.bound_distinct < rom.bound_all * (1.0 - 1e-12):
-                    # distinct-value bound engaged only for true multiplicities
-                    log.add(thm, label, sys.n, certified=True, tail_sum=tail,
-                            note="distinct-value bound")
-            log.add(check_reach_energy(pair, u, full[s], context={"system": label}),
-                    label, sys.n, certified=True)
-        for (x0_idx, _, u), traj in zip(runs, free):
-            log.add(check_observ_energy(zero_B, pair, u, traj,
-                                        context={"system": label, "x0_index": x0_idx}),
-                    label, sys.n, certified=True)
-
-    return groups, judge, baseline
+    x0s = [x0 / np.linalg.norm(x0) for x0 in rng.standard_normal((OBSERV_X0_COUNT, sys.n))]
+    return [([sys] + [rom.system for rom in roms], controls, None, judge),
+            ([zero_B], free * OBSERV_X0_COUNT, [np.repeat(x0s, len(free), axis=0)],
+             judge_free)]
 
 
-def _p2_cases(config, sys_idx, label, sys, k_ref):
-    """Plan of the Gronwall envelopes and the mixed (P2, Q1) pair, from one
-    solve of that pair: (groups, judge)."""
+def _p2_rows(config, sys_idx, sys, k_ref, pair):
+    """Rows of the Gronwall envelopes on P2 under large controls and of the
+    side conditions of the mixed pair (P2, Q1) under controls far below and
+    far above k_ref."""
+    if isinstance(pair, Exception):
+        return [("gronwall_P2", str(pair)),
+                ("mixed_side_conditions", f"{type(pair).__name__}: {pair}")]
     T = config.T
-    try:
-        pair = mixed_pair_Q1_P2(sys, delta=config.delta)
-    except (MatrixEquationError, ValueError) as exc:
-        notes = (str(exc), f"{type(exc).__name__}: {exc}")
-
-        def judge(log, trajs):
-            log.skip("gronwall_P2", label, sys.n, notes[0])
-            log.skip("mixed_side_conditions", label, sys.n, notes[1])
-        return [], judge
-
     spikes = bounded_control_suite(sys.m, 3.0, T, [config.seed, sys_idx, 29],
-                                   n_sinusoids=1, n_piecewise=1)
-    spikes = spikes[2:]  # the large sinusoid and spike signals
-    groups = [([sys], spikes, None)]
-    try:
-        bal_m = square_root_balance(sys, pair)
-    except (MatrixEquationError, BalancingError, ValueError) as exc:
-        mixed = None
-        note = f"{type(exc).__name__}: {exc}"
-    else:
-        rom_m = truncate(bal_m, _campaign_orders(bal_m.hsv)[0])
-        small = bounded_control_suite(sys.m, 1e-3 * k_ref, T, [config.seed, sys_idx, 31],
-                                      n_sinusoids=1, n_piecewise=0)[1:]
-        large = bounded_control_suite(sys.m, 3.0 * k_ref, T, [config.seed, sys_idx, 37],
-                                      n_sinusoids=0, n_piecewise=1)[2:]
-        mixed = small + large
-        groups.append(([bal_m.system, rom_m.system], mixed, None))
+                                   n_sinusoids=1, n_piecewise=1)[2:]  # the large ones
 
-    def judge(log, trajs):
-        for u, traj in zip(spikes, trajs[0][0]):
-            log.add(check_gronwall_P2(pair.P, u, traj, context={"system": label}),
-                    label, sys.n, certified=True)
-        if mixed is None:
-            log.skip("mixed_side_conditions", label, sys.n, note)
-            return
-        for u, traj_full, traj_rom in zip(mixed, *trajs[1]):
-            rep_m = check_mixed_side_conditions(rom_m, u, traj_full, traj_rom,
-                                                context={"system": label})
-            log.add(rep_m, label, sys.n, certified=False,
-                    note="side conditions" if rep_m.passed else "side conditions not met")
-            if rep_m.passed:
-                lhs, rhs = rep_m.context["error_lhs"], rep_m.context["error_rhs"]
-                log.add(_report("error_bound_cor", lhs, rhs,
-                                rep_m.tolerance_used + _floor(lhs, rhs), dict(rep_m.context)),
-                        label, sys.n, certified=True, tail_sum=float(rom_m.tail_hsv.sum()),
-                        note="mixed pair under small control")
+    def judge_gronwall(log, u, run):
+        log.add(check_gronwall_P2(pair.P, u, run), certified=True)
 
-    return groups, judge
+    rows = [([sys], spikes, None, judge_gronwall)]
+    bal = _balanced(sys, pair)
+    if isinstance(bal, Exception):
+        return rows + [("mixed_side_conditions", f"{type(bal).__name__}: {bal}")]
+    rom = truncate(bal, _campaign_orders(bal.hsv)[0])
+    small = bounded_control_suite(sys.m, 1e-3 * k_ref, T, [config.seed, sys_idx, 31],
+                                  n_sinusoids=1, n_piecewise=0)[1:]
+    large = bounded_control_suite(sys.m, 3.0 * k_ref, T, [config.seed, sys_idx, 37],
+                                  n_sinusoids=0, n_piecewise=1)[2:]
+
+    def judge(log, u, full, reduced):
+        rep = check_mixed_side_conditions(rom, u, full, reduced)
+        log.add(rep, certified=False,
+                note="side conditions" if rep.passed else "side conditions not met")
+        if rep.passed:
+            lhs, rhs = rep.context["error_lhs"], rep.context["error_rhs"]
+            log.add(_report("error_bound_cor", lhs, rhs,
+                            rep.tolerance_used + _floor(lhs, rhs), dict(rep.context)),
+                    certified=True, tail_sum=float(rom.tail_hsv.sum()),
+                    note="mixed pair under small control")
+
+    return rows + [([bal.system, rom.system], small + large, None, judge)]
 
 
-def _type1_cases(label, sys, controls):
-    """Plan of the uncertified type-1 baseline under `controls`: (groups,
-    judge).  The full model runs beside the reduced one, so the stage needs
-    no other stage's runs."""
-    try:
-        bal1 = square_root_balance(sys, type1_gramians(sys))
-    except (MatrixEquationError, BalancingError, ValueError) as exc:
-        return [], _skip("error_bound_cor", label, sys.n,
-                         f"type1 baseline: {type(exc).__name__}: {exc}")
-    rom1 = truncate(bal1, _campaign_orders(bal1.hsv)[0])
+def _type1_rows(sys, controls, pair):
+    """Rows of the uncertified type-1 baseline under `controls`; the full
+    model runs beside the reduced one."""
+    bal = _balanced(sys, pair)
+    if isinstance(bal, Exception):
+        return [("error_bound_cor", f"type1 baseline: {type(bal).__name__}: {bal}")]
+    rom = truncate(bal, _campaign_orders(bal.hsv)[0])
 
-    def judge(log, trajs):
-        for u, traj_full, traj_rom in zip(controls, *trajs[0]):
-            _, rep1 = check_error_bound(rom1, u, traj_full, traj_rom,
-                                        context={"system": label})
-            log.add(rep1, label, sys.n, certified=False,
-                    tail_sum=float(rom1.tail_hsv.sum()), note="no certified bound")
+    def judge(log, u, full, reduced):
+        log.add(check_error_bound(rom, u, full, reduced)[1], certified=False,
+                tail_sum=float(rom.tail_hsv.sum()), note="no certified bound")
 
-    return [([sys, rom1.system], controls, None)], judge
+    return [([sys, rom.system], controls, None, judge)]
+
+
+def _system_rows(config, sys_idx, sys):
+    """The plan of the cases of `sys`, the `sys_idx`-th system of the
+    campaign, as a table of rows in case order.  A row is either
+    (models, controls, x0, judge), a `simulate_groups` group whose judge
+    logs the cases of one control from that control's runs, or (check, note)
+    for a stage that could not be planned.  The type-2 stages come first;
+    the mixed and type-1 stages follow when some type-2 reduction was built,
+    at its bound and under its constant and first sinusoid control."""
+    if sys.n < 2:
+        return [("error_bound_cor", f"n = {sys.n}: no order to truncate")]
+    rep = stability_report(sys)
+    if rep.ms_abscissa >= 0.0 or rep.k_max_estimate <= 0.0:
+        return [("error_bound_cor", "system not mean-square stable")]
+    ks = [frac * rep.k_max_estimate for frac in K_FRACTIONS]
+    type2, mixed, type1 = _gramian_pairs(sys, ks, config.delta)
+    stages = [_type2_rows(config, sys_idx, sys, k_idx, k, pair)
+              for k_idx, (k, pair) in enumerate(zip(ks, type2))]
+    rows = [row for stage in stages for row in stage]
+    built = [(k, stage[0][1][1:3]) for k, stage in zip(ks, stages) if len(stage[0]) == 4]
+    if built:
+        k_ref, baseline = built[0]
+        rows += _p2_rows(config, sys_idx, sys, k_ref, mixed) + _type1_rows(sys, baseline, type1)
+    return rows
 
 
 def _system_cases(config, sys_idx, label, sys):
@@ -624,34 +604,20 @@ def _system_cases(config, sys_idx, label, sys):
     numbered from 0.  They depend on the arguments alone, so the systems of a
     campaign can run in any order and in any process.
 
-    Three phases: the stage helpers plan every Gramian solve, reduction,
-    control and initial state; one `simulate_groups` call integrates all of
-    the system's runs; each stage's judge then logs its cases, or its skip,
-    in stage order."""
-    log = _CaseLog()
-    if sys.n < 2:
-        log.skip("error_bound_cor", label, sys.n, f"n = {sys.n}: no order to truncate")
-        return log.cases
-    rep = stability_report(sys)
-    if rep.ms_abscissa >= 0.0 or rep.k_max_estimate <= 0.0:
-        log.skip("error_bound_cor", label, sys.n, "system not mean-square stable")
-        return log.cases
-    stages, first = [], None
-    for k_idx, frac in enumerate(K_FRACTIONS):
-        k = frac * rep.k_max_estimate
-        groups, judge, baseline = _type2_cases(config, sys_idx, label, sys, k_idx, k)
-        stages.append((groups, judge))
-        if first is None and baseline is not None:
-            first = (k, baseline)
-    if first is not None:
-        k_ref, controls = first
-        stages.append(_p2_cases(config, sys_idx, label, sys, k_ref))
-        stages.append(_type1_cases(label, sys, controls))
-
-    runs = iter(simulate_groups([group for groups, _ in stages for group in groups],
+    One `simulate_groups` call integrates every row of `_system_rows`; the
+    cases are then logged in row order: a judge call per control of a row,
+    a skip per skip row."""
+    rows = _system_rows(config, sys_idx, sys)
+    runs = iter(simulate_groups([row[:3] for row in rows if len(row) == 4],
                                 config.T, config.h))
-    for groups, judge in stages:
-        judge(log, [next(runs) for _ in groups])
+    log = _CaseLog(label, sys.n)
+    for row in rows:
+        if len(row) == 2:
+            log.skip(*row)
+            continue
+        _, controls, _, judge = row
+        for u, *trajs in zip(controls, *next(runs)):
+            judge(log, u, *trajs)
     return log.cases
 
 

@@ -107,7 +107,24 @@ def test_one_function_solves_the_type2_inequality():
                for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef)
                and "solve_type2_riccati" in _called_names(node)]
-    assert callers == ["gramians.py: type2_gramians"]
+    assert callers == ["gramians.py: _type2_pair"]
+
+
+GRAMIAN_SOLVES = {"type1_gramians", "type2_gramians", "mixed_pair_Q1_P2",
+                  "_type1_pair", "_type2_pair", "_mixed_pair"}
+
+
+def test_campaign_solves_gramians_in_one_function():
+    # one planner makes every Gramian solve of a campaign system, so that the
+    # pairs of one drift can share its factored operator; it may pass the
+    # solve functions on rather than call them, so any use of a name counts
+    verification = ast.parse((PACKAGE / "verification.py").read_text(encoding="utf-8"))
+    users = {node.name for node in ast.walk(verification)
+             if isinstance(node, ast.FunctionDef)
+             and any(isinstance(name, ast.Name) and name.id in GRAMIAN_SOLVES
+                     or isinstance(name, ast.Attribute) and name.attr in GRAMIAN_SOLVES
+                     for name in ast.walk(node))}
+    assert users == {"_gramian_pairs"}
 
 
 # the Riccati root hunt that the log-det barrier replaced

@@ -26,13 +26,14 @@ from bilbt import (
     simulate,
     simulate_groups,
     square_root_balance,
+    stability_report,
     truncate,
     type1_gramians,
     type2_gramians,
 )
 from bilbt.balancing import ReducedModel
 from bilbt.kronecker import MAX_KRON_N
-from bilbt.verification import random_ms_stable_system, worked_2x2
+from bilbt.verification import _gramian_pairs, random_ms_stable_system, worked_2x2
 
 from conftest import make_random_system, small_campaign_systems
 
@@ -424,12 +425,9 @@ def _counted(path):
 def test_campaign_solves_p2_once_per_system(monkeypatch, tmp_path):
     # the Gronwall checks and the mixed pair share one solve of (P2, Q1);
     # the solves run in worker processes, so the calls are counted in a file
-    import bilbt.gramians
     import bilbt.verification
     log = tmp_path / "calls.txt"
-    _count_calls_to_file(monkeypatch, bilbt.gramians, "mixed_pair_Q1_P2", log)
-    monkeypatch.setattr(bilbt.verification, "mixed_pair_Q1_P2",
-                        bilbt.gramians.mixed_pair_Q1_P2)
+    _count_calls_to_file(monkeypatch, bilbt.verification, "_mixed_pair", log)
     monkeypatch.setattr(bilbt.verification, "_worker_count", lambda n: min(n, 2))
     cfg = CampaignConfig(seed=5, T=0.2, h=2e-3)
     checks = {c["check"] for c in benchmark_campaign(cfg, small_campaign_systems(5)).cases}
@@ -438,9 +436,9 @@ def test_campaign_solves_p2_once_per_system(monkeypatch, tmp_path):
     assert sorted(calls) == [2, 3]  # worked-2x2 and random-3, once each
 
 
-def test_campaign_factors_four_operators_per_system(monkeypatch):
-    # type 2 at two k, the (P2, Q1) pair, and the type-1 baseline: one LU
-    # factorization each, the mixed pair's Q1 from its P2's factors
+def test_campaign_factors_three_operators_per_system(monkeypatch):
+    # type 2 at two k, one LU factorization each, and one of (A, N) for the
+    # (P2, Q1) pair and the type-1 baseline, which shares its Q1's factors
     import bilbt.matrix_equations
     import bilbt.verification
     factored = []
@@ -450,7 +448,27 @@ def test_campaign_factors_four_operators_per_system(monkeypatch):
     monkeypatch.setattr(bilbt.verification, "_worker_count", lambda n: 1)
     cfg = CampaignConfig(seed=5, T=0.2, h=2e-3)
     benchmark_campaign(cfg, small_campaign_systems(5)[:1])
-    assert factored == [(3, 3)] * 4
+    assert factored == [(3, 3)] * 3
+
+
+@pytest.mark.parametrize("label, zero_B", [("worked-2x2", False), ("random-3", False),
+                                           ("random-3", True)])
+def test_campaign_pairs_equal_the_stand_alone_pairs(label, zero_B):
+    # the campaign's planner shares one factored (A, N) operator between the
+    # mixed pair and the type-1 pair; each pair is the one its public
+    # function solves on its own, bit for bit
+    sys = dict(small_campaign_systems(5))[label]
+    if zero_B:
+        sys = BilinearSystem.from_matrices(sys.A, np.zeros_like(sys.B), sys.N, sys.C)
+    k = 0.4 * stability_report(sys).k_max_estimate
+    (type2,), mixed, type1 = _gramian_pairs(sys, [k], None)
+    for shared, alone in ((type2, type2_gramians(sys, k)), (mixed, mixed_pair_Q1_P2(sys)),
+                          (type1, type1_gramians(sys))):
+        assert np.array_equal(shared.P, alone.P) and np.array_equal(shared.Q, alone.Q)
+        assert (shared.kind, shared.k, shared.diagnostics, shared.delta,
+                shared.lmi_margin, shared.minimal) == (
+            alone.kind, alone.k, alone.diagnostics, alone.delta,
+            alone.lmi_margin, alone.minimal)
 
 
 def _stage_of(case):
@@ -461,9 +479,9 @@ def _stage_of(case):
 
 
 @pytest.mark.parametrize("stage, target, skips", [
-    ("type2", "type2_gramians", ["error_bound_cor", "error_bound_cor"]),
-    ("p2", "mixed_pair_Q1_P2", ["gronwall_P2", "mixed_side_conditions"]),
-    ("type1", "type1_gramians", ["error_bound_cor"]),
+    ("type2", "_type2_pair", ["error_bound_cor", "error_bound_cor"]),
+    ("p2", "_mixed_pair", ["gronwall_P2", "mixed_side_conditions"]),
+    ("type1", "_type1_pair", ["error_bound_cor"]),
 ])
 def test_campaign_logs_a_failed_stage_in_its_place(monkeypatch, stage, target, skips):
     # a stage whose solve fails logs its skips where its cases would have
