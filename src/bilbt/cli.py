@@ -81,18 +81,26 @@ class RunConfig:
             raise ValueError("--k must be nonnegative")
 
 
-def _emit(config, payload):
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+def _write(text, path, quiet=False):
+    """Write `text` to the file `path`, or else to stdout unless `quiet`."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    elif not config.quiet:
+    elif not quiet:
         _sys.stdout.write(text)
 
 
-def _error_payload(exc, code):
-    return {"error": {"type": type(exc).__name__, "message": str(exc),
-                      "exit_code": code}}
+def _emit(payload, path, quiet):
+    _write(json.dumps(payload, sort_keys=True, indent=1) + "\n", path, quiet)
+
+
+def _fail(exc, message, code, quiet):
+    """Report `exc`: `message` on stderr, its JSON error payload on stdout
+    unless `quiet`; returns the exit status `code`."""
+    _sys.stderr.write(message + "\n")
+    _emit({"error": {"type": type(exc).__name__, "message": str(exc),
+                     "exit_code": code}}, None, quiet)
+    return code
 
 
 def _matrix(a):
@@ -130,7 +138,7 @@ def _cmd_validate(config):
             "ms_abscissa": rep.ms_abscissa,
             "k_max_estimate": rep.k_max_estimate,
         }
-    _emit(config, payload)
+    _emit(payload, config.output, config.quiet)
     return EXIT_OK if result.ok else EXIT_VALIDATION
 
 
@@ -155,7 +163,7 @@ def _cmd_gramians(config):
             "residuals": [d.residual_norm for d in pair.diagnostics],
             "diagnostics": [d.to_dict() for d in pair.diagnostics],
         }
-    _emit(config, payload)
+    _emit(payload, config.output, config.quiet)
     return EXIT_OK
 
 
@@ -192,12 +200,7 @@ def _cmd_reduce(config):
         "lmi_margin": pair.lmi_margin,
         "diagnostics": [d.to_dict() for d in pair.diagnostics],
     }
-    report_config = config
-    if config.output:
-        report_config = RunConfig(command=config.command,
-                                  output=_report_path(config.output),
-                                  quiet=config.quiet)
-    _emit(report_config, report)
+    _emit(report, config.output and _report_path(config.output), config.quiet)
     return EXIT_OK
 
 
@@ -231,12 +234,7 @@ def _cmd_simulate(config):
         "max_u_norm": float(np.sqrt((traj.inputs ** 2).sum(axis=1).max())),
         "final_state_norm": float(np.linalg.norm(traj.states[-1])),
     }
-    summary_config = config
-    if config.output:
-        summary_config = RunConfig(command=config.command,
-                                   output=config.output + ".summary.json",
-                                   quiet=config.quiet)
-    _emit(summary_config, summary)
+    _emit(summary, config.output and config.output + ".summary.json", config.quiet)
     return EXIT_OK
 
 
@@ -248,7 +246,8 @@ def _cmd_verify(config):
     bal = square_root_balance(sys, pair)
     r = config.order if config.order is not None else max(1, sys.n // 2)
     rom = truncate(bal, r)
-    P2 = type2_gramians(sys, 0.0, delta=config.delta).P
+    # P2 is the P of the type-2 pair at k = 0, which at --k 0 is `pair`
+    P2 = pair.P if config.k == 0.0 else type2_gramians(sys, 0.0, delta=config.delta).P
 
     suite = bounded_control_suite(sys.m, config.k, config.T, config.seed)
     zero_B = BilinearSystem.from_matrices(sys.A, np.zeros((sys.n, sys.m)),
@@ -259,11 +258,11 @@ def _cmd_verify(config):
     (full, reduced), (free,) = simulate_groups(
         [([sys, rom.system], suite, None), ([zero_B], suite[:3], [x0])], config.T, config.h)
     reports = []
-    for u, traj, traj_rom in zip(suite, full, reduced):
-        reports.extend(check_error_bound(rom, u, traj, traj_rom))
-        reports.append(check_reach_energy(pair, u, traj))
-        reports.append(check_gronwall_P2(P2, u, traj))
-    reports += [check_observ_energy(zero_B, pair, u, traj) for u, traj in zip(suite, free)]
+    for traj, traj_rom in zip(full, reduced):
+        reports.extend(check_error_bound(rom, traj, traj_rom))
+        reports.append(check_reach_energy(pair, traj))
+        reports.append(check_gronwall_P2(P2, traj))
+    reports += [check_observ_energy(zero_B, pair, traj) for traj in free]
 
     payload = {
         "r": rom.r, "k": pair.k, "hsv": _matrix(bal.hsv),
@@ -272,7 +271,7 @@ def _cmd_verify(config):
         "violations": sum(not rep.passed for rep in reports),
         "hard_failures": sum(rep.hard_failure for rep in reports),
     }
-    _emit(config, payload)
+    _emit(payload, config.output, config.quiet)
     return EXIT_BOUND_VIOLATION if payload["hard_failures"] else EXIT_OK
 
 
@@ -280,15 +279,9 @@ def _cmd_campaign(config):
     result = benchmark_campaign(CampaignConfig(seed=config.seed, T=config.T,
                                                h=config.h, delta=config.delta),
                                 build_campaign_systems(config.seed))
-    text = campaign_to_json(result)
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    elif not config.quiet:
-        _sys.stdout.write(text)
+    _write(campaign_to_json(result), config.output, config.quiet)
     if config.csv:
-        with open(config.csv, "w", encoding="utf-8") as fh:
-            fh.write(campaign_to_csv(result))
+        _write(campaign_to_csv(result), config.csv)
     if result.summary["certified_hard_failures"]:
         return EXIT_BOUND_VIOLATION
     return EXIT_OK
@@ -309,22 +302,13 @@ def run(config: RunConfig) -> int:
     try:
         return _COMMANDS[config.command](config)
     except json.JSONDecodeError as exc:
-        message = f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        _sys.stderr.write(message + "\n")
-        _emit(RunConfig(command=config.command, quiet=config.quiet),
-              _error_payload(exc, EXIT_IO))
-        return EXIT_IO
+        return _fail(exc, f"JSON parse error at line {exc.lineno}, column {exc.colno}: "
+                          f"{exc.msg}", EXIT_IO, config.quiet)
     except (OSError, SystemFormatError) as exc:
-        _sys.stderr.write(f"I/O error: {exc}\n")
-        _emit(RunConfig(command=config.command, quiet=config.quiet),
-              _error_payload(exc, EXIT_IO))
-        return EXIT_IO
+        return _fail(exc, f"I/O error: {exc}", EXIT_IO, config.quiet)
     except (MatrixEquationError, BalancingError, SimulationBlowUpError,
             KroneckerCapError, CampaignWorkerError, ValueError) as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        _emit(RunConfig(command=config.command, quiet=config.quiet),
-              _error_payload(exc, EXIT_VALIDATION))
-        return EXIT_VALIDATION
+        return _fail(exc, f"error: {exc}", EXIT_VALIDATION, config.quiet)
 
 
 class UsageError(ValueError):
@@ -384,10 +368,7 @@ def main(argv=None) -> int:
     try:
         config = RunConfig(**vars(_build_parser().parse_args(argv)))
     except ValueError as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        _emit(RunConfig(command="", quiet="--quiet" in argv),
-              _error_payload(exc, EXIT_VALIDATION))
-        return EXIT_VALIDATION
+        return _fail(exc, f"error: {exc}", EXIT_VALIDATION, "--quiet" in argv)
     return run(config)
 
 

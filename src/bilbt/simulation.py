@@ -153,12 +153,13 @@ def bounded_control_suite(m, k, T, seed, n_sinusoids=2, n_piecewise=1):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Samples of one simulation on a uniform grid."""
+    """Samples of one simulation on a uniform grid, run under `control`."""
 
     grid: np.ndarray       # (K+1,)
     states: np.ndarray     # (K+1, n)
-    inputs: np.ndarray     # (K+1, m)
+    inputs: np.ndarray     # (K+1, m): control on the grid
     outputs: np.ndarray    # (K+1, p)
+    control: ControlSignal
 
     @property
     def h(self):
@@ -206,7 +207,7 @@ def simulate_groups(groups, T, h):
     `simulate` uses.
 
     Returns one list trajs per group, in list order, where trajs[i][s] is
-    the Trajectory of systems[i] under controls[s].  Raises
+    the Trajectory of systems[i] under controls[s], its `control`.  Raises
     SimulationBlowUpError for the first group in list order that becomes
     non-finite, at that group's own first bad step (the first at which the
     sum of some row of its stacked state is not finite)."""
@@ -264,8 +265,9 @@ def simulate_groups(groups, T, h):
     results = []
     for (systems, controls, _), Ug, runs in zip(groups, U, states):
         inputs = [np.ascontiguousarray(Ug[::2, s]) for s in range(len(controls))]
-        results.append([[Trajectory(grid=grid, states=x_s, inputs=u_s, outputs=x_s @ sys.C.T)
-                         for x_s, u_s in zip(row, inputs)]
+        results.append([[Trajectory(grid=grid, states=x_s, inputs=u_s,
+                                    outputs=x_s @ sys.C.T, control=u)
+                         for x_s, u_s, u in zip(row, inputs, controls)]
                         for sys, row in zip(systems, runs)])
     return results
 

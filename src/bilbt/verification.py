@@ -16,19 +16,20 @@ Checks implemented:
   itself (informational when the conditions fail).
 
 Each check judges the trajectories its caller integrated and reports the T
-and h of their grid.  Every check carries a quadrature slack tolerance
-estimated per run; a hard failure is declared only when the slack is
-exceeded tenfold.  The campaign driver runs a fixed grid of control bounds,
-orders and controls over a given list of systems (by default the seeded
-families of `build_campaign_systems`), one system per task in a pool of
-forked worker processes, and aggregates pass rates, worst slacks and bound
-tightness ratios per Gramian kind.  A system's cases are planned as a table
-of rows, each a group of runs with the judge of their cases or a skipped
-stage, from the Gramian pairs that one planner solves; one executor
-integrates every row in one `simulate_groups` call and logs the cases in
-table order.  The type-1 pair and the mixed pair (P2, Q1) share one factored
-operator of (A, N).  Reductions based on the plain (unshifted) Gramian pair
-carry no certified bound and are included as empirical baselines only.
+and h of their grid and the control that they carry.  Every check carries a
+quadrature slack tolerance estimated per run; a hard failure is declared
+only when the slack is exceeded tenfold.  The campaign driver runs a fixed
+grid of control bounds, orders and controls over a given list of systems
+(by default the seeded families of `build_campaign_systems`), one system per
+task in a pool of forked worker processes, and aggregates pass rates, worst
+slacks and bound tightness ratios per Gramian kind.  A system's cases are
+planned as a table of rows, each a group of runs with the judge of their
+cases or a skipped stage, from the Gramian pairs that one planner solves;
+one executor integrates every row in one `simulate_groups` call and logs
+the cases in table order.  The type-1 pair and the mixed pair (P2, Q1)
+share one factored operator of (A, N).  Reductions based on the plain
+(unshifted) Gramian pair carry no certified bound and are included as
+empirical baselines only.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .gramians import GramianPair, _mixed_pair, _operator, _type1_pair, _type2_p
 from .kronecker import ms_abscissa, spectral_abscissa
 from .matrix_equations import MatrixEquationError, invert_spd
 from .simulation import (
-    ControlSignal,
     Trajectory,
     bounded_control_suite,
     cumulative_trapezoid,
@@ -111,7 +111,8 @@ def _floor(*scales):
     return EPS_FLOOR_REL * (1.0 + sum(abs(s) for s in scales))
 
 
-def _require_control_bound(kind, k, u: ControlSignal):
+def _require_control_bound(kind, k, traj: Trajectory):
+    u = traj.control
     if kind == "type2_bilinear" and u.k_bound > k + 1e-12:
         raise PreconditionViolation(
             f"control bound {u.k_bound:.6g} exceeds the Gramian bound k={k:.6g}; "
@@ -125,35 +126,27 @@ def _require_same_run(traj_full: Trajectory, traj_rom: Trajectory):
         raise ValueError("full and reduced runs are not on the same grid under the same control")
 
 
-def _require_run_under(u: ControlSignal, traj: Trajectory):
-    # the integrator samples u on the grid, so a run under u has these inputs bit for bit
-    if not np.array_equal(u(traj.grid), traj.inputs):
-        raise ValueError(f"the run was not made under the control {u.label!r}")
-
-
-def _run_context(traj: Trajectory, u: ControlSignal, **kw):
+def _run_context(traj: Trajectory, **kw):
     """The run's T, h and control, and `kw`."""
-    return {"T": float(traj.grid[-1]), "h": traj.h, "control": u.label, **kw}
+    return {"T": float(traj.grid[-1]), "h": traj.h, "control": traj.control.label, **kw}
 
 
-def check_error_bound(rom: ReducedModel, u: ControlSignal, traj_full: Trajectory,
-                      traj_rom: Trajectory):
+def check_error_bound(rom: ReducedModel, traj_full: Trajectory, traj_rom: Trajectory):
     """Compare the output error of a reduction against its certified constants.
 
-    `traj_full` and `traj_rom` are the full model and `rom.system` under `u`
-    from zero, on one grid.  Returns two reports: the sharper distinct-value
-    constant first, the plain tail-sum constant second.  For a reduction from
-    the control-bounded pair the control must respect the bound k stored in
-    the reduction.
+    `traj_full` and `traj_rom` are the full model and `rom.system` under one
+    control from zero, on one grid.  Returns two reports: the sharper
+    distinct-value constant first, the plain tail-sum constant second.  For a
+    reduction from the control-bounded pair the control must respect the
+    bound k stored in the reduction.
     """
-    _require_control_bound(rom.gramian_kind, rom.k, u)
+    _require_control_bound(rom.gramian_kind, rom.k, traj_full)
     _require_same_run(traj_full, traj_rom)
-    _require_run_under(u, traj_full)
     diff = traj_full.outputs - traj_rom.outputs
     lhs, lhs_coarse = l2_richardson(diff, traj_full.grid)
     u_norm, u_coarse = l2_richardson(traj_full.inputs, traj_full.grid)
 
-    context = _run_context(traj_full, u, control_bound=float(u.k_bound),
+    context = _run_context(traj_full, control_bound=float(traj_full.control.k_bound),
                            r=int(rom.r), kind=rom.gramian_kind, k=float(rom.k))
     reports = []
     for check, bound in (("error_bound_thm", rom.bound_distinct),
@@ -165,13 +158,11 @@ def check_error_bound(rom: ReducedModel, u: ControlSignal, traj_full: Trajectory
     return tuple(reports)
 
 
-def check_reach_energy(pair: GramianPair, u: ControlSignal,
-                       traj: Trajectory) -> BoundCheckReport:
-    """Worst-direction reachability energy bound on `traj`, run under `u` from
+def check_reach_energy(pair: GramianPair, traj: Trajectory) -> BoundCheckReport:
+    """Worst-direction reachability energy bound on `traj`, a run from
     x(0) = 0: for every eigenpair of P the scaled peak component must stay
     below ||u||_{L2_T}."""
-    _require_control_bound(pair.kind, pair.k, u)
-    _require_run_under(u, traj)
+    _require_control_bound(pair.kind, pair.k, traj)
     w, vecs = np.linalg.eigh(0.5 * (pair.P + pair.P.T))
     if w.min() <= 0.0:
         raise MatrixEquationError(
@@ -183,21 +174,20 @@ def check_reach_energy(pair: GramianPair, u: ControlSignal,
     lhs = float(scaled_peaks[worst])
     rhs, rhs_coarse = l2_richardson(traj.inputs, traj.grid)
     eps = quadrature_slack((rhs, rhs_coarse), floor=_floor(lhs, rhs))
-    context = _run_context(traj, u, kind=pair.kind, k=float(pair.k),
+    context = _run_context(traj, kind=pair.kind, k=float(pair.k),
                            worst_eigenvalue=float(w[worst]))
     return _report("reach_energy", lhs, rhs, eps, context)
 
 
-def check_observ_energy(sys: BilinearSystem, pair: GramianPair, u: ControlSignal,
+def check_observ_energy(sys: BilinearSystem, pair: GramianPair,
                         traj: Trajectory) -> BoundCheckReport:
-    """Output energy of `traj`, run of `sys` under `u`, against the quadratic
-    form of Q at x0 = traj.states[0].
+    """Output energy of `traj`, a run of `sys`, against the quadratic form of
+    Q at x0 = traj.states[0].
 
     Strict pass/fail requires B = 0 (then int ||y||^2 dt <= x0^T Q x0); for
     B != 0 the cross-term 2 int x^T Q B u dt is added to the right-hand side
     and the report is informational."""
-    _require_control_bound(pair.kind, pair.k, u)
-    _require_run_under(u, traj)
+    _require_control_bound(pair.kind, pair.k, traj)
     x0 = traj.states[0]
     Q = 0.5 * (pair.Q + pair.Q.T)
     lhs, lhs_coarse = trapezoid_pair((traj.outputs ** 2).sum(axis=1), traj.grid)
@@ -209,37 +199,38 @@ def check_observ_energy(sys: BilinearSystem, pair: GramianPair, u: ControlSignal
         rhs, rhs_coarse = rhs + fine, rhs_coarse + coarse
     eps = quadrature_slack((lhs, lhs_coarse), (rhs, rhs_coarse),
                            floor=_floor(lhs, rhs))
-    context = _run_context(traj, u, kind=pair.kind, k=float(pair.k),
+    context = _run_context(traj, kind=pair.kind, k=float(pair.k),
                            informational=informational)
     return _report("observ_energy", lhs, rhs, eps, context)
 
 
-def check_gronwall_P2(P2, u: ControlSignal, traj: Trajectory) -> BoundCheckReport:
+def check_gronwall_P2(P2, traj: Trajectory) -> BoundCheckReport:
     """Exponential-in-control-energy bound on x(t)^T P2^-1 x(t) along `traj`,
-    a run under `u` from x(0) = 0; holds for arbitrary (unbounded) controls."""
-    _require_run_under(u, traj)
+    a run from x(0) = 0; holds for arbitrary (unbounded) controls."""
     X2, _cond = invert_spd(P2)
     lhs_t = np.einsum("ki,ij,kj->k", traj.states, X2, traj.states)
     usq = (traj.inputs ** 2).sum(axis=1)
     cum = cumulative_trapezoid(usq, traj.grid)
     rhs_t = cum * np.exp(cum)
 
-    coarse_grid = traj.grid[::2]
+    # every second point, and the last interval alone when the step count is
+    # odd, as in `trapezoid_pair`
+    coarse = np.union1d(np.arange(0, usq.size, 2), [usq.size - 1])
+    coarse_grid = traj.grid[coarse]
     cum_coarse = np.interp(traj.grid, coarse_grid,
-                           cumulative_trapezoid(usq[::2], coarse_grid))
+                           cumulative_trapezoid(usq[coarse], coarse_grid))
     rhs_coarse_t = cum_coarse * np.exp(cum_coarse)
 
     worst = int(np.argmax(lhs_t - rhs_t))
     lhs, rhs = float(lhs_t[worst]), float(rhs_t[worst])
     eps = quadrature_slack((rhs, float(rhs_coarse_t[worst])),
                            floor=_floor(lhs, rhs))
-    context = _run_context(traj, u, worst_time=float(traj.grid[worst]))
+    context = _run_context(traj, worst_time=float(traj.grid[worst]))
     # the maximising grid point decides: it passes iff every point passes
     return _report("gronwall_P2", lhs, rhs, eps, context)
 
 
-def check_mixed_side_conditions(rom: ReducedModel, u: ControlSignal,
-                                traj_full: Trajectory,
+def check_mixed_side_conditions(rom: ReducedModel, traj_full: Trajectory,
                                 traj_rom: Trajectory) -> BoundCheckReport:
     """Evaluate the two side conditions the (P2, Q1) reduction needs: the
     endpoint quadratic forms (error-weighted by diag(hsv), sum-weighted by its
@@ -247,11 +238,10 @@ def check_mixed_side_conditions(rom: ReducedModel, u: ControlSignal,
     both hold the output error bound applies; the bound numbers are reported
     either way (informational when the conditions fail).  `traj_full` runs
     the balanced realization of `rom.hsv` that `rom` truncates, `traj_rom`
-    runs `rom.system`, both under `u` from zero on one grid."""
+    runs `rom.system`, both under one control from zero on one grid."""
     if rom.gramian_kind != "mixed_Q1_P2":
         raise ValueError("reduction was not built from the mixed (P2, Q1) pair")
     _require_same_run(traj_full, traj_rom)
-    _require_run_under(u, traj_full)
     r = rom.r
     w = np.asarray(rom.hsv, dtype=float)
     x, xr = traj_full.states, traj_rom.states
@@ -273,7 +263,7 @@ def check_mixed_side_conditions(rom: ReducedModel, u: ControlSignal,
     err, _ = l2_richardson(traj_full.outputs - traj_rom.outputs, traj_full.grid)
     u_norm, _ = l2_richardson(traj_full.inputs, traj_full.grid)
     bound = rom.bound_all * u_norm
-    context = _run_context(traj_full, u, control_bound=float(u.k_bound),
+    context = _run_context(traj_full, control_bound=float(traj_full.control.k_bound),
                            r=int(rom.r), kind=rom.gramian_kind,
                            condition_error_endpoint=end_err,
                            condition_error_integral=int_err,
@@ -497,20 +487,20 @@ def _type2_rows(config, sys_idx, sys, k_idx, k, pair):
     controls = _campaign_controls(sys.m, k, config.T, [config.seed, sys_idx, k_idx])
     roms = [truncate(bal, r) for r in _campaign_orders(bal.hsv)]
 
-    def judge(log, u, full, *rom_runs):
+    def judge(log, full, *rom_runs):
         for rom, run in zip(roms, rom_runs):
-            thm, cor = check_error_bound(rom, u, full, run)
+            thm, cor = check_error_bound(rom, full, run)
             tail = float(rom.tail_hsv.sum())
             log.add(cor, certified=True, tail_sum=tail)
             if rom.bound_distinct < rom.bound_all * (1.0 - 1e-12):
                 # distinct-value bound engaged only for true multiplicities
                 log.add(thm, certified=True, tail_sum=tail, note="distinct-value bound")
-        log.add(check_reach_energy(pair, u, full), certified=True)
+        log.add(check_reach_energy(pair, full), certified=True)
 
     zero_B = BilinearSystem.from_matrices(sys.A, np.zeros((sys.n, sys.m)), sys.N, sys.C)
 
-    def judge_free(log, u, run):
-        log.add(check_observ_energy(zero_B, pair, u, run), certified=True)
+    def judge_free(log, run):
+        log.add(check_observ_energy(zero_B, pair, run), certified=True)
 
     # the constant and the first sinusoid, from each initial state
     free = controls[1:3]
@@ -532,8 +522,8 @@ def _p2_rows(config, sys_idx, sys, k_ref, pair):
     spikes = bounded_control_suite(sys.m, 3.0, T, [config.seed, sys_idx, 29],
                                    n_sinusoids=1, n_piecewise=1)[2:]  # the large ones
 
-    def judge_gronwall(log, u, run):
-        log.add(check_gronwall_P2(pair.P, u, run), certified=True)
+    def judge_gronwall(log, run):
+        log.add(check_gronwall_P2(pair.P, run), certified=True)
 
     rows = [([sys], spikes, None, judge_gronwall)]
     bal = _balanced(sys, pair)
@@ -545,8 +535,8 @@ def _p2_rows(config, sys_idx, sys, k_ref, pair):
     large = bounded_control_suite(sys.m, 3.0 * k_ref, T, [config.seed, sys_idx, 37],
                                   n_sinusoids=0, n_piecewise=1)[2:]
 
-    def judge(log, u, full, reduced):
-        rep = check_mixed_side_conditions(rom, u, full, reduced)
+    def judge(log, full, reduced):
+        rep = check_mixed_side_conditions(rom, full, reduced)
         log.add(rep, certified=False,
                 note="side conditions" if rep.passed else "side conditions not met")
         if rep.passed:
@@ -567,8 +557,8 @@ def _type1_rows(sys, controls, pair):
         return [("error_bound_cor", f"type1 baseline: {type(bal).__name__}: {bal}")]
     rom = truncate(bal, _campaign_orders(bal.hsv)[0])
 
-    def judge(log, u, full, reduced):
-        log.add(check_error_bound(rom, u, full, reduced)[1], certified=False,
+    def judge(log, full, reduced):
+        log.add(check_error_bound(rom, full, reduced)[1], certified=False,
                 tail_sum=float(rom.tail_hsv.sum()), note="no certified bound")
 
     return [([sys, rom.system], controls, None, judge)]
@@ -615,9 +605,9 @@ def _system_cases(config, sys_idx, label, sys):
         if len(row) == 2:
             log.skip(*row)
             continue
-        _, controls, _, judge = row
-        for u, *trajs in zip(controls, *next(runs)):
-            judge(log, u, *trajs)
+        *_, judge = row
+        for trajs in zip(*next(runs)):
+            judge(log, *trajs)
     return log.cases
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_lyapunov
@@ -36,6 +38,40 @@ def small_campaign_systems(seed):
     """A two-system campaign: the worked example and one seeded random-3."""
     return [("worked-2x2", worked_2x2()),
             ("random-3", random_ms_stable_system(3, 2, 1, np.random.default_rng(seed)))]
+
+
+# the case fields of a compact pinned report: every non-float field, and
+# the measured and bound sides of each check with its quadrature slack
+PINNED_COLUMNS = ("case", "check", "system", "n", "kind", "r", "control", "passed",
+                  "certified", "violation", "hard_failure", "note", "lhs", "rhs", "eps_q")
+
+
+def compact_report(report):
+    """JSON lines of a campaign report: its config, summary, aggregates and
+    the names of PINNED_COLUMNS on the first line, then one line per case
+    with its values of those columns."""
+    head = {key: report[key] for key in ("config", "summary", "aggregates")}
+    rows = [[case[column] for column in PINNED_COLUMNS] for case in report["cases"]]
+    return "".join(json.dumps(line, sort_keys=True) + "\n"
+                   for line in [{**head, "columns": list(PINNED_COLUMNS)}] + rows)
+
+
+def report_differences(pinned, fresh, rel_tol, path="$"):
+    """Where `fresh` differs from `pinned`, both parsed JSON: floats by more
+    than `rel_tol` relative (a pinned 0 only by 0), everything else at all."""
+    if isinstance(pinned, float) and isinstance(fresh, float):
+        if abs(fresh - pinned) > rel_tol * abs(pinned):
+            yield f"{path}: {pinned!r} -> {fresh!r}"
+    elif isinstance(pinned, dict) and isinstance(fresh, dict) and pinned.keys() == fresh.keys():
+        for key in pinned:
+            yield from report_differences(pinned[key], fresh[key], rel_tol, f"{path}.{key}")
+    elif isinstance(pinned, list) and isinstance(fresh, list):
+        if len(pinned) != len(fresh):
+            yield f"{path}: {len(pinned)} items -> {len(fresh)} items"
+        for i, (a, b) in enumerate(zip(pinned, fresh)):
+            yield from report_differences(a, b, rel_tol, f"{path}[{i}]")
+    elif type(pinned) is not type(fresh) or pinned != fresh:
+        yield f"{path}: {pinned!r} -> {fresh!r}"
 
 
 def solve_fixed_point(M, N, RHS, side):

@@ -1,6 +1,11 @@
-"""Write the pinned campaign report that `tests/test_verification.py` compares
-against: the JSON report of the two-system campaign of `small_campaign_systems(5)`
-at seed 5, T = 0.2, h = 2e-3.
+"""Write the pinned campaign reports that the tests compare against:
+
+* `campaign_seed5.json`, the JSON report of the two-system campaign of
+  `small_campaign_systems(5)` at seed 5, T = 0.2, h = 2e-3
+  (`tests/test_verification.py`);
+* `campaign_seed2026.jsonl`, the compact report (`conftest.compact_report`)
+  of the acceptance campaign, the default systems at seed 2026, T = 10,
+  h = 1e-3 (`tests/test_acceptance.py`).
 
 Run from the repository root, after a change that is meant to move the
 campaign's numbers:
@@ -8,6 +13,7 @@ campaign's numbers:
     PYTHONPATH=src python tests/data/make_campaign_fixture.py
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -15,12 +21,18 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
 from bilbt import CampaignConfig, benchmark_campaign, campaign_to_json  # noqa: E402
-from conftest import small_campaign_systems  # noqa: E402
+from bilbt.verification import build_campaign_systems  # noqa: E402
+from conftest import compact_report, small_campaign_systems  # noqa: E402
 
 FIXTURE = HERE / "campaign_seed5.json"
+ACCEPTANCE_FIXTURE = HERE / "campaign_seed2026.jsonl"
 
 if __name__ == "__main__":
     result = benchmark_campaign(CampaignConfig(seed=5, T=0.2, h=2e-3),
                                 small_campaign_systems(5))
     FIXTURE.write_text(campaign_to_json(result), encoding="utf-8")
     print(f"wrote {FIXTURE}")
+    result = benchmark_campaign(CampaignConfig(seed=2026), build_campaign_systems(2026))
+    report = json.loads(campaign_to_json(result))
+    ACCEPTANCE_FIXTURE.write_text(compact_report(report), encoding="utf-8")
+    print(f"wrote {ACCEPTANCE_FIXTURE}")

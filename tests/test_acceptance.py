@@ -4,7 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s`.  The campaign-backed
 criteria share one seeded default campaign (T = 10, h = 1e-3).
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,13 @@ from bilbt.verification import (
     worked_2x2,
 )
 
+from conftest import compact_report, report_differences
+
 CAMPAIGN_SEED = 2026
+PINNED_CAMPAIGN = Path(__file__).parent / "data" / "campaign_seed2026.jsonl"
+# the largest relative change between 1 and 2 BLAS threads is 3.15e-6 (an lhs
+# of 3.5e-6); the non-float fields do not change
+PINNED_REL_TOL = 1e-5
 
 
 def _announce(num, passed, detail):
@@ -229,3 +237,17 @@ def test_criterion_8_deterministic_reports():
     b = campaign_to_json(benchmark_campaign(config, systems))
     _announce(8, a == b,
               f"two runs, {len(a)} bytes each, byte-identical: {a == b}")
+
+
+def test_campaign_matches_the_pinned_report(campaign):
+    """The acceptance campaign keeps every case, check, label and pass/fail
+    of its pinned compact report, and its lhs, rhs, eps_q, summary and
+    aggregates within PINNED_REL_TOL; tests/data/make_campaign_fixture.py
+    rewrites the pin after a change that is meant to move them."""
+    _, result, _ = campaign
+    fresh = [json.loads(line) for line in
+             compact_report(json.loads(campaign_to_json(result))).splitlines()]
+    pinned = [json.loads(line) for line in
+              PINNED_CAMPAIGN.read_text(encoding="utf-8").splitlines()]
+    assert pinned[0]["summary"]["total_cases"] == len(pinned) - 1 == 834
+    assert list(report_differences(pinned, fresh, PINNED_REL_TOL))[:5] == []

@@ -229,6 +229,19 @@ def test_verify_integrates_each_suite_once(sys_file, tmp_path, monkeypatch):
     assert calls == [[(2, 5), (1, 3)]]
 
 
+@pytest.mark.parametrize("k, solves", [("0", 1), ("0.5", 2)])
+def test_verify_solves_the_k0_pair_once(sys_file, monkeypatch, capsys, k, solves):
+    # P2 is the P of the type-2 pair at k = 0, so `--k 0` reuses its pair
+    import bilbt.gramians
+    calls = []
+    solve = bilbt.gramians.solve_type2_riccati
+    monkeypatch.setattr(bilbt.gramians, "solve_type2_riccati",
+                        lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+    assert main(["verify", "--input", str(sys_file), "--k", k, "--T", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"]
+    assert len(calls) == solves
+
+
 def test_campaign_deterministic_reports(tmp_path):
     out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"
     # the default campaign is big; run two systems through the API

@@ -56,9 +56,9 @@ def test_error_bound_holds_at_every_order(seed, n, m):
     full, *reduced = simulate_groups([([sys] + [rom.system for rom in roms], suite, None)],
                                      2.0, 1e-3)[0]
     for rom, runs in zip(roms, reduced):
-        for u, traj, traj_rom in zip(suite, full, runs):
-            _, cor = check_error_bound(rom, u, traj, traj_rom)
-            assert cor.passed, (rom.r, u.label, cor.lhs, cor.rhs)
+        for traj, traj_rom in zip(full, runs):
+            _, cor = check_error_bound(rom, traj, traj_rom)
+            assert cor.passed, (rom.r, traj.control.label, cor.lhs, cor.rhs)
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)

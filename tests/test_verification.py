@@ -35,7 +35,7 @@ from bilbt.balancing import ReducedModel
 from bilbt.kronecker import MAX_KRON_N
 from bilbt.verification import _gramian_pairs, random_ms_stable_system, worked_2x2
 
-from conftest import make_random_system, small_campaign_systems
+from conftest import make_random_system, report_differences, small_campaign_systems
 
 
 def _reduced(worked=None, k=1.0, r=1):
@@ -54,7 +54,7 @@ def _pair_run(sys, rom, u, T, h=1e-3):
 def test_error_bound_zero_input_passes():
     sys, _, _, rom = _reduced()
     u = ControlSignal.zero(1)
-    thm, cor = check_error_bound(rom, u, *_pair_run(sys, rom, u, 2.0))
+    thm, cor = check_error_bound(rom, *_pair_run(sys, rom, u, 2.0))
     assert thm.passed and cor.passed
     assert cor.lhs == 0.0 and cor.rhs == 0.0
 
@@ -69,7 +69,7 @@ def test_error_bound_identical_models_pass():
                        distinct_tolerance=1e-10, gramian_kind=pair.kind,
                        k=pair.k, hsv=bal.hsv)
     u = bounded_control_suite(1, 1.0, 2.0, seed=6)[2]
-    thm, cor = check_error_bound(rom, u, *_pair_run(sys, rom, u, 2.0))
+    thm, cor = check_error_bound(rom, *_pair_run(sys, rom, u, 2.0))
     assert cor.rhs == 0.0
     assert cor.lhs <= cor.tolerance_used
     assert cor.passed
@@ -79,8 +79,8 @@ def test_error_bound_worked_reduction_passes():
     sys, _, _, rom = _reduced()
     suite = bounded_control_suite(1, 1.0, 5.0, seed=7)
     runs = simulate_groups([([sys, rom.system], suite, None)], 5.0, 1e-3)[0]
-    for u, full, reduced in zip(suite, *runs):
-        thm, cor = check_error_bound(rom, u, full, reduced)
+    for full, reduced in zip(*runs):
+        thm, cor = check_error_bound(rom, full, reduced)
         assert thm.passed and cor.passed
         if cor.rhs > 0:
             assert cor.lhs / cor.rhs < 1.0
@@ -91,7 +91,7 @@ def test_error_bound_rejects_oversized_control():
     u = ControlSignal.constant([1.0])
     runs = _pair_run(sys, rom, u, 1.0)
     with pytest.raises(PreconditionViolation):
-        check_error_bound(rom, u, *runs)
+        check_error_bound(rom, *runs)
 
 
 def test_error_bound_rejects_runs_under_different_controls():
@@ -100,7 +100,7 @@ def test_error_bound_rejects_runs_under_different_controls():
     full, _ = _pair_run(sys, rom, u, 2.0)
     _, reduced = _pair_run(sys, rom, v, 2.0)
     with pytest.raises(ValueError, match="same control"):
-        check_error_bound(rom, u, full, reduced)
+        check_error_bound(rom, full, reduced)
 
 
 def test_error_bound_rejects_runs_on_different_grids():
@@ -109,7 +109,7 @@ def test_error_bound_rejects_runs_on_different_grids():
     full, _ = _pair_run(sys, rom, u, 2.0)
     _, reduced = _pair_run(sys, rom, u, 2.0, h=2e-3)
     with pytest.raises(ValueError, match="same grid"):
-        check_error_bound(rom, u, full, reduced)
+        check_error_bound(rom, full, reduced)
 
 
 def test_mixed_conditions_reject_runs_under_different_controls():
@@ -120,50 +120,44 @@ def test_mixed_conditions_reject_runs_under_different_controls():
     full, _ = _pair_run(bal.system, rom, u, 2.0)
     _, reduced = _pair_run(bal.system, rom, v, 2.0)
     with pytest.raises(ValueError, match="same control"):
-        check_mixed_side_conditions(rom, u, full, reduced)
+        check_mixed_side_conditions(rom, full, reduced)
 
 
-def test_reach_energy_rejects_a_run_under_another_control():
-    # judged as constant([0.1]), a run made under constant([5.0]) would pass
-    # the k = 0.5 precondition that the true control fails
+def test_reach_energy_rejects_a_run_under_an_oversized_control():
+    # the k = 0.5 precondition is read from the control that the run carries
     sys = worked_2x2()
-    pair = type2_gramians(worked_2x2(), 0.5)
+    pair = type2_gramians(sys, 0.5)
     traj = simulate(sys, np.zeros(2), ControlSignal.constant([5.0]), 1.0, 1e-3)
-    with pytest.raises(PreconditionViolation):
-        check_reach_energy(pair, ControlSignal.constant([5.0]), traj)
-    with pytest.raises(ValueError, match="not made under the control 'constant'"):
-        check_reach_energy(type2_gramians(worked_2x2(), 0.5), ControlSignal.constant([0.1]), traj)
+    with pytest.raises(PreconditionViolation, match="control bound 5 exceeds"):
+        check_reach_energy(pair, traj)
 
 
-def test_every_check_rejects_a_run_under_another_control():
+def test_every_check_reports_the_control_of_its_run():
     sys, pair, _, rom = _reduced(k=1.0)
     mixed = mixed_pair_Q1_P2(sys)
-    P2 = mixed.P
     bal_m = square_root_balance(sys, mixed)
     rom_m = truncate(bal_m, 1)
-    suite = bounded_control_suite(1, 1e-3, 1.0, seed=11)
-    u, v = suite[2], suite[-1]  # a sinusoid and the piecewise-constant signal
+    u = bounded_control_suite(1, 1e-3, 1.0, seed=11)[-1]  # piecewise-0
     full, reduced = _pair_run(sys, rom, u, 1.0)
     full_m, reduced_m = _pair_run(bal_m.system, rom_m, u, 1.0)
-    free = simulate(sys, [1.0, 0.0], u, 1.0, 1e-3)
-    calls = [lambda w: check_error_bound(rom, w, full, reduced),
-             lambda w: check_reach_energy(pair, w, full),
-             lambda w: check_observ_energy(sys, pair, w, free),
-             lambda w: check_gronwall_P2(P2, w, full),
-             lambda w: check_mixed_side_conditions(rom_m, w, full_m, reduced_m)]
-    for call in calls:
-        call(u)
-        with pytest.raises(ValueError, match="not made under the control 'piecewise-0'"):
-            call(v)
+    reports = [*check_error_bound(rom, full, reduced), check_reach_energy(pair, full),
+               check_observ_energy(sys, pair, simulate(sys, [1.0, 0.0], u, 1.0, 1e-3)),
+               check_gronwall_P2(mixed.P, full),
+               check_mixed_side_conditions(rom_m, full_m, reduced_m)]
+    assert [rep.context["control"] for rep in reports] == ["piecewise-0"] * 6
+    assert [rep.context["control_bound"] for rep in reports
+            if "control_bound" in rep.context] == [u.k_bound] * 3
 
 
 def test_batch_inputs_are_the_controls_on_the_grid():
-    # the checks compare u(traj.grid) with traj.inputs bit for bit
+    # each run carries its control, and its inputs are that control on the
+    # grid bit for bit
     for m, T, h in ((1, 1.0, 1e-3), (2, 10.0, 1e-3), (3, 0.7, 3e-3)):
         suite = bounded_control_suite(m, 2.0, T, seed=m, n_sinusoids=2, n_piecewise=3)
         sys = make_random_system(m, n=2, m=m)
         for u, traj in zip(suite, simulate_groups([([sys], suite, None)], T, h)[0][0]):
-            assert np.array_equal(u(traj.grid), traj.inputs), u.label
+            assert traj.control is u
+            assert np.array_equal(traj.control(traj.grid), traj.inputs), u.label
 
 
 def test_error_bound_type1_reduction_under_control():
@@ -171,7 +165,7 @@ def test_error_bound_type1_reduction_under_control():
     sys = worked_2x2()
     rom = truncate(square_root_balance(sys, type1_gramians(sys)), 1)
     u = ControlSignal.constant([1.0])
-    thm, cor = check_error_bound(rom, u, *_pair_run(sys, rom, u, 1.0))
+    thm, cor = check_error_bound(rom, *_pair_run(sys, rom, u, 1.0))
     assert (thm.check, cor.check) == ("error_bound_thm", "error_bound_cor")
     assert cor.context["kind"] == "type1" and cor.context["k"] == 0.0
     assert cor.lhs > 0.0
@@ -182,14 +176,14 @@ def test_reach_energy_zero_input():
     sys = worked_2x2()
     pair = type2_gramians(sys, 1.0)
     u = ControlSignal.zero(1)
-    rep = check_reach_energy(pair, u, simulate(sys, np.zeros(2), u, 2.0, 1e-3))
+    rep = check_reach_energy(pair, simulate(sys, np.zeros(2), u, 2.0, 1e-3))
     assert rep.passed and rep.lhs == 0.0
 
 
 def test_reach_energy_scalar_case(scalar_sys):
     pair = type2_gramians(scalar_sys, 1.0)
     u = ControlSignal.constant([1.0])
-    rep = check_reach_energy(pair, u, simulate(scalar_sys, [0.0], u, 5.0, 1e-3))
+    rep = check_reach_energy(pair, simulate(scalar_sys, [0.0], u, 5.0, 1e-3))
     assert rep.passed
     # sup |x| / sqrt(P) <= ||u||_L2 with P ~ 4/3
     assert rep.lhs <= rep.rhs
@@ -201,8 +195,8 @@ def test_reach_energy_random_property():
     k = 0.5 * stability_report(sys).k_max_estimate
     pair = type2_gramians(sys, k)
     suite = bounded_control_suite(sys.m, k, 4.0, seed=8)
-    for u, traj in zip(suite, simulate_groups([([sys], suite, None)], 4.0, 1e-3)[0][0]):
-        rep = check_reach_energy(pair, u, traj)
+    for traj in simulate_groups([([sys], suite, None)], 4.0, 1e-3)[0][0]:
+        rep = check_reach_energy(pair, traj)
         assert rep.passed
 
 
@@ -211,7 +205,7 @@ def test_observ_energy_zero_x0():
     no_b = BilinearSystem.from_matrices(sys.A, np.zeros((2, 1)), sys.N, sys.C)
     pair = type2_gramians(sys, 1.0)
     u = ControlSignal.constant([1.0])
-    rep = check_observ_energy(no_b, pair, u, simulate(no_b, np.zeros(2), u, 2.0, 1e-3))
+    rep = check_observ_energy(no_b, pair, simulate(no_b, np.zeros(2), u, 2.0, 1e-3))
     assert rep.passed and rep.lhs == 0.0
     assert not rep.context["informational"]
 
@@ -221,7 +215,7 @@ def test_observ_energy_scalar_bound(scalar_sys):
                                         scalar_sys.C)
     pair = type2_gramians(scalar_sys, 1.0)
     u = ControlSignal.constant([1.0])
-    rep = check_observ_energy(no_b, pair, u, simulate(no_b, [1.0], u, 5.0, 1e-3))
+    rep = check_observ_energy(no_b, pair, simulate(no_b, [1.0], u, 5.0, 1e-3))
     assert rep.passed
     assert rep.rhs == pytest.approx(4.0 / 3.0, abs=1e-9)
     assert rep.lhs <= rep.rhs + rep.tolerance_used
@@ -239,8 +233,8 @@ def test_observ_energy_random_unit_sphere():
         x0 /= np.linalg.norm(x0)
         suite = bounded_control_suite(1, k, 3.0, seed=9)[:3]
         runs = simulate_groups([([no_b], suite, [x0])], 3.0, 1e-3)[0][0]
-        for u, traj in zip(suite, runs):
-            rep = check_observ_energy(no_b, pair, u, traj)
+        for traj in runs:
+            rep = check_observ_energy(no_b, pair, traj)
             assert rep.passed
 
 
@@ -248,14 +242,14 @@ def test_observ_energy_nonzero_b_informational():
     sys = worked_2x2()
     pair = type2_gramians(sys, 1.0)
     u = ControlSignal.constant([0.8])
-    rep = check_observ_energy(sys, pair, u, simulate(sys, [0.5, -0.5], u, 2.0, 1e-3))
+    rep = check_observ_energy(sys, pair, simulate(sys, [0.5, -0.5], u, 2.0, 1e-3))
     assert rep.context["informational"]
 
 
 def test_gronwall_zero_input(scalar_sys):
     P2 = type2_gramians(scalar_sys, 0.0).P
     u = ControlSignal.zero(1)
-    rep = check_gronwall_P2(P2, u, simulate(scalar_sys, [0.0], u, 2.0, 1e-3))
+    rep = check_gronwall_P2(P2, simulate(scalar_sys, [0.0], u, 2.0, 1e-3))
     assert rep.passed
 
 
@@ -263,7 +257,7 @@ def test_gronwall_scalar_explicit(scalar_sys):
     # x(t)^2 * 1.75 <= t e^t under u = 1 (P2 ~ 4/7)
     P2 = type2_gramians(scalar_sys, 0.0).P
     traj = simulate(scalar_sys, [0.0], ControlSignal.constant([1.0]), 2.0, 1e-3)
-    rep = check_gronwall_P2(P2, ControlSignal.constant([1.0]), traj)
+    rep = check_gronwall_P2(P2, traj)
     assert rep.passed
     lhs = traj.states[:, 0] ** 2 / P2[0, 0]
     rhs = traj.grid * np.exp(traj.grid)
@@ -274,9 +268,23 @@ def test_gronwall_unbounded_controls():
     sys = make_random_system(97, n=3)
     P2 = type2_gramians(sys, 0.0).P
     suite = bounded_control_suite(sys.m, 3.0, 3.0, seed=10)[2:]
-    for u, traj in zip(suite, simulate_groups([([sys], suite, None)], 3.0, 1e-3)[0][0]):
-        rep = check_gronwall_P2(P2, u, traj)
+    for traj in simulate_groups([([sys], suite, None)], 3.0, 1e-3)[0][0]:
+        rep = check_gronwall_P2(P2, traj)
         assert rep.passed
+
+
+def test_gronwall_coarse_integral_keeps_the_last_step_of_an_odd_grid():
+    # u^2 = 1 on [0, 1] with K = 11 steps: the trapezoid rule is exact at
+    # step h and at step 2h with the last interval at step h, so the
+    # Richardson term of the worst point (t = 1, where x^T P2^-1 x outgrows
+    # t e^t) is rounding only
+    sys = BilinearSystem.from_matrices([[1.0]], [[1.0]], [[[0.0]]], [[1.0]])
+    traj = simulate(sys, [0.0], ControlSignal.constant([1.0]), 1.0, 1.0 / 11)
+    assert traj.grid.size == 12
+    rep = check_gronwall_P2(np.array([[0.01]]), traj)
+    assert rep.context["worst_time"] == 1.0
+    assert rep.rhs == pytest.approx(np.e, rel=1e-12)
+    assert rep.tolerance_used < 1e-6
 
 
 def test_mixed_conditions_zero_input():
@@ -285,7 +293,7 @@ def test_mixed_conditions_zero_input():
     bal = square_root_balance(sys, pair)
     rom = truncate(bal, 1)
     u = ControlSignal.zero(1)
-    rep = check_mixed_side_conditions(rom, u, *_pair_run(bal.system, rom, u, 2.0))
+    rep = check_mixed_side_conditions(rom, *_pair_run(bal.system, rom, u, 2.0))
     assert rep.passed
 
 
@@ -295,7 +303,7 @@ def test_mixed_conditions_small_control_holds():
     bal = square_root_balance(sys, pair)
     rom = truncate(bal, 1)
     u = bounded_control_suite(1, 1e-3, 4.0, seed=11)[2]
-    rep = check_mixed_side_conditions(rom, u, *_pair_run(bal.system, rom, u, 4.0))
+    rep = check_mixed_side_conditions(rom, *_pair_run(bal.system, rom, u, 4.0))
     assert rep.passed
     assert rep.context["error_within_bound"]
 
@@ -306,7 +314,7 @@ def test_mixed_conditions_large_control_flagged():
     bal = square_root_balance(sys, pair)
     rom = truncate(bal, 1)
     u = bounded_control_suite(1, 8.0, 4.0, seed=12)[1]
-    rep = check_mixed_side_conditions(rom, u, *_pair_run(bal.system, rom, u, 4.0))
+    rep = check_mixed_side_conditions(rom, *_pair_run(bal.system, rom, u, 4.0))
     assert not rep.passed  # conditions flagged false; bound not certified here
 
 
@@ -323,7 +331,7 @@ def test_repeated_hsv_distinct_bound_engaged():
     rom = truncate(bal, 2)
     assert rom.bound_distinct < rom.bound_all * (1.0 - 1e-9)
     u = bounded_control_suite(double.m, k, 4.0, seed=13)[2]
-    thm, cor = check_error_bound(rom, u, *_pair_run(double, rom, u, 4.0))
+    thm, cor = check_error_bound(rom, *_pair_run(double, rom, u, 4.0))
     assert thm.passed and cor.passed
     assert thm.rhs < cor.rhs
 
@@ -377,22 +385,6 @@ PINNED_CAMPAIGN = Path(__file__).parent / "data" / "campaign_seed5.json"
 PINNED_REL_TOL = 1e-10
 
 
-def _differences(pinned, fresh, path="$"):
-    """Where `fresh` differs from `pinned`: floats by more than PINNED_REL_TOL
-    relative (a pinned 0 only by 0), everything else at all."""
-    if isinstance(pinned, float) and isinstance(fresh, float):
-        if abs(fresh - pinned) > PINNED_REL_TOL * abs(pinned):
-            yield f"{path}: {pinned!r} -> {fresh!r}"
-    elif isinstance(pinned, dict) and isinstance(fresh, dict) and pinned.keys() == fresh.keys():
-        for key in pinned:
-            yield from _differences(pinned[key], fresh[key], f"{path}.{key}")
-    elif isinstance(pinned, list) and isinstance(fresh, list) and len(pinned) == len(fresh):
-        for i, (a, b) in enumerate(zip(pinned, fresh)):
-            yield from _differences(a, b, f"{path}[{i}]")
-    elif type(pinned) is not type(fresh) or pinned != fresh:
-        yield f"{path}: {pinned!r} -> {fresh!r}"
-
-
 def test_campaign_report_matches_the_pinned_report():
     # a refactor of the campaign keeps every case, check, label and pass/fail
     # and every number to rounding; tests/data/make_campaign_fixture.py
@@ -401,7 +393,7 @@ def test_campaign_report_matches_the_pinned_report():
     fresh = json.loads(campaign_to_json(benchmark_campaign(cfg, small_campaign_systems(5))))
     pinned = json.loads(PINNED_CAMPAIGN.read_text(encoding="utf-8"))
     assert pinned["summary"]["total_cases"] == 106
-    assert list(_differences(pinned, fresh))[:5] == []
+    assert list(report_differences(pinned, fresh, PINNED_REL_TOL))[:5] == []
 
 
 def _count_calls_to_file(monkeypatch, module, name, path):
@@ -434,6 +426,28 @@ def test_campaign_solves_p2_once_per_system(monkeypatch, tmp_path):
     assert {"gronwall_P2", "mixed_side_conditions"} <= checks
     calls = _counted(log)
     assert sorted(calls) == [2, 3]  # worked-2x2 and random-3, once each
+
+
+def test_campaign_samples_each_control_only_in_the_integrator(monkeypatch, tmp_path):
+    # a run carries its control and its samples, so the checks sample no
+    # control again: every evaluation, in this process or in a worker, is
+    # the integrator's, on the half-step grid of 2K + 1 points
+    import bilbt.verification
+    log = tmp_path / "calls.txt"
+    original = ControlSignal.__call__
+
+    def recording(self, t):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{np.size(t)} {np.array_equal(t, half_grid):d}\n")
+        return original(self, t)
+
+    monkeypatch.setattr(ControlSignal, "__call__", recording)
+    monkeypatch.setattr(bilbt.verification, "_worker_count", lambda n: min(n, 2))
+    cfg = CampaignConfig(seed=5, T=0.2, h=2e-3)
+    half_grid = np.linspace(0.0, cfg.T, 2 * 100 + 1)
+    benchmark_campaign(cfg, small_campaign_systems(5))
+    calls = log.read_text(encoding="utf-8").splitlines()
+    assert calls and set(calls) == {"201 1"}
 
 
 def test_campaign_factors_three_operators_per_system(monkeypatch):
