@@ -242,12 +242,14 @@ def _cmd_verify(config):
     sys = _load_valid_system(config.input)
     if config.kind != "type2":
         raise ValueError("verify certifies the control-bounded pair; use --kind type2")
+    if config.k == 0.0:
+        raise ValueError("every control of the suite is zero at k = 0, so verify "
+                         "would certify nothing; pass a control bound --k > 0")
     pair = type2_gramians(sys, config.k, delta=config.delta)
     bal = square_root_balance(sys, pair)
     r = config.order if config.order is not None else max(1, sys.n // 2)
     rom = truncate(bal, r)
-    # P2 is the P of the type-2 pair at k = 0, which at --k 0 is `pair`
-    P2 = pair.P if config.k == 0.0 else type2_gramians(sys, 0.0, delta=config.delta).P
+    P2 = type2_gramians(sys, 0.0, delta=config.delta).P
 
     suite = bounded_control_suite(sys.m, config.k, config.T, config.seed)
     zero_B = BilinearSystem.from_matrices(sys.A, np.zeros((sys.n, sys.m)),

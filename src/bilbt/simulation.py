@@ -340,16 +340,18 @@ def _integrate(x, U, Wz, coupled, R, h, grid, sizes, sinks):
             step=step, time=float(grid[step]))
 
 
+def stride2_points(K):
+    """The points of the 2h rule on a grid of K steps: every second point,
+    and the last one when K is odd (whose last interval is then of step h)."""
+    return np.union1d(np.arange(0, K + 1, 2), [K])
+
+
 def trapezoid_pair(f, grid):
-    """(I_h, I_2h): the trapezoidal integral of f on the grid, and on every
-    second grid point (the last interval alone when the step count is odd).
-    The difference over 3 estimates the quadrature error of I_h."""
-    K = f.size - 1
-    K2 = K - K % 2
-    coarse = np.trapezoid(f[:K2 + 1:2], grid[:K2 + 1:2])
-    if K2 != K:
-        coarse += np.trapezoid(f[K2:], grid[K2:])
-    return float(np.trapezoid(f, grid)), float(coarse)
+    """(I_h, I_2h): the trapezoidal integral of f on the grid, and on its
+    `stride2_points`.  The difference over 3 estimates the quadrature error
+    of I_h."""
+    coarse = stride2_points(f.size - 1)
+    return float(np.trapezoid(f, grid)), float(np.trapezoid(f[coarse], grid[coarse]))
 
 
 def l2_richardson(values, grid):

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_lyapunov
 
-from bilbt import BilinearSystem, ConvergenceError, MeanSquareInstabilityError
+from bilbt import (
+    BalancingError,
+    BilinearSystem,
+    ConvergenceError,
+    MatrixEquationError,
+    MeanSquareInstabilityError,
+    square_root_balance,
+    stability_report,
+    type1_gramians,
+    type2_gramians,
+)
 from bilbt.kronecker import symmetrize
 from bilbt.matrix_equations import _relative_residual
 from bilbt.verification import random_ms_stable_system, worked_2x2
@@ -32,6 +42,57 @@ def rng():
 
 def make_random_system(seed, n=4, m=1, p=1):
     return random_ms_stable_system(n, m, p, np.random.default_rng(seed))
+
+
+def heat_rod(n, g=5.0):
+    """A rod of n nodes heated through both ends: the stencil 100 (-2, 1, 1),
+    B = g e_end and N_i = -g e_end e_end^T for the two ends, and the mean and
+    mid-rod temperatures as outputs."""
+    A = 100.0 * (np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1)
+                 + np.diag(np.ones(n - 1), -1))
+    B = np.zeros((n, 2))
+    N = [np.zeros((n, n)), np.zeros((n, n))]
+    for i, end in enumerate((0, n - 1)):
+        B[end, i] = g
+        N[i][end, end] = -g
+    C = np.zeros((2, n))
+    C[0, :] = 1.0 / n
+    C[1, n // 2] = 1.0
+    return BilinearSystem.from_matrices(A, B, N, C)
+
+
+# (n, m, p) of the seeded random systems of the pinned reduce corpus
+REDUCE_RANDOM_SPECS = ((2, 1, 1), (3, 2, 1), (4, 1, 2), (6, 2, 2), (10, 2, 1))
+# the control bound of its type-2 reductions, as a share of k_max
+REDUCE_K_FRACTION = 0.5
+
+
+def reduce_corpus():
+    """[(label, system)] of the pinned reduce corpus: the worked example,
+    seeded random systems with n <= 10 and two heat rods."""
+    corpus = [("worked-2x2", worked_2x2())]
+    for i, (n, m, p) in enumerate(REDUCE_RANDOM_SPECS):
+        rng = np.random.default_rng([2026, i])
+        corpus.append((f"random-{n}-{i}", random_ms_stable_system(n, m, p, rng)))
+    return corpus + [("heat-12", heat_rod(12)), ("heat-20", heat_rod(20))]
+
+
+def reduce_results(sys):
+    """What the pinned reduce corpus records of `sys`: the type-2 trace P,
+    trace Q, Hankel values and barrier `stop` at REDUCE_K_FRACTION * k_max,
+    and the type-1 Hankel values, or the name of the exception where a
+    solve or the balancing fails."""
+    k = REDUCE_K_FRACTION * stability_report(sys).k_max_estimate
+    type2 = type2_gramians(sys, k)
+    try:
+        type1 = {"hsv": square_root_balance(sys, type1_gramians(sys)).hsv.tolist()}
+    except (MatrixEquationError, BalancingError) as exc:
+        type1 = {"error": type(exc).__name__}
+    return {"k": k,
+            "type2": {"trace_P": float(np.trace(type2.P)), "trace_Q": float(np.trace(type2.Q)),
+                      "hsv": square_root_balance(sys, type2).hsv.tolist(),
+                      "stop": type2.diagnostics[0].stop},
+            "type1": type1}
 
 
 def small_campaign_systems(seed):

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from bilbt import load_system, save_system
+from bilbt import BilinearSystem, load_system, save_system
 from bilbt.cli import main
 from bilbt.kronecker import MAX_KRON_N
 from bilbt.verification import worked_2x2
@@ -229,9 +229,37 @@ def test_verify_integrates_each_suite_once(sys_file, tmp_path, monkeypatch):
     assert calls == [[(2, 5), (1, 3)]]
 
 
-@pytest.mark.parametrize("k, solves", [("0", 1), ("0.5", 2)])
+def test_verify_at_k0_exits_1_before_any_solve(sys_file, monkeypatch, capsys):
+    # every control of the suite is zero at k = 0, so every check would read
+    # lhs = rhs = 0: verify refuses instead of reporting a vacuous pass
+    import bilbt.gramians
+    monkeypatch.setattr(bilbt.gramians, "solve_type2_riccati",
+                        lambda *args, **kw: pytest.fail("verify solved a Gramian at k = 0"))
+    assert main(["verify", "--input", str(sys_file), "--T", "0.5"]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "ValueError" and error["exit_code"] == 1
+    assert "zero at k = 0" in error["message"] and "--k" in error["message"]
+    assert "Traceback" not in captured.err
+
+
+def test_verify_admits_a_suite_one_ulp_above_a_large_k(tmp_path, capsys):
+    # at k = 3.3e5 the constant and sinusoid controls of the suite have a
+    # computed bound of k + 5.8e-11 (one ulp of k): within rounding of k,
+    # so the type-2 checks apply to them
+    path = tmp_path / "stiff.json"
+    save_system(BilinearSystem.from_matrices(np.diag([-1e12, -2e12]), np.eye(2),
+                                             [np.zeros((2, 2))] * 2, np.eye(2)), path)
+    code = main(["verify", "--input", str(path), "--k", "330000", "--order", "1",
+                 "--T", "1e-9", "--h", "1e-12"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert json.loads(captured.out)["hard_failures"] == 0
+
+
+@pytest.mark.parametrize("k, solves", [("0.5", 2)])
 def test_verify_solves_the_k0_pair_once(sys_file, monkeypatch, capsys, k, solves):
-    # P2 is the P of the type-2 pair at k = 0, so `--k 0` reuses its pair
+    # P2 is the P of the type-2 pair at k = 0, solved once beside the pair at k
     import bilbt.gramians
     calls = []
     solve = bilbt.gramians.solve_type2_riccati

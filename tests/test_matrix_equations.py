@@ -13,7 +13,7 @@ from bilbt import (
     solve_type2_riccati,
 )
 
-from conftest import make_random_system, solve_fixed_point
+from conftest import heat_rod, make_random_system, solve_fixed_point
 
 
 def kron_oracle(M, N_list, RHS, side):
@@ -306,18 +306,7 @@ def test_riccati_heat_rod_keeps_the_barrier_optimum():
     # rather than its start c Y (trace P about 83.7)
     from bilbt import stability_report, type2_gramians
 
-    n, g = 20, 5.0
-    A = 100.0 * (np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1)
-                 + np.diag(np.ones(n - 1), -1))
-    B = np.zeros((n, 2))
-    N = [np.zeros((n, n)), np.zeros((n, n))]
-    for i, end in enumerate((0, n - 1)):
-        B[end, i] = g
-        N[i][end, end] = -g
-    C = np.zeros((2, n))
-    C[0, :] = 1.0 / n
-    C[1, n // 2] = 1.0
-    sys = BilinearSystem.from_matrices(A, B, N, C)
+    sys = heat_rod(20)
     k = 0.5 * stability_report(sys).k_max_estimate
     pair = type2_gramians(sys, k)
     assert pair.diagnostics[0].method == "barrier"

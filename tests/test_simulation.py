@@ -14,7 +14,13 @@ from bilbt import (
     stability_report,
     transform,
 )
-from bilbt.simulation import BLOCK_STEPS, l2_richardson, quadrature_slack
+from bilbt.simulation import (
+    BLOCK_STEPS,
+    l2_richardson,
+    quadrature_slack,
+    stride2_points,
+    trapezoid_pair,
+)
 
 from conftest import make_random_system
 
@@ -404,3 +410,19 @@ def test_quadrature_slack_estimates_error():
     true_err = abs(fine - np.sqrt(0.5))
     assert true_err <= 10.0 * eps
     assert eps <= 1e-3
+
+
+@pytest.mark.parametrize("K", [1, 2, 9, 10, 11])
+def test_stride2_rule_keeps_every_second_point_and_the_last(K):
+    # the 2h rule of `trapezoid_pair` and of the Gronwall envelope: for even
+    # K it is the plain stride-2 trapezoid sum, bit for bit; for odd K its
+    # last interval is of step h
+    grid = np.linspace(0.0, 1.0, K + 1)
+    f = np.exp(grid)
+    points = stride2_points(K)
+    assert points.tolist() == sorted(set(range(0, K + 1, 2)) | {K})
+    fine, coarse = trapezoid_pair(f, grid)
+    assert fine == np.trapezoid(f, grid)
+    if K % 2 == 0:
+        assert coarse == np.trapezoid(f[::2], grid[::2])
+    assert coarse == pytest.approx(np.e - 1.0, rel=0.5 / K ** 2)

@@ -54,11 +54,15 @@ def test_src_forms_no_kronecker_product():
     assert found == []
 
 
+def _call_name(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def _called_names(node):
     for call in ast.walk(node):
         if isinstance(call, ast.Call):
-            func = call.func
-            yield func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            yield _call_name(call)
 
 
 def test_bound_checks_integrate_nothing():
@@ -85,6 +89,50 @@ def test_verification_integrates_in_one_function():
                if isinstance(node, ast.FunctionDef)
                and INTEGRATORS & set(_called_names(node))}
     assert callers == {"_system_cases"}
+
+
+def _owned_nodes(tree):
+    """(owner, node) for every node under a top-level statement of `tree`,
+    where owner is the name of the top-level function or class that holds
+    it (None outside one)."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            yield getattr(top, "name", None), node
+
+
+def test_only_the_bound_checks_build_reports():
+    # each certified statement has one judge: a case logged from numbers that
+    # no check_* function judged would carry a tolerance of its own making
+    found = [f"{path.name}:{node.lineno}: {owner}"
+             for path, tree in _trees()
+             for owner, node in _owned_nodes(tree)
+             if isinstance(node, ast.Call)
+             and (_call_name(node) == "_report" and not str(owner).startswith("check_")
+                  or _call_name(node) == "BoundCheckReport" and owner != "_report")]
+    assert found == []
+
+
+# the helpers of `simulation` that integrate on a grid, numpy's trapezoid
+# rules, and the running sums
+QUADRATURE_HELPERS = {"trapezoid_pair", "cumulative_trapezoid"}
+TRAPEZOID_RULES = {"trapezoid", "trapz"}
+RUNNING_SUMS = {"cumsum", "accumulate"}
+
+
+def test_quadrature_lives_in_the_simulation_helpers():
+    # every integral on a grid goes through the helpers, so no copy of their
+    # trapezoid or stride-2 rule can drift apart from them.  A running sum of
+    # a product is a running quadrature.
+    found = [f"{path.name}:{node.lineno}: {owner}"
+             for path, tree in _trees()
+             for owner, node in _owned_nodes(tree)
+             if not (path.name == "simulation.py" and owner in QUADRATURE_HELPERS)
+             and (isinstance(node, ast.Attribute) and node.attr in TRAPEZOID_RULES
+                  or isinstance(node, ast.Name) and node.id in TRAPEZOID_RULES
+                  or isinstance(node, ast.Call) and _call_name(node) in RUNNING_SUMS
+                  and any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult)
+                          for arg in node.args for sub in ast.walk(arg)))]
+    assert found == []
 
 
 def test_one_place_factors_a_lyapunov_operator():

@@ -140,8 +140,9 @@ def test_every_check_reports_the_control_of_its_run():
     u = bounded_control_suite(1, 1e-3, 1.0, seed=11)[-1]  # piecewise-0
     full, reduced = _pair_run(sys, rom, u, 1.0)
     full_m, reduced_m = _pair_run(bal_m.system, rom_m, u, 1.0)
+    no_b = BilinearSystem.from_matrices(sys.A, np.zeros((2, 1)), sys.N, sys.C)
     reports = [*check_error_bound(rom, full, reduced), check_reach_energy(pair, full),
-               check_observ_energy(sys, pair, simulate(sys, [1.0, 0.0], u, 1.0, 1e-3)),
+               check_observ_energy(no_b, pair, simulate(no_b, [1.0, 0.0], u, 1.0, 1e-3)),
                check_gronwall_P2(mixed.P, full),
                check_mixed_side_conditions(rom_m, full_m, reduced_m)]
     assert [rep.context["control"] for rep in reports] == ["piecewise-0"] * 6
@@ -206,8 +207,7 @@ def test_observ_energy_zero_x0():
     pair = type2_gramians(sys, 1.0)
     u = ControlSignal.constant([1.0])
     rep = check_observ_energy(no_b, pair, simulate(no_b, np.zeros(2), u, 2.0, 1e-3))
-    assert rep.passed and rep.lhs == 0.0
-    assert not rep.context["informational"]
+    assert rep.passed and rep.lhs == 0.0 and rep.rhs == 0.0
 
 
 def test_observ_energy_scalar_bound(scalar_sys):
@@ -238,12 +238,13 @@ def test_observ_energy_random_unit_sphere():
             assert rep.passed
 
 
-def test_observ_energy_nonzero_b_informational():
+def test_observ_energy_rejects_nonzero_b():
+    # the energy bound x0^T Q x0 is certified for B = 0 only
     sys = worked_2x2()
     pair = type2_gramians(sys, 1.0)
     u = ControlSignal.constant([0.8])
-    rep = check_observ_energy(sys, pair, simulate(sys, [0.5, -0.5], u, 2.0, 1e-3))
-    assert rep.context["informational"]
+    with pytest.raises(PreconditionViolation, match="B = 0"):
+        check_observ_energy(sys, pair, simulate(sys, [0.5, -0.5], u, 2.0, 1e-3))
 
 
 def test_gronwall_zero_input(scalar_sys):
@@ -303,9 +304,13 @@ def test_mixed_conditions_small_control_holds():
     bal = square_root_balance(sys, pair)
     rom = truncate(bal, 1)
     u = bounded_control_suite(1, 1e-3, 4.0, seed=11)[2]
-    rep = check_mixed_side_conditions(rom, *_pair_run(bal.system, rom, u, 4.0))
+    runs = _pair_run(bal.system, rom, u, 4.0)
+    rep = check_mixed_side_conditions(rom, *runs)
     assert rep.passed
-    assert rep.context["error_within_bound"]
+    # the conditions hold, so the error bound applies; its one judge is
+    # check_error_bound, on the same runs
+    cor = check_error_bound(rom, *runs)[1]
+    assert cor.passed and cor.context["kind"] == "mixed_Q1_P2"
 
 
 def test_mixed_conditions_large_control_flagged():
@@ -394,6 +399,31 @@ def test_campaign_report_matches_the_pinned_report():
     pinned = json.loads(PINNED_CAMPAIGN.read_text(encoding="utf-8"))
     assert pinned["summary"]["total_cases"] == 106
     assert list(report_differences(pinned, fresh, PINNED_REL_TOL))[:5] == []
+
+
+def test_campaign_mixed_error_cases_are_check_error_bound_reports(monkeypatch):
+    # where the side conditions of the mixed pair hold, the certified error
+    # case is the error-bound check of the very runs they judged
+    import bilbt.verification
+    judged = []
+    conditions = bilbt.verification.check_mixed_side_conditions
+
+    def recording(rom, full, reduced):
+        rep = conditions(rom, full, reduced)
+        if rep.passed:
+            judged.append(check_error_bound(rom, full, reduced)[1])
+        return rep
+
+    monkeypatch.setattr(bilbt.verification, "check_mixed_side_conditions", recording)
+    monkeypatch.setattr(bilbt.verification, "_worker_count", lambda n: 1)
+    cfg = CampaignConfig(seed=5, T=0.2, h=2e-3)
+    cases = [case for case in benchmark_campaign(cfg, small_campaign_systems(5)).cases
+             if case["note"] == "mixed pair under small control"]
+    assert len(cases) == len(judged) == 6
+    for case, rep in zip(cases, judged):
+        assert (case["check"], case["kind"], case["k"]) == ("error_bound_cor", "mixed_Q1_P2", 0.0)
+        assert (case["lhs"], case["rhs"], case["eps_q"]) \
+            == (rep.lhs, rep.rhs, rep.tolerance_used)
 
 
 def _count_calls_to_file(monkeypatch, module, name, path):
