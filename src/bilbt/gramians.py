@@ -14,6 +14,13 @@
 Each public solve factors its own operator.  Its private form (`_type1_pair`,
 `_type2_pair`, `_mixed_pair`) takes a `LyapunovOperator`, so that the type-1
 and mixed pairs of one system can share the factored operator of (A, N).
+`_operator` is the one place that shifts the drift for a solve.
+
+A positive-definite Lyapunov solution with -I certifies mean-square
+stability, so a solve that succeeds computes no abscissa.  One
+`stability_report` diagnoses a solve that fails: where the (shifted)
+mean-square abscissa is >= 0 it raises MeanSquareInstabilityError (type 1)
+or RiccatiInfeasibleError (type 2), else the solve's own error.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kronecker
 from .kronecker import symmetrize
 from .matrix_equations import (
     ConvergenceError,
@@ -71,8 +77,8 @@ def type1_gramians(sys: BilinearSystem) -> GramianPair:
     analogue with -C^T C, from one factored operator of (A, N).
 
     Its reachability solution Y of the equation with -I certifies mean-square
-    stability when positive definite (see `solve_type2_riccati`); the
-    abscissa is computed only when that fails, and
+    stability when positive definite (see `solve_type2_riccati`); only when
+    that fails is the abscissa taken from `stability_report`, and
     MeanSquareInstabilityError is raised if it is >= 0."""
     return _type1_pair(sys, _operator(sys, 0.0))
 
@@ -84,7 +90,7 @@ def _type1_pair(sys, operator):
     except (MeanSquareInstabilityError, ConvergenceError):
         certified = False
     if not certified:
-        msab = kronecker.ms_abscissa(sys.A, sys.N)
+        msab = stability_report(sys).ms_abscissa
         if msab >= 0.0:
             raise MeanSquareInstabilityError(
                 f"system is not mean-square stable (abscissa {msab:.3e})")
@@ -109,10 +115,10 @@ def type2_gramians(sys: BilinearSystem, k, delta=None) -> GramianPair:
     observability equation, both at drift A + (k^2/2) I.  At k = 0 this is
     the pair (P2, Q1).
 
-    Raises RiccatiInfeasibleError (with the largest feasible bound
-    attached) if k is too large for the system.  The Lyapunov solve that
-    starts the P solve's barrier and the Q solve share one factored shifted
-    operator."""
+    Raises RiccatiInfeasibleError (with the perturbed abscissa and the
+    largest feasible bound of `stability_report(sys, k)` attached) if k is
+    too large for the system.  The Lyapunov solve that starts the P solve's
+    barrier and the Q solve share one factored shifted operator."""
     return _type2_pair(sys, k, delta, _operator(sys, k))
 
 
@@ -120,22 +126,20 @@ def _type2_pair(sys, k, delta, operator):
     """`type2_gramians` from `operator`, the `LyapunovOperator` of its drift."""
     if k < 0:
         raise ValueError(f"control bound k must be nonnegative, got {k}")
-    # the solver certifies mean-square stability of the shifted pair by its
-    # positive-definite Lyapunov solution and computes the shifted abscissa
-    # only when that fails; the unshifted one only when k proves infeasible
     try:
-        X, diag_p, delta_used = solve_type2_riccati(
-            RiccatiInequalityProblem(A_shifted=operator.M, N=sys.N, B=sys.B,
-                                     delta=default_delta(sys) if delta is None else delta),
-            operator)
-    except RiccatiInfeasibleError as exc:
-        k_max = stability_report(sys, 0.0).k_max_estimate
+        X, diag_p, delta_used = solve_type2_riccati(RiccatiInequalityProblem(
+            operator, sys.B, default_delta(sys) if delta is None else delta))
+    except (MeanSquareInstabilityError, ConvergenceError) as exc:
+        rep = stability_report(sys, k)
+        if rep.perturbed_ms_abscissa < 0.0:
+            raise
         raise RiccatiInfeasibleError(
             f"control bound k={k} is infeasible: perturbed mean-square abscissa "
-            f"{exc.abscissa:.3e} >= 0 (largest feasible bound ~ {k_max:.6g})",
-            abscissa=exc.abscissa, k_max=k_max) from exc
+            f"{rep.perturbed_ms_abscissa:.3e} >= 0 (largest feasible bound ~ "
+            f"{rep.k_max_estimate:.6g})",
+            abscissa=rep.perturbed_ms_abscissa, k_max=rep.k_max_estimate) from exc
     if np.any(sys.B != 0.0):
-        P, _ = invert_spd(X)
+        P = invert_spd(X)
     else:
         # nothing is reachable: the honest Gramian is zero (and not minimal);
         # the inequality itself only pins P down to "inverse of any small X"

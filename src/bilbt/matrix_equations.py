@@ -12,7 +12,10 @@ Two problem families are covered:
       A_s^T X + X A_s + sum_i N_i^T X N_i + X B B^T X <= -delta I,
   a linear matrix inequality in X through its Schur complement, solved for
   the smallest trace of the reachability-side Gramian P = X^-1 by a log-det
-  barrier method.
+  barrier method.  The problem carries the `LyapunovOperator` of (A_s, N),
+  whose solve starts the barrier.  Where that solve fails, its error is
+  raised as it is: no abscissa is computed here, and the caller diagnoses
+  the failure (`gramians` through `system.stability_report`).
 
 Every solve is certified after the fact: residuals, the smallest eigenvalue
 of the solution, and (for the inequality) the slack matrix and the
@@ -108,10 +111,10 @@ class RiccatiInfeasibleError(MatrixEquationError):
 
 @dataclass(frozen=True)
 class RiccatiInequalityProblem:
-    """Data of the shifted Riccati-type inequality; A_shifted = A + (k^2/2) I."""
+    """The Riccati-type inequality on the drift A_s and the coupling matrices N
+    of `operator`, their `LyapunovOperator`; A_s = A + (k^2/2) I."""
 
-    A_shifted: np.ndarray
-    N: tuple
+    operator: LyapunovOperator
     B: np.ndarray
     delta: float
 
@@ -419,42 +422,28 @@ def _line_search(barrier, pt, dz, t, slope):
     return trial, None
 
 
-def solve_type2_riccati(prob: RiccatiInequalityProblem, lyapunov=None):
+def solve_type2_riccati(prob: RiccatiInequalityProblem):
     """Find the positive-definite X of smallest trace(X^-1), the least
     conservative P = X^-1, with
     A_s^T X + X A_s + sum N_i^T X N_i + X B B^T X <= -delta I.
 
     `_barrier_solve` finds it from c Y, Y the generalized Lyapunov solution
-    of A_s^T Y + Y A_s + sum N_i^T Y N_i = -I, with delta halved until some
-    c Y fits.  The operator is resolvent-positive, so a positive-definite Y
-    certifies mean-square stability (Damm, LNCIS 297, 2004); the abscissa
-    is computed only to report a failure.  For B = 0, X solves the Lyapunov
-    equation with -delta I.  Returns (X, SolveDiagnostics, delta_used).
-    `lyapunov` is the `LyapunovOperator` of (A_shifted, N) when the caller
-    solves with it too, so that it is factored once.
+    of A_s^T Y + Y A_s + sum N_i^T Y N_i = -I from `prob.operator`, with
+    delta halved until some c Y fits.  The operator is resolvent-positive,
+    so a positive-definite Y certifies mean-square stability (Damm, LNCIS
+    297, 2004); where it is not, the Lyapunov solve's
+    MeanSquareInstabilityError or ConvergenceError is raised for the caller
+    to diagnose.  For B = 0, X solves the Lyapunov equation with -delta I.
+    Returns (X, SolveDiagnostics, delta_used).
     """
-    A_s = np.asarray(prob.A_shifted, dtype=float)
-    N_list = [np.asarray(Ni, dtype=float) for Ni in prob.N]
+    A_s, N_list = prob.operator.M, prob.operator.N_list
     B = np.atleast_2d(np.asarray(prob.B, dtype=float))
     delta = float(prob.delta)
-    if lyapunov is None:
-        lyapunov = LyapunovOperator(A_s, N_list)
     linear = not np.any(B != 0.0)
-    try:
-        Y, diag = lyapunov.solve(-(delta if linear else 1.0) * np.eye(A_s.shape[0]),
-                                 "observability")
-        failure = None if diag.definiteness_margin > 0.0 else ConvergenceError(
-            "generalized Lyapunov solution is not positive definite")
-    except (MeanSquareInstabilityError, ConvergenceError) as exc:
-        failure = exc
-    if failure is not None:
-        msab = kronecker.ms_abscissa(A_s, N_list)
-        if msab < 0.0:
-            raise failure
-        raise RiccatiInfeasibleError(
-            f"shifted pair is not mean-square stable (abscissa {msab:.3e} >= 0); "
-            "no positive-definite solution exists for this control bound",
-            abscissa=msab) from failure
+    Y, diag = prob.operator.solve(-(delta if linear else 1.0) * np.eye(A_s.shape[0]),
+                                  "observability")
+    if not diag.definiteness_margin > 0.0:
+        raise ConvergenceError("generalized Lyapunov solution is not positive definite")
     if linear:
         return Y, diag, delta
     BBt = B @ B.T
@@ -476,16 +465,6 @@ def solve_type2_riccati(prob: RiccatiInequalityProblem, lyapunov=None):
 class FeasibilityReport:
     largest_eigenvalue: float
     feasible: bool
-    tol: float
-    cond_P: float
-
-    def to_dict(self):
-        return {
-            "largest_eigenvalue": float(self.largest_eigenvalue),
-            "feasible": bool(self.feasible),
-            "tol": float(self.tol),
-            "cond_P": float(self.cond_P),
-        }
 
 
 def invert_spd(P):
@@ -497,7 +476,7 @@ def invert_spd(P):
             f"matrix not invertible within condition cap {SPD_COND_CAP:.1e} "
             f"(eigenvalue range [{w.min():.3e}, {w.max():.3e}])"
         )
-    return (V / w) @ V.T, float(w.max() / w.min())
+    return (V / w) @ V.T
 
 
 def check_lmi_feasibility(sys: BilinearSystem, k, P, X=None) -> FeasibilityReport:
@@ -509,16 +488,11 @@ def check_lmi_feasibility(sys: BilinearSystem, k, P, X=None) -> FeasibilityRepor
 
     which is negative semidefinite iff P satisfies the Riccati-type
     inequality at control bound k.  Feasible iff the largest eigenvalue of
-    the block matrix is <= LMI_TOL."""
-    if X is None:
-        X, cond_P = invert_spd(P)
-    else:
-        X = symmetrize(np.asarray(X, dtype=float))
-        w = np.linalg.eigvalsh(symmetrize(np.asarray(P, dtype=float)))
-        cond_P = float(w.max() / w.min()) if w.min() > 0 else np.inf
+    the block matrix is <= LMI_TOL.  X, when given, is P^-1 and P is not
+    read."""
+    X = invert_spd(P) if X is None else symmetrize(np.asarray(X, dtype=float))
     A_s = sys.A + 0.5 * float(k) ** 2 * np.eye(sys.n)
     top = _apply_lyapunov(A_s, sys.N, X, "observability")
     S = np.block([[top, X @ sys.B], [sys.B.T @ X, -np.eye(sys.m)]])
     lam = float(np.linalg.eigvalsh(symmetrize(S)).max())
-    return FeasibilityReport(largest_eigenvalue=lam, feasible=lam <= LMI_TOL,
-                             tol=LMI_TOL, cond_P=cond_P)
+    return FeasibilityReport(largest_eigenvalue=lam, feasible=lam <= LMI_TOL)

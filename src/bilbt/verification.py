@@ -64,9 +64,6 @@ from .simulation import (
 )
 from .system import BilinearSystem, stability_report
 
-CHECK_NAMES = ("error_bound_thm", "error_bound_cor", "reach_energy",
-               "observ_energy", "gronwall_P2", "mixed_side_conditions")
-
 HARD_FAILURE_FACTOR = 10.0
 EPS_FLOOR_REL = 1e-9
 
@@ -202,7 +199,7 @@ def check_observ_energy(sys: BilinearSystem, pair: GramianPair,
 def check_gronwall_P2(P2, traj: Trajectory) -> BoundCheckReport:
     """Exponential-in-control-energy bound on x(t)^T P2^-1 x(t) along `traj`,
     a run from x(0) = 0; holds for arbitrary (unbounded) controls."""
-    X2, _cond = invert_spd(P2)
+    X2 = invert_spd(P2)
     lhs_t = np.einsum("ki,ij,kj->k", traj.states, X2, traj.states)
     usq = (traj.inputs ** 2).sum(axis=1)
     cum = cumulative_trapezoid(usq, traj.grid)
@@ -253,7 +250,7 @@ def check_mixed_side_conditions(rom: ReducedModel, traj_full: Trajectory,
     eps = quadrature_slack((int_err, int_err_c), (int_sum, int_sum_c),
                            floor=_floor(end_err, end_sum))
     context = _run_context(traj_full, control_bound=float(traj_full.control.k_bound),
-                           r=int(rom.r), kind=rom.gramian_kind,
+                           r=int(rom.r), kind=rom.gramian_kind, k=float(rom.k),
                            condition_error_endpoint=end_err,
                            condition_error_integral=int_err,
                            condition_sum_endpoint=end_sum,
@@ -395,7 +392,7 @@ class _CaseLog:
         context, lhs, rhs = report.context, report.lhs, report.rhs
         self._append(
             report.check, kind=context.get("kind", ""),
-            k=context.get("k", context.get("control_bound", 0.0)),
+            k=context.get("k", 0.0),
             r=context.get("r"), control=context.get("control", ""),
             control_bound=context.get("control_bound"), lhs=lhs, rhs=rhs,
             slack=report.slack, eps_q=report.tolerance_used, passed=report.passed,

@@ -14,7 +14,11 @@
 Run from the repository root, after a change that is meant to move these
 numbers:
 
-    PYTHONPATH=src python tests/data/make_campaign_fixture.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/data/make_campaign_fixture.py
+
+The pins are written under one BLAS thread: a multi-threaded BLAS sums in
+another order and moves the last digits (up to 3e-6 relative in the T = 10
+report), so the script refuses to run with one.
 """
 
 import json
@@ -25,7 +29,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
 from bilbt import CampaignConfig, benchmark_campaign, campaign_to_json  # noqa: E402
-from bilbt.verification import build_campaign_systems  # noqa: E402
+from bilbt.verification import _blas_threads, build_campaign_systems  # noqa: E402
 from conftest import (  # noqa: E402
     compact_report,
     reduce_corpus,
@@ -38,6 +42,9 @@ ACCEPTANCE_FIXTURE = HERE / "campaign_seed2026.jsonl"
 REDUCE_FIXTURE = HERE / "reduce_corpus.json"
 
 if __name__ == "__main__":
+    if _blas_threads() != 1:
+        sys.exit(f"refusing to write the pins under {_blas_threads()} BLAS threads: "
+                 "run with OPENBLAS_NUM_THREADS=1")
     result = benchmark_campaign(CampaignConfig(seed=5, T=0.2, h=2e-3),
                                 small_campaign_systems(5))
     FIXTURE.write_text(campaign_to_json(result), encoding="utf-8")

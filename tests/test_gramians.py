@@ -7,6 +7,7 @@ from scipy.linalg import solve_continuous_lyapunov
 
 from bilbt import (
     BilinearSystem,
+    MeanSquareInstabilityError,
     RiccatiInfeasibleError,
     check_lmi_feasibility,
     mixed_pair_Q1_P2,
@@ -118,6 +119,8 @@ def test_one_mean_square_eigensolve_per_call(monkeypatch):
 
     monkeypatch.setattr(kronecker, "ms_abscissa", counting)
     sys = make_random_system(64, n=4, m=2)
+    unstable = BilinearSystem.from_matrices(sys.A + 3.0 * np.eye(4), sys.B, sys.N, sys.C)
+    k_max = stability_report(sys).k_max_estimate
     # the Gramian solves need none: a positive-definite Lyapunov solution
     # with -I already certifies mean-square stability
     for run, expected in ((lambda: stability_report(sys, 0.0), 1),
@@ -128,6 +131,13 @@ def test_one_mean_square_eigensolve_per_call(monkeypatch):
         calls.clear()
         run()
         assert len(calls) == expected
+    # a failed solve is diagnosed by one stability report
+    for run, error in ((lambda: type2_gramians(sys, 2.0 * k_max), RiccatiInfeasibleError),
+                       (lambda: type1_gramians(unstable), MeanSquareInstabilityError)):
+        calls.clear()
+        with pytest.raises(error):
+            run()
+        assert len(calls) == 1
     # the perturbed abscissa is the exact shift of the unperturbed one
     for k in (0.0, 0.5, 1.3):
         rep = stability_report(sys, k)
@@ -135,7 +145,7 @@ def test_one_mean_square_eigensolve_per_call(monkeypatch):
 
 
 def test_type1_unstable_reports_abscissa():
-    from bilbt import MeanSquareInstabilityError, kronecker
+    from bilbt import kronecker
 
     stable = make_random_system(65, n=4, m=2)
     # beyond the boundary the -I solution is indefinite; on it the operator

@@ -129,7 +129,7 @@ def riccati_scalar_roots(a, n1, b, k, delta):
 def test_scalar_riccati_maximal_root(scalar_sys):
     delta = 1e-9
     prob = RiccatiInequalityProblem(
-        A_shifted=scalar_sys.A + 0.5 * np.eye(1), N=scalar_sys.N,
+        LyapunovOperator(scalar_sys.A + 0.5 * np.eye(1), scalar_sys.N),
         B=scalar_sys.B, delta=delta)
     X, diag, delta_used = solve_type2_riccati(prob)
     _, x_max = riccati_scalar_roots(-1.0, 0.5, 1.0, 1.0, delta_used)
@@ -144,7 +144,7 @@ def test_riccati_linear_case_recovers_gramian():
     sys = make_random_system(400, n=5, m=2)
     N0 = tuple(np.zeros((5, 5)) for _ in range(2))
     delta = 1e-9 * np.linalg.norm(sys.B @ sys.B.T, 2)
-    prob = RiccatiInequalityProblem(A_shifted=sys.A, N=N0, B=sys.B, delta=delta)
+    prob = RiccatiInequalityProblem(LyapunovOperator(sys.A, N0), B=sys.B, delta=delta)
     X, _, _ = solve_type2_riccati(prob)
     P = np.linalg.inv(X)
     P_lin = solve_continuous_lyapunov(sys.A, -sys.B @ sys.B.T)
@@ -152,9 +152,9 @@ def test_riccati_linear_case_recovers_gramian():
 
 
 def test_riccati_zero_input_feasible(scalar_sys):
-    prob = RiccatiInequalityProblem(A_shifted=scalar_sys.A + 0.5 * np.eye(1),
-                                    N=scalar_sys.N, B=np.zeros((1, 1)),
-                                    delta=1e-6)
+    prob = RiccatiInequalityProblem(LyapunovOperator(scalar_sys.A + 0.5 * np.eye(1),
+                                                     scalar_sys.N),
+                                    B=np.zeros((1, 1)), delta=1e-6)
     X, diag, _ = solve_type2_riccati(prob)
     assert X[0, 0] > 0.0
     slack = 2.0 * (-0.5) * X[0, 0] + 0.25 * X[0, 0]
@@ -162,19 +162,27 @@ def test_riccati_zero_input_feasible(scalar_sys):
 
 
 def test_riccati_unstable_shift_raises(scalar_sys):
-    # k = 2: perturbed abscissa -1.75 + 4 > 0
+    # k = 2: perturbed abscissa -1.75 + 4 > 0, so the Lyapunov solution that
+    # starts the barrier is not positive definite; the solver raises that
+    # and leaves the diagnosis (RiccatiInfeasibleError) to `type2_gramians`
     A_s = scalar_sys.A + 2.0 * np.eye(1)
-    prob = RiccatiInequalityProblem(A_shifted=A_s, N=scalar_sys.N,
+    prob = RiccatiInequalityProblem(LyapunovOperator(A_s, scalar_sys.N),
                                     B=scalar_sys.B, delta=1e-6)
-    from bilbt import RiccatiInfeasibleError
-    with pytest.raises(RiccatiInfeasibleError):
+    with pytest.raises(ConvergenceError, match="not positive definite"):
         solve_type2_riccati(prob)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1e-6, float("nan")])
+def test_riccati_problem_rejects_nonpositive_delta(scalar_sys, delta):
+    with pytest.raises(ValueError, match="delta must be positive"):
+        RiccatiInequalityProblem(LyapunovOperator(scalar_sys.A, scalar_sys.N),
+                                 B=scalar_sys.B, delta=delta)
 
 
 def test_riccati_delta_continuation():
     # delta above the critical level: the solver must halve it and still certify
     sys = make_random_system(401, n=3)
-    prob = RiccatiInequalityProblem(A_shifted=sys.A, N=sys.N, B=sys.B, delta=10.0)
+    prob = RiccatiInequalityProblem(LyapunovOperator(sys.A, sys.N), B=sys.B, delta=10.0)
     X, diag, delta_used = solve_type2_riccati(prob)
     assert delta_used < 10.0
     assert np.linalg.eigvalsh(X).min() > 0.0
@@ -221,8 +229,8 @@ def test_minimal_trace_monotone_in_k_scalar_family():
         assert x_min >= prev_min
         prev_min = x_min
         prob = RiccatiInequalityProblem(
-            A_shifted=np.array([[-1.0 + 0.5 * k * k]]),
-            N=(np.array([[0.5]]),), B=np.array([[1.0]]), delta=delta)
+            LyapunovOperator(np.array([[-1.0 + 0.5 * k * k]]), (np.array([[0.5]]),)),
+            B=np.array([[1.0]]), delta=delta)
         X, _, delta_used = solve_type2_riccati(prob)
         _, x_max_used = riccati_scalar_roots(-1.0, 0.5, 1.0, k, delta_used)
         assert X[0, 0] == pytest.approx(x_max_used, rel=1e-8)
@@ -254,9 +262,10 @@ def test_riccati_barrier_certifies_its_minimum(seed, n, m, fraction):
     sys = make_random_system(seed, n=n, m=m)
     k = fraction * stability_report(sys).k_max_estimate
     A_s = sys.A + 0.5 * k * k * np.eye(n)
+    operator = LyapunovOperator(A_s, sys.N)
     X, diag, delta_used = solve_type2_riccati(RiccatiInequalityProblem(
-        A_shifted=A_s, N=sys.N, B=sys.B, delta=default_delta(sys)))
-    Y, _ = LyapunovOperator(A_s, sys.N).solve(-np.eye(n), "observability")
+        operator, B=sys.B, delta=default_delta(sys)))
+    Y, _ = operator.solve(-np.eye(n), "observability")
     X_start = _scaled_lyapunov_feasible(Y, sys.B @ sys.B.T, delta_used)
     trace_P = float(np.trace(np.linalg.inv(X)))
     assert diag.method == "barrier"
@@ -283,9 +292,10 @@ def test_barrier_dikin_ellipsoid_lies_in_its_domain(seed, n, m, fraction, radius
     sys = make_random_system(seed, n=n, m=m)
     k = fraction * stability_report(sys).k_max_estimate
     A_s = sys.A + 0.5 * k * k * np.eye(n)
+    operator = LyapunovOperator(A_s, sys.N)
     X, _, delta = solve_type2_riccati(RiccatiInequalityProblem(
-        A_shifted=A_s, N=sys.N, B=sys.B, delta=default_delta(sys)))
-    Y, _ = LyapunovOperator(A_s, sys.N).solve(-np.eye(n), "observability")
+        operator, B=sys.B, delta=default_delta(sys)))
+    Y, _ = operator.solve(-np.eye(n), "observability")
     X0 = _scaled_lyapunov_feasible(Y, sys.B @ sys.B.T, delta)
     barrier = _LogDetBarrier(A_s, sys.N, sys.B, delta, BARRIER_X_CAP * float(np.trace(X0)))
     rng = np.random.default_rng(seed)

@@ -158,6 +158,20 @@ def test_one_function_solves_the_type2_inequality():
     assert callers == ["gramians.py: _type2_pair"]
 
 
+def test_stability_report_diagnoses_every_failed_solve():
+    # a positive-definite Lyapunov solution certifies mean-square stability,
+    # so the Gramian solves take the abscissa only from `stability_report`
+    # when one fails: "infeasible" and the largest feasible k come from one
+    # eigensolve.  Beside it only the random system family, which scales its
+    # coupling down until the pair is stable, asks for the abscissa.
+    callers = sorted(f"{path.name}: {owner}"
+                     for path, tree in _trees()
+                     for owner, node in _owned_nodes(tree)
+                     if isinstance(node, ast.Call) and _call_name(node) == "ms_abscissa")
+    assert callers == ["system.py: stability_report",
+                       "verification.py: random_ms_stable_system"]
+
+
 GRAMIAN_SOLVES = {"type1_gramians", "type2_gramians", "mixed_pair_Q1_P2",
                   "_type1_pair", "_type2_pair", "_mixed_pair"}
 

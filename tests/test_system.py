@@ -144,7 +144,7 @@ def test_kronecker_cap():
         "LyapunovOperator": lambda: LyapunovOperator(sys.A, sys.N).solve(
             -sys.B @ sys.B.T, "reachability"),
         "solve_type2_riccati": lambda: solve_type2_riccati(
-            RiccatiInequalityProblem(A_shifted=sys.A, N=sys.N, B=sys.B, delta=1e-6)),
+            RiccatiInequalityProblem(LyapunovOperator(sys.A, sys.N), B=sys.B, delta=1e-6)),
     }
     uncapped = []
     for name, call in calls.items():

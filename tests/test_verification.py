@@ -401,6 +401,21 @@ def test_campaign_report_matches_the_pinned_report():
     assert list(report_differences(pinned, fresh, PINNED_REL_TOL))[:5] == []
 
 
+def test_campaign_k_column_is_the_reductions_control_bound():
+    # k is the bound the pair was built for, on every case: 0 for the pairs
+    # of the unshifted drift, whatever control a side-condition case ran
+    # under (that one is in control_bound)
+    cfg = CampaignConfig(seed=5, T=0.2, h=2e-3)
+    cases = benchmark_campaign(cfg, small_campaign_systems(5)).cases
+    unshifted = [c for c in cases if c["kind"] in ("mixed_Q1_P2", "type1")
+                 or c["check"] == "gronwall_P2"]
+    assert {c["check"] for c in unshifted} == {"error_bound_cor", "gronwall_P2",
+                                               "mixed_side_conditions"}
+    assert [c for c in unshifted if c["k"] != 0.0] == []
+    assert any(c["control_bound"] > 0.0 for c in unshifted
+               if c["check"] == "mixed_side_conditions")
+
+
 def test_campaign_mixed_error_cases_are_check_error_bound_reports(monkeypatch):
     # where the side conditions of the mixed pair hold, the certified error
     # case is the error-bound check of the very runs they judged
