@@ -113,6 +113,13 @@ def sym_operator(F, H, basis, out=None):
     F_ac H_bd + F_bd H_ac + F_ad H_bc + F_bc H_ad, gathered a few rows p at
     a time, so the temporaries hold O(n^3) entries, not the operator's
     n^4 / 4.  For H = I only O(n^3) of the entries are nonzero.
+
+    Every term of row p takes one factor from row a of F and one from row b
+    of H, or the other way round, so for finite F and H the row is +-0
+    unless F_a and H_b, or F_b and H_a, are nonzero rows: only those rows
+    are formed (one of the d rows for a heat rod's single-entry N_i in
+    sym(N_i, N_i)).  Adding +-0 would change no entry but a -0, and sums
+    into np.zeros hold none, so the result is that of forming every row.
     """
     F = np.asarray(F, dtype=float)
     m = basis.rows.size
@@ -124,9 +131,11 @@ def sym_operator(F, H, basis, out=None):
     H = np.asarray(H, dtype=float)
     rows, cols, w = basis.rows, basis.cols, basis.weights
     FR, FC, HR, HC = F[:, rows], F[:, cols], H[:, rows], H[:, cols]
+    f, h = F.any(axis=1), H.any(axis=1)
+    live = np.flatnonzero(f[rows] & h[cols] | f[cols] & h[rows])
     step = max(1, CHUNK_ENTRIES // m)
-    for start in range(0, m, step):
-        p = slice(start, start + step)
+    for start in range(0, live.size, step):
+        p = live[start:start + step]
         a, b = rows[p], cols[p]
         G = FR[a] * HC[b]
         G += FC[b] * HR[a]

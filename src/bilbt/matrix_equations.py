@@ -276,14 +276,17 @@ class _LogDetBarrier:
         self.chunk = min(d, max(1, BARRIER_CHUNK_ENTRIES // self.q ** 2))
         self._T, self._C = np.empty((self.chunk, self.q, self.q)), np.empty((d, rows.size + 1))
         self._H_b = np.zeros((d, d), order="F")
+        # F(X), assembled in place by `point`: its lower-right I is never
+        # written, since dpotrf factors a copy
+        self._F = np.eye(self.q)
+        self._F_diagonal = self._F.reshape(-1)[:self.n * (self.q + 1):self.q + 1]
 
     def point(self, X):
         """The `_Point` at X, or None outside the barrier's domain."""
-        n = self.n
-        F = np.eye(self.q)
-        F[:n, :n] = -_apply_lyapunov(self.A_s, self.N_list, X, "observability")
-        F[:n, :n].flat[::n + 1] -= self.delta
-        F[:n, n:] = -X @ self.B
+        n, F = self.n, self._F
+        np.negative(_apply_lyapunov(self.A_s, self.N_list, X, "observability"), out=F[:n, :n])
+        self._F_diagonal -= self.delta
+        np.negative(X @ self.B, out=F[:n, n:])
         F[n:, :n] = F[:n, n:].T
         LF, info = dpotrf(F, lower=1)
         if info != 0:
@@ -320,8 +323,9 @@ class _LogDetBarrier:
         C, C_half = self._C, self._C[:, :-1]
         for p in range(0, len(C), self.chunk):
             a, b = basis.rows[p:p + self.chunk], basis.cols[p:p + self.chunk]
-            left = np.concatenate((K[a], K_prime[b]), axis=2)  # [K_a K'_b]
-            T = np.matmul(left, np.roll(left, K.shape[2], axis=2).transpose(0, 2, 1),
+            K_a, K_b = K[a], K_prime[b]
+            left, right = np.concatenate((K_a, K_b), axis=2), np.concatenate((K_b, K_a), axis=2)
+            T = np.matmul(left, right.transpose(0, 2, 1),
                           out=self._T[:len(a)]).reshape(len(a), -1)
             np.take(T, self.upper, axis=1, out=C_half[p:p + self.chunk], mode="wrap")
         C_half *= self.scale

@@ -12,7 +12,9 @@ u_i x[R] (R: the columns that the couplings N_i read) and by u.
 stored trajectories only: the extended state holds one stage, inputs are
 gathered one block of steps at a time, states go from a one-block buffer
 straight into per-trajectory arrays, and the finiteness check runs once per
-block and group and then finds the exact first bad step.
+block and group and then finds the exact first bad step.  A step is only its
+array calls: the views it reads are made before the loop and its scalars
+are 0-d arrays, which changes no rounding.
 
 All L^2 norms use composite trapezoidal quadrature on the integration grid so
 that quadrature bias cancels to first order when two sides of a bound are
@@ -24,6 +26,7 @@ stride-2 subsample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -257,8 +260,8 @@ def simulate_groups(groups, T, h):
         states.append(runs)
     R = np.flatnonzero(drift[:, 1:].any(axis=(0, 1, 3)))
     stride = R[1] - R[0] if R.size > 1 else 1
-    if R.size and np.all(np.diff(R) == stride):  # evenly spaced: a view, no gather
-        R = slice(R[0], R[-1] + 1, stride)
+    if np.all(np.diff(R) == stride):  # evenly spaced: a view, no gather
+        R = slice(R[0], R[-1] + 1, stride) if R.size else slice(0)
     Wz = np.concatenate([drift[:, 0], drift[:, 1:, R].reshape(G, -1, n_max), Bt], axis=1)
     _integrate(x, U, Wz, coupled, R, h, grid, sizes, sinks)
 
@@ -281,17 +284,39 @@ def _integrate(x, U, Wz, coupled, R, h, grid, sizes, sinks):
     the coupled part, and u is copied from the current block of BLOCK_STEPS
     steps of inputs.  For each (g, s, cols, states) of `sinks`, columns cols
     of row s of group g at step k go to states[k].  The finiteness check runs
-    once per block and group."""
+    once per block and group.
+
+    A step makes only its 23 array calls: every view it reads (the inputs
+    of its half steps, its row of the block, x[R] where R is a slice) is
+    made once, before the loop, and its scalars are 0-d arrays, the same
+    doubles.  Where R is an index array, x[R] is a copy, so each stage also
+    gathers it into one buffer.  One group's product is taken on 2-D
+    views."""
     K = grid.size - 1
     G, S_max, n = x.shape
     m, L = U[0].shape[2], Wz.shape[1]
-    half_h, sixth_h = 0.5 * h, h / 6.0
+    half_h, h, two, sixth_h = map(np.array, (0.5 * h, h, 2.0, h / 6.0))
+    multiply, add, copyto = np.multiply, np.add, np.copyto
     block = np.empty((min(BLOCK_STEPS, K), G, S_max, n))
     Ub = np.zeros((2 * block.shape[0] + 1, G, S_max, m))
+    Uc = np.empty(Ub.shape[:3] + (len(coupled), 1))
     z = np.zeros((G, S_max, L))
     zx, zu = z[..., :n], z[..., L - m:]
-    zc = z[..., n:L - m].reshape(G, S_max, len(coupled), x[..., R].shape[-1])
-    k1, k2, k3, k4 = (np.empty_like(x) for _ in range(4))
+    if isinstance(R, slice):
+        xR, gather = zx[..., None, R], None
+    else:
+        xR = np.empty((G, S_max, 1, R.size))
+        gather = partial(zx.take, R, 2, xR[..., 0, :], "clip")
+    zc = z[..., n:L - m].reshape(G, S_max, len(coupled), xR.shape[-1])
+    k1, k2, k3, k4 = ks = [np.empty_like(x) for _ in range(4)]
+    # one group's product on its 2-D views: np.dot makes the BLAS call that
+    # np.matmul makes, at less cost per call
+    product, zs, Ws, (o1, o2, o3, o4) = ((np.dot, z[0], Wz[0], [k[0] for k in ks]) if G == 1
+                                         else (np.matmul, z, Wz, ks))
+    # the views of a step besides its row of the block: its coupled inputs
+    # at t, t + h/2 and t + h, and its inputs at t + h/2 and t + h
+    rows, u_rows, c_rows = list(block), list(Ub), list(Uc)
+    views = (c_rows[0::2], c_rows[1::2], c_rows[2::2], u_rows[1::2], u_rows[2::2])
     zx[...] = x
     failed = {}
     with np.errstate(over="ignore", invalid="ignore"):
@@ -300,29 +325,38 @@ def _integrate(x, U, Wz, coupled, R, h, grid, sizes, sinks):
             steps = last - first
             for g, Ug in enumerate(U):
                 Ub[:2 * steps + 1, g, :Ug.shape[1]] = Ug[2 * first:2 * last + 1]
-            Uc = Ub[..., coupled, None]
+            Uc[..., 0] = Ub[..., coupled]
             zu[...] = Ub[0]
-
-            def stage(j, k):
-                np.multiply(Uc[j], zx[..., None, R], out=zc)
-                return np.matmul(z, Wz, out=k)
-
-            for step in range(steps):
-                j = 2 * step
-                np.add(x, np.multiply(stage(j, k1), half_h, out=zx), out=zx)
-                zu[...] = Ub[j + 1]
-                np.add(x, np.multiply(stage(j + 1, k2), half_h, out=zx), out=zx)
-                np.add(x, np.multiply(stage(j + 1, k3), h, out=zx), out=zx)
-                zu[...] = Ub[j + 2]
-                stage(j + 2, k4)
+            for x_next, c0, c1, c2, u1, u2 in zip(rows[:steps], *views):
+                if gather:
+                    gather()
+                multiply(c0, xR, zc)
+                product(zs, Ws, o1)
+                add(x, multiply(k1, half_h, zx), zx)
+                copyto(zu, u1)
+                if gather:
+                    gather()
+                multiply(c1, xR, zc)
+                product(zs, Ws, o2)
+                add(x, multiply(k2, half_h, zx), zx)
+                if gather:
+                    gather()
+                multiply(c1, xR, zc)
+                product(zs, Ws, o3)
+                add(x, multiply(k3, h, zx), zx)
+                copyto(zu, u2)
+                if gather:
+                    gather()
+                multiply(c2, xR, zc)
+                product(zs, Ws, o4)
                 # x + h/6 (k1 + 2 (k2 + k3) + k4), in that rounding order
-                k2 += k3
-                k2 *= 2.0
-                k2 += k1
-                k2 += k4
-                k2 *= sixth_h
-                x = np.add(x, k2, out=block[step])
-                zx[...] = x
+                add(k2, k3, k2)
+                multiply(k2, two, k2)
+                add(k2, k1, k2)
+                add(k2, k4, k2)
+                multiply(k2, sixth_h, k2)
+                x = add(x, k2, x_next)
+                copyto(zx, x)
             for g, s, cols, states in sinks:
                 states[first + 1:last + 1] = block[:steps, g, s, cols]
             for g, (Ug, n_g) in enumerate(zip(U, sizes)):
@@ -340,10 +374,16 @@ def _integrate(x, U, Wz, coupled, R, h, grid, sizes, sinks):
             step=step, time=float(grid[step]))
 
 
+@lru_cache(maxsize=16)
 def stride2_points(K):
     """The points of the 2h rule on a grid of K steps: every second point,
-    and the last one when K is odd (whose last interval is then of step h)."""
-    return np.union1d(np.arange(0, K + 1, 2), [K])
+    and the last one when K is odd (whose last interval is then of step h).
+
+    A campaign asks for the same few K over and over, so the array is built
+    once per K and shared: it is read-only."""
+    points = np.union1d(np.arange(0, K + 1, 2), [K])
+    points.setflags(write=False)
+    return points
 
 
 def trapezoid_pair(f, grid):

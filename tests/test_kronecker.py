@@ -3,6 +3,7 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bilbt import LyapunovOperator
@@ -17,7 +18,7 @@ from bilbt.kronecker import (
     symmetrize,
 )
 
-from conftest import reach_operator
+from conftest import heat_rod, reach_operator
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -157,6 +158,58 @@ def test_coupling_operator_and_accumulation(data):
     H = M @ M.T
     assert np.array_equal(sym_operator(M, H, basis, out=out),
                           coupling + sym_operator(M, H, basis))
+
+
+def _couplings(case):
+    """[N_i] of one shape of coupling: a heat rod's single-entry N_i, dense,
+    one off-diagonal entry, or all zero."""
+    if case.startswith("heat-"):
+        return heat_rod(int(case[5:])).N
+    rng = np.random.default_rng(41)
+    if case == "dense":
+        return [rng.standard_normal((7, 7)) for _ in range(2)]
+    N = np.zeros((7, 7))
+    if case == "off-diagonal":
+        N[2, 5] = rng.standard_normal()
+    return [N]
+
+
+def _every_row(F, H, basis, out):
+    """sym_operator's formula on every row at once, in its rounding order."""
+    rows, cols, w = basis.rows, basis.cols, basis.weights
+    FR, FC, HR, HC = F[:, rows], F[:, cols], H[:, rows], H[:, cols]
+    G = FR[rows] * HC[cols]
+    G += FC[cols] * HR[rows]
+    G += FC[rows] * HR[cols]
+    G += FR[cols] * HC[rows]
+    G *= 0.5 * w[:, None]
+    G *= w[None, :]
+    out += G
+    return out
+
+
+@pytest.mark.parametrize("case", ["heat-12", "heat-20", "dense", "off-diagonal", "zero"])
+def test_sym_operator_forms_only_the_nonzero_rows(case):
+    # the rows of sym(F, H) whose (a, b) meets no nonzero pair of rows of F
+    # and H are zero, so forming only the others gives every row's build
+    # bit for bit: for sym(N_i, N_i) on both sides of the operator, and for
+    # F and H with different zero rows
+    rng = np.random.default_rng(43)
+    for N in (_couplings(case), [Ni.T for Ni in _couplings(case)]):
+        basis = sym_basis(N[0].shape[0])
+        dense = np.zeros((basis.rows.size, basis.rows.size))
+        for Ni in N:
+            _every_row(Ni, Ni, basis, dense)
+        dense *= 0.5
+        coupling = coupling_operator(N, basis)
+        assert np.array_equal(coupling, dense)
+        assert np.array_equal(np.signbit(coupling), np.signbit(dense))
+        H = rng.standard_normal(N[0].shape) * (rng.random(N[0].shape[0]) < 0.5)[:, None]
+        for pair in ((N[0], H), (H, N[0])):
+            mixed = sym_operator(*pair, basis)
+            reference = _every_row(*pair, basis, np.zeros_like(dense))
+            assert np.array_equal(mixed, reference)
+            assert np.array_equal(np.signbit(mixed), np.signbit(reference))
 
 
 @PROPERTY

@@ -256,6 +256,28 @@ def test_blow_up_in_batch_reports_first_bad_row():
     assert exc_info.value.step == bad
 
 
+def test_unevenly_spaced_coupled_columns_match_the_reference():
+    # N_1 reads columns 0 and 1 and N_2 column 5, so the coupled columns R
+    # are an index array and x[R] is a copy: every stage must gather it
+    # afresh, in each of three blocks of steps
+    rng = np.random.default_rng(31)
+    n = 7
+    A = rng.standard_normal((n, n)) - 3.0 * np.eye(n)
+    N = [np.zeros((n, n)), np.zeros((n, n))]
+    N[0][:, [0, 1]] = 0.3 * rng.standard_normal((n, 2))
+    N[1][:, 5] = 0.4 * rng.standard_normal(n)
+    sys = BilinearSystem.from_matrices(A, rng.standard_normal((n, 2)), N,
+                                       rng.standard_normal((1, n)))
+    T, h = 0.6, 1e-3
+    assert round(T / h) > 2 * BLOCK_STEPS
+    x0 = rng.standard_normal(n)
+    for u in bounded_control_suite(2, 0.8, T, seed=31)[1:]:
+        traj = simulate(sys, x0, u, T, h)
+        states, bad = _reference_rk4(sys, x0, u, T, h)
+        assert bad is None
+        assert _rel(traj.states, states) <= 1e-13
+
+
 def _random_model(rng, n, m, coupled, coupling="dense"):
     """A small random model whose coupling is zero outside the inputs in
     `coupled`; integrated over short horizons only.  `coupling` shapes each
@@ -426,3 +448,14 @@ def test_stride2_rule_keeps_every_second_point_and_the_last(K):
     if K % 2 == 0:
         assert coarse == np.trapezoid(f[::2], grid[::2])
     assert coarse == pytest.approx(np.e - 1.0, rel=0.5 / K ** 2)
+
+
+@pytest.mark.parametrize("K", range(1, 10))
+def test_stride2_points_are_shared_and_read_only(K):
+    # built once per K for every caller, so no caller may write to them
+    points = stride2_points(K)
+    assert stride2_points(K) is points
+    assert not points.flags.writeable
+    assert np.array_equal(points, np.union1d(np.arange(0, K + 1, 2), [K]))
+    with pytest.raises(ValueError, match="read-only"):
+        points[0] = 1

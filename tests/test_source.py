@@ -135,6 +135,35 @@ def test_quadrature_lives_in_the_simulation_helpers():
     assert found == []
 
 
+def _innermost_loops(node):
+    for loop in ast.walk(node):
+        if isinstance(loop, (ast.For, ast.While)) and not any(
+                isinstance(sub, (ast.For, ast.While))
+                for stmt in loop.body for sub in ast.walk(stmt)):
+            yield loop
+
+
+def test_rk4_step_makes_only_array_calls():
+    # every trajectory comes from the step loop of `_integrate`, so a step
+    # runs its array calls and nothing more: the views it reads are made per
+    # block, its scalars are 0-d arrays and the ufuncs are bound to local
+    # names, so its body holds no subscript, no float literal and no
+    # attribute lookup, and no closure stands between it and the product
+    tree = ast.parse((PACKAGE / "simulation.py").read_text(encoding="utf-8"))
+    integrate = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "_integrate")
+    step = max(_innermost_loops(integrate), key=lambda loop: len(list(ast.walk(loop))))
+    assert sum(isinstance(node, ast.Call) for node in ast.walk(step)) >= 23
+    found = [f"simulation.py:{node.lineno}: {type(node).__name__}"
+             for stmt in step.body for node in ast.walk(stmt)
+             if isinstance(node, (ast.Subscript, ast.Attribute))
+             or isinstance(node, ast.Constant) and isinstance(node.value, float)]
+    found += [f"simulation.py:{node.lineno}: {type(node).__name__}"
+              for node in ast.walk(integrate)
+              if node is not integrate and isinstance(node, (ast.FunctionDef, ast.Lambda))]
+    assert found == []
+
+
 def test_one_place_factors_a_lyapunov_operator():
     # every generalized Lyapunov solve goes through `LyapunovOperator`, whose
     # `_factor` is the one place to switch to another solver
