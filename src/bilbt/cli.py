@@ -50,7 +50,7 @@ EXIT_VALIDATION = 1
 EXIT_BOUND_VIOLATION = 2
 EXIT_IO = 3
 
-KIND_CHOICES = ("type1", "type2", "p2", "mixed")
+KIND_CHOICES = ("type1", "type2", "mixed")
 
 
 @dataclass
@@ -114,7 +114,7 @@ def _gramian_pair(config, sys: BilinearSystem):
         return type2_gramians(sys, config.k, delta=config.delta)
     if config.kind == "mixed":
         return mixed_pair_Q1_P2(sys, delta=config.delta)
-    raise ValueError(f"kind {config.kind!r} does not define a Gramian pair here")
+    raise ValueError(f"unknown Gramian kind {config.kind!r}")
 
 
 def _load_valid_system(path):
@@ -143,26 +143,16 @@ def _cmd_validate(config):
 
 
 def _cmd_gramians(config):
-    sys = _load_valid_system(config.input)
-    if config.kind == "p2":
-        pair = type2_gramians(sys, 0.0, delta=config.delta)
-        payload = {
-            "kind": "type2_stochastic", "k": 0.0, "delta": pair.delta,
-            "P": _matrix(pair.P),
-            "eigenvalues": {"P": _matrix(np.linalg.eigvalsh(pair.P))},
-            "diagnostics": [pair.diagnostics[0].to_dict()],
-        }
-    else:
-        pair = _gramian_pair(config, sys)
-        payload = {
-            "kind": pair.kind, "k": pair.k, "delta": pair.delta,
-            "lmi_margin": pair.lmi_margin, "minimal": pair.minimal,
-            "P": _matrix(pair.P), "Q": _matrix(pair.Q),
-            "eigenvalues": {"P": _matrix(np.linalg.eigvalsh(pair.P)),
-                            "Q": _matrix(np.linalg.eigvalsh(pair.Q))},
-            "residuals": [d.residual_norm for d in pair.diagnostics],
-            "diagnostics": [d.to_dict() for d in pair.diagnostics],
-        }
+    pair = _gramian_pair(config, _load_valid_system(config.input))
+    payload = {
+        "kind": pair.kind, "k": pair.k, "delta": pair.delta,
+        "lmi_margin": pair.lmi_margin, "minimal": pair.minimal,
+        "P": _matrix(pair.P), "Q": _matrix(pair.Q),
+        "eigenvalues": {"P": _matrix(np.linalg.eigvalsh(pair.P)),
+                        "Q": _matrix(np.linalg.eigvalsh(pair.Q))},
+        "residuals": [d.residual_norm for d in pair.diagnostics],
+        "diagnostics": [d.to_dict() for d in pair.diagnostics],
+    }
     _emit(payload, config.output, config.quiet)
     return EXIT_OK
 
@@ -173,8 +163,6 @@ def _report_path(output):
 
 def _cmd_reduce(config):
     sys = _load_valid_system(config.input)
-    if config.kind == "p2":
-        raise ValueError("reduce needs a Gramian pair; use --kind type1|type2|mixed")
     pair = _gramian_pair(config, sys)
     bal = square_root_balance(sys, pair)
     if config.order is not None:

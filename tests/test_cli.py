@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from bilbt import BilinearSystem, load_system, save_system
+from bilbt import BilinearSystem, load_system, save_system, type2_gramians
 from bilbt.cli import main
 from bilbt.kronecker import MAX_KRON_N
 from bilbt.verification import worked_2x2
@@ -67,7 +67,7 @@ INVALID_SYSTEMS = {
 
 @pytest.mark.parametrize("name", sorted(INVALID_SYSTEMS))
 @pytest.mark.parametrize("command", [
-    ["gramians", "--kind", "type1"], ["gramians", "--kind", "p2"],
+    ["gramians", "--kind", "type1"], ["gramians", "--kind", "mixed"],
     ["reduce", "--kind", "type2", "--order", "1"],
     ["reduce", "--kind", "mixed", "--order", "1"],
     ["simulate"], ["verify", "--kind", "type2"],
@@ -120,6 +120,22 @@ def test_gramians_output(sys_file, tmp_path):
     assert data["lmi_margin"] <= 1e-8
     assert all(ev > 0 for ev in data["eigenvalues"]["P"])
     assert len(data["residuals"]) == 2
+
+
+@pytest.mark.parametrize("command", ["gramians", "reduce"])
+@pytest.mark.parametrize("kind, label", [("type1", "type1"), ("mixed", "mixed_Q1_P2")])
+def test_every_gramian_kind_runs(sys_file, tmp_path, command, kind, label):
+    # the mixed pair's P is the type-2 P at k = 0, bit for bit
+    out_path = tmp_path / "out.json"
+    order = ["--order", "1"] if command == "reduce" else []
+    code = main([command, "--input", str(sys_file), "--kind", kind,
+                 "--output", str(out_path)] + order)
+    assert code == 0
+    payload = json.loads((tmp_path / "out.report.json" if order else out_path).read_text())
+    assert payload["kind"] == label
+    if command == "gramians" and kind == "mixed":
+        P2 = type2_gramians(load_system(sys_file), 0.0).P
+        assert np.asarray(payload["P"]).tobytes() == P2.tobytes()
 
 
 def test_reduce_writes_rom_and_report(sys_file, tmp_path):

@@ -145,18 +145,23 @@ def _innermost_loops(node):
 
 def test_rk4_step_makes_only_array_calls():
     # every trajectory comes from the step loop of `_integrate`, so a step
-    # runs its array calls and nothing more: the views it reads are made per
-    # block, its scalars are 0-d arrays and the ufuncs are bound to local
+    # runs its 23 array calls and nothing more: the views it reads are made
+    # per block, its scalars are 0-d arrays and the ufuncs are bound to local
     # names, so its body holds no subscript, no float literal and no
-    # attribute lookup, and no closure stands between it and the product
+    # attribute lookup, and no closure stands between it and the product.
+    # The coupled columns are always one strided view, so every input takes
+    # the one step path: the body has no branch, and the finiteness check
+    # reads the whole block, so the integrator needs no group sizes
     tree = ast.parse((PACKAGE / "simulation.py").read_text(encoding="utf-8"))
     integrate = next(node for node in tree.body
                      if isinstance(node, ast.FunctionDef) and node.name == "_integrate")
+    assert "sizes" not in [arg.arg for arg in integrate.args.args]
     step = max(_innermost_loops(integrate), key=lambda loop: len(list(ast.walk(loop))))
-    assert sum(isinstance(node, ast.Call) for node in ast.walk(step)) >= 23
+    assert sum(isinstance(node, ast.Call)
+               for stmt in step.body for node in ast.walk(stmt)) == 23
     found = [f"simulation.py:{node.lineno}: {type(node).__name__}"
              for stmt in step.body for node in ast.walk(stmt)
-             if isinstance(node, (ast.Subscript, ast.Attribute))
+             if isinstance(node, (ast.Subscript, ast.Attribute, ast.If))
              or isinstance(node, ast.Constant) and isinstance(node.value, float)]
     found += [f"simulation.py:{node.lineno}: {type(node).__name__}"
               for node in ast.walk(integrate)
