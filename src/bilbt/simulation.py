@@ -7,14 +7,14 @@ block-diagonally (a full model beside its reductions is the error system)
 under several controls, one row per control, and the groups are zero-padded
 to one (groups, rows, n) state, so each stage is one stacked product with
 every group's drift, coupling and forcing, applied to the state extended by
-u_i x[R] (R: one strided slice over the columns that the couplings N_i
-read) and by u.  `simulate` is its one-model, one-control case.  Memory
-grows with the stored trajectories only: the extended state holds one
-stage, inputs are gathered one block of steps at a time, states go from a
-one-block buffer straight into per-trajectory arrays, and the finiteness
-check runs once per block and then finds each group's exact first bad step.
-A step is only its array calls, with no branch: the views it reads are made
-before the loop and its scalars are 0-d arrays, which changes no rounding.
+u_i x[R] (R: the columns that the couplings N_i read) and by u.
+`simulate` is its one-model, one-control case.  Memory grows with the
+stored trajectories only: the extended state holds one stage, inputs are
+gathered one block of steps at a time, states go from a one-block buffer
+straight into per-trajectory arrays, and the finiteness check runs once per
+block and then finds each group's exact first bad step.  A step is only its
+array calls: the views it reads are made before the loop and its scalars
+are 0-d arrays, which changes no rounding.
 
 All L^2 norms use composite trapezoidal quadrature on the integration grid so
 that quadrature bias cancels to first order when two sides of a bound are
@@ -26,7 +26,7 @@ stride-2 subsample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -231,9 +231,9 @@ def simulate_groups(groups, T, h):
 
     # each stage is k = z W_z[g] with z = [x, u_c x[R] for c in coupled, u] and
     # W_z[g] = [A^T; N_c^T[R]; B^T], block-diagonal over the models of group g.
-    # R is one slice over the padded columns that some coupled N_c reads (is
-    # nonzero in): their own stride when evenly spaced, else their span, so
-    # the rows of N_c^T left out, and those the span adds, are exactly zero
+    # R holds the padded columns that some coupled N_c reads (is nonzero in),
+    # so the rows of N_c^T left out are exactly zero.  Unevenly spaced ones
+    # are gathered: their span would widen the product and move its rounding
     coupled = [i for i in range(m)
                if any(np.any(sys.N[i]) for systems, _, _ in groups for sys in systems)]
     n_max = max(sum(sys.n for sys in systems) for systems, _, _ in groups)
@@ -260,8 +260,8 @@ def simulate_groups(groups, T, h):
         states.append(runs)
     R = np.flatnonzero(drift[:, 1:].any(axis=(0, 1, 3)))
     stride = R[1] - R[0] if R.size > 1 else 1
-    R = (slice(R[0], R[-1] + 1, stride if np.all(np.diff(R) == stride) else 1)
-         if R.size else slice(0))
+    if np.all(np.diff(R) == stride):  # evenly spaced: a view, no gather
+        R = slice(R[0], R[-1] + 1, stride) if R.size else slice(0)
     Wz = np.concatenate([drift[:, 0], drift[:, 1:, R].reshape(G, -1, n_max), Bt], axis=1)
     _integrate(x, U, Wz, coupled, R, h, grid, sinks)
 
@@ -281,18 +281,19 @@ def _integrate(x, U, Wz, coupled, R, h, grid, sinks):
     half-step grid.  Each stage is one stacked product k = z W_z with
     z = [x, u_c x[R] for c in coupled, u], one (groups, S_max, L) buffer
     filled in place: the stage update writes x, one broadcast multiply the
-    coupled part from the view x[R] (R is a slice), and u is copied from the
-    current block of BLOCK_STEPS steps of inputs.  For each (g, s, cols,
-    states) of `sinks`, columns cols of row s of group g at step k go to
-    states[k].
+    coupled part, and u is copied from the current block of BLOCK_STEPS
+    steps of inputs.  For each (g, s, cols, states) of `sinks`, columns cols
+    of row s of group g at step k go to states[k].
 
-    A step makes only its 23 array calls and takes no branch: every view it
-    reads (the inputs of its half steps, its row of the block, x[R]) is made
-    once, before the loop, and its scalars are 0-d arrays, the same doubles.
-    One group's product is taken on 2-D views.  The finiteness check runs
-    once per block on the whole block: padded rows and columns stay exactly
-    0 while their row's real columns are finite, so a row sum over all
-    n_max columns finds each group's first bad step."""
+    A step makes only its 23 array calls: every view it reads (the inputs
+    of its half steps, its row of the block, x[R] where R is a slice) is
+    made once, before the loop, and its scalars are 0-d arrays, the same
+    doubles.  Where R is an index array, x[R] is a copy, so each stage also
+    gathers it into one buffer.  One group's product is taken on 2-D
+    views.  The finiteness check runs once per block on the whole block:
+    padded rows and columns stay exactly 0 while their row's real columns
+    are finite, so a row sum over all n_max columns finds each group's
+    first bad step."""
     K = grid.size - 1
     G, S_max, n = x.shape
     m, L = U[0].shape[2], Wz.shape[1]
@@ -303,7 +304,11 @@ def _integrate(x, U, Wz, coupled, R, h, grid, sinks):
     Uc = np.empty(Ub.shape[:3] + (len(coupled), 1))
     z = np.zeros((G, S_max, L))
     zx, zu = z[..., :n], z[..., L - m:]
-    xR = zx[..., None, R]
+    if isinstance(R, slice):
+        xR, gather = zx[..., None, R], None
+    else:
+        xR = np.empty((G, S_max, 1, R.size))
+        gather = partial(zx.take, R, 2, xR[..., 0, :], "clip")
     zc = z[..., n:L - m].reshape(G, S_max, len(coupled), xR.shape[-1])
     k1, k2, k3, k4 = ks = [np.empty_like(x) for _ in range(4)]
     # one group's product on its 2-D views: np.dot makes the BLAS call that
@@ -325,17 +330,25 @@ def _integrate(x, U, Wz, coupled, R, h, grid, sinks):
             Uc[..., 0] = Ub[..., coupled]
             zu[...] = Ub[0]
             for x_next, c0, c1, c2, u1, u2 in zip(rows[:steps], *views):
+                if gather:
+                    gather()
                 multiply(c0, xR, zc)
                 product(zs, Ws, o1)
                 add(x, multiply(k1, half_h, zx), zx)
                 copyto(zu, u1)
+                if gather:
+                    gather()
                 multiply(c1, xR, zc)
                 product(zs, Ws, o2)
                 add(x, multiply(k2, half_h, zx), zx)
+                if gather:
+                    gather()
                 multiply(c1, xR, zc)
                 product(zs, Ws, o3)
                 add(x, multiply(k3, h, zx), zx)
                 copyto(zu, u2)
+                if gather:
+                    gather()
                 multiply(c2, xR, zc)
                 product(zs, Ws, o4)
                 # x + h/6 (k1 + 2 (k2 + k3) + k4), in that rounding order

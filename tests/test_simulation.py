@@ -16,13 +16,14 @@ from bilbt import (
 )
 from bilbt.simulation import (
     BLOCK_STEPS,
+    _integrate,
     l2_richardson,
     quadrature_slack,
     stride2_points,
     trapezoid_pair,
 )
 
-from conftest import make_random_system
+from conftest import heat_rod, make_random_system
 
 
 def scalar_linear():
@@ -276,6 +277,27 @@ def test_unevenly_spaced_coupled_columns_match_the_reference():
         states, bad = _reference_rk4(sys, x0, u, T, h)
         assert bad is None
         assert _rel(traj.states, states) <= 1e-13
+
+
+def test_error_system_reads_only_the_coupled_columns(monkeypatch):
+    # a heat rod beside a dense reduction, as `bilbt verify` simulates them:
+    # the couplings read the rod's two ends and every reduced column, which
+    # are not evenly spaced.  The coupled part of the stage product holds
+    # those columns only, not their span over the whole error system
+    n, r = 12, 4
+    full = heat_rod(n)
+    V = np.linalg.qr(np.random.default_rng(5).standard_normal((n, r)))[0]
+    rom = BilinearSystem.from_matrices(V.T @ full.A @ V, V.T @ full.B,
+                                       [V.T @ Ni @ V for Ni in full.N], full.C @ V)
+    widths = []
+    monkeypatch.setattr("bilbt.simulation._integrate",
+                        lambda x, U, Wz, *args: widths.append(Wz.shape[1])
+                        or _integrate(x, U, Wz, *args))
+    suite = bounded_control_suite(2, 0.5, 0.05, seed=5)
+    (trajs, _), = simulate_groups([([full, rom], suite, None)], 0.05, 1e-3)
+    assert widths == [(n + r) + 2 * (2 + r) + 2]
+    for u, traj in zip(suite, trajs):
+        assert _rel(traj.states, simulate(full, np.zeros(n), u, 0.05, 1e-3).states) <= 1e-13
 
 
 def _random_model(rng, n, m, coupled, coupling="dense"):

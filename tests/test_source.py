@@ -149,19 +149,22 @@ def test_rk4_step_makes_only_array_calls():
     # per block, its scalars are 0-d arrays and the ufuncs are bound to local
     # names, so its body holds no subscript, no float literal and no
     # attribute lookup, and no closure stands between it and the product.
-    # The coupled columns are always one strided view, so every input takes
-    # the one step path: the body has no branch, and the finiteness check
-    # reads the whole block, so the integrator needs no group sizes
+    # Its only branches are the gathers of coupled columns that are not
+    # evenly spaced, one before each stage's coupled multiply.  The
+    # finiteness check reads the whole block, so the integrator needs no
+    # group sizes
     tree = ast.parse((PACKAGE / "simulation.py").read_text(encoding="utf-8"))
     integrate = next(node for node in tree.body
                      if isinstance(node, ast.FunctionDef) and node.name == "_integrate")
     assert "sizes" not in [arg.arg for arg in integrate.args.args]
     step = max(_innermost_loops(integrate), key=lambda loop: len(list(ast.walk(loop))))
-    assert sum(isinstance(node, ast.Call)
-               for stmt in step.body for node in ast.walk(stmt)) == 23
+    gathers = [stmt for stmt in step.body if isinstance(stmt, ast.If)]
+    assert [ast.unparse(stmt) for stmt in gathers] == ["if gather:\n    gather()"] * 4
+    assert sum(isinstance(node, ast.Call) for stmt in step.body if stmt not in gathers
+               for node in ast.walk(stmt)) == 23
     found = [f"simulation.py:{node.lineno}: {type(node).__name__}"
              for stmt in step.body for node in ast.walk(stmt)
-             if isinstance(node, (ast.Subscript, ast.Attribute, ast.If))
+             if isinstance(node, (ast.Subscript, ast.Attribute))
              or isinstance(node, ast.Constant) and isinstance(node.value, float)]
     found += [f"simulation.py:{node.lineno}: {type(node).__name__}"
               for node in ast.walk(integrate)
