@@ -73,9 +73,11 @@ class RunConfig:
     def __post_init__(self):
         if self.order is not None and self.tol is not None:
             raise ValueError("--order and --tol are mutually exclusive")
-        for name in ("T", "h", "tol", "delta"):
+        for name in ("T", "h", "tol", "delta", "k"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"--{name} must be finite, got {value}")
+            if value is not None and name != "k" and value <= 0:
                 raise ValueError(f"--{name} must be positive")
         if self.k < 0:
             raise ValueError("--k must be nonnegative")

@@ -43,8 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kronecker
-from .kronecker import eye_terms, half_unvec, half_vec, sym_basis, sym_operator, symmetrize
+from .kronecker import eye_terms, half_unvec, half_vec, lyapunov_matrix, sym_basis, symmetrize
 from .system import BilinearSystem
 
 
@@ -167,10 +166,11 @@ class LyapunovOperator:
     """The generalized Lyapunov operator of (M, N) on the n(n+1)/2 symmetric
     coordinates, solved on either side.  On the orthonormal symmetric basis
     the observability operator is the adjoint of the reachability operator,
-    so its matrix is the transpose: the observability matrix alone is
-    gathered and LU-factored at the first solve (n above
-    `kronecker.MAX_KRON_N` raises `KroneckerCapError`), and every later
-    solve, of either side and with any right-hand side, reuses the factors."""
+    so its matrix is the transpose: the observability matrix alone,
+    `lyapunov_matrix(M^T, [N_i^T])`, is formed and LU-factored at the first
+    solve (n above `kronecker.MAX_KRON_N` raises `KroneckerCapError` there),
+    and every later solve, of either side and with any right-hand side,
+    reuses the factors."""
 
     def __init__(self, M, N):
         self.M = np.asarray(M, dtype=float)
@@ -178,18 +178,14 @@ class LyapunovOperator:
         self._factors = None
 
     def _factor(self):
-        n = self.M.shape[0]
-        kronecker.check_kron_dim(n)
-        basis = sym_basis(n)
-        K = sym_operator(self.M.T, None, basis,
-                         out=kronecker.coupling_operator([Ni.T for Ni in self.N_list], basis))
+        K = lyapunov_matrix(self.M.T, [Ni.T for Ni in self.N_list])
         lu, piv, info = dgetrf(K)
         if info > 0:
             raise MeanSquareInstabilityError(
                 f"Kronecker matrix singular (zero pivot {info}); the pair is on or "
                 "beyond the mean-square stability boundary"
             )
-        return basis, K, lu, piv
+        return sym_basis(self.M.shape[0]), K, lu, piv
 
     def solve(self, RHS, side):
         """The "kronecker_direct" solution X for the symmetric right-hand

@@ -219,8 +219,8 @@ def simulate_groups(groups, T, h):
                     | {u.m for _, controls, _ in groups for u in controls})
     if len(input_counts) > 1:
         raise ValueError("every model and control must have the same number of inputs")
-    if h <= 0 or T < h:
-        raise ValueError(f"need 0 < h <= T, got h={h}, T={T}")
+    if not 0 < h <= T < np.inf:
+        raise ValueError(f"need 0 < h <= T < inf, got h={h}, T={T}")
     if not groups:
         return []
     m = input_counts.pop()

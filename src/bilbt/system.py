@@ -135,9 +135,9 @@ def stability_report(sys: BilinearSystem, k=0.0) -> StabilityReport:
 
     Dense path only: n is capped at `kronecker.MAX_KRON_N`, and a larger
     system raises `KroneckerCapError`.  The cap holds for the whole
-    pipeline because every Gramian solve factors the same symmetric-coordinate
-    operator under `kronecker.check_kron_dim`.  One mean-square eigensolve
-    serves every k.
+    pipeline because this eigensolve and every Gramian solve take their
+    operator from `kronecker.lyapunov_matrix`, the one place that checks it.
+    One mean-square eigensolve serves every k.
     """
     if k < 0:
         raise ValueError(f"control bound k must be nonnegative, got {k}")

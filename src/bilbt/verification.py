@@ -167,7 +167,7 @@ def check_reach_energy(pair: GramianPair, traj: Trajectory) -> BoundCheckReport:
     w, vecs = np.linalg.eigh(0.5 * (pair.P + pair.P.T))
     if w.min() <= 0.0:
         raise MatrixEquationError(
-            f"reachability Gramian singular after clamp (lambda_min = {w.min():.3e})"
+            f"reachability Gramian not positive definite (lambda_min = {w.min():.3e})"
         )
     proj = traj.states @ vecs
     scaled_peaks = np.abs(proj).max(axis=0) / np.sqrt(w)

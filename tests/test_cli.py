@@ -185,6 +185,23 @@ def test_usage_errors_exit_validation_with_payload(argv, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--T", "inf"],
+    ["campaign", "--T", "inf"],
+    ["simulate", "--h", "nan"],
+    ["campaign", "--delta", "inf"],
+    ["reduce", "--order", "1", "--k", "nan"],
+    ["reduce", "--tol", "nan"],
+])
+def test_non_finite_values_exit_validation_with_payload(sys_file, argv, capsys):
+    # an infinite horizon has no grid, and nan passes every `<= 0` test:
+    # both are refused with the error payload, not a traceback
+    argv = argv[:1] + ["--input", str(sys_file)] * (argv[0] != "campaign") + argv[1:]
+    assert main(argv) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ValueError" and "must be finite" in error["message"]
+
+
 def test_subcommands_register_only_the_flags_they_read(capsys):
     from bilbt.cli import _COMMAND_FLAGS
     assert sum(len(flags) for flags in _COMMAND_FLAGS.values()) == 42

@@ -8,13 +8,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bilbt import LyapunovOperator
 from bilbt.kronecker import (
-    coupling_operator,
+    MAX_KRON_N,
+    KroneckerCapError,
+    eye_terms,
     half_unvec,
     half_vec,
+    lyapunov_matrix,
     ms_abscissa,
     spectral_abscissa,
     sym_basis,
-    sym_operator,
     symmetrize,
 )
 
@@ -51,13 +53,10 @@ def dense_operator(M, N, side):
     return K.T if side == "observability" else K
 
 
-def symmetric_operator(M, N, side, basis):
+def symmetric_operator(M, N, side):
     if side == "observability":
         M, N = M.T, [Ni.T for Ni in N]
-    S = sym_operator(M, None, basis)
-    for Ni in N:
-        S += 0.5 * sym_operator(Ni, Ni, basis)
-    return S
+    return lyapunov_matrix(M, N)
 
 
 @st.composite
@@ -88,35 +87,35 @@ def test_symmetric_operator_is_the_restricted_kronecker_operator(data):
     D = basis_matrix(n)
     assert np.allclose(D.T @ D, np.eye(D.shape[1]), rtol=0.0, atol=1e-15)
     oracle = D.T @ dense_operator(M, N, side) @ D
-    S = symmetric_operator(M, N, side, sym_basis(n))
+    S = symmetric_operator(M, N, side)
     assert np.linalg.norm(S - oracle) <= 1e-13 * np.linalg.norm(oracle)
     # the two sides are adjoint, so on the orthonormal basis the matrices
     # are transposes: `LyapunovOperator` factors one for both
     other = symmetric_operator(M, N, "reachability" if side == "observability"
-                               else "observability", sym_basis(n))
+                               else "observability")
     assert np.linalg.norm(S - other.T) <= 1e-13 * np.linalg.norm(oracle)
 
 
 @PROPERTY
 @given(operator_data())
 def test_identity_shortcut_and_coordinates(data):
-    M, _, _, rng = data
+    M, N, side, rng = data
     n = M.shape[0]
     basis = sym_basis(n)
-    H = rng.standard_normal((n, n))
-    assert np.allclose(sym_operator(M, None, basis), sym_operator(M, np.eye(n), basis),
-                       rtol=0.0, atol=1e-15 * np.abs(M).max())
-    # coordinates are orthonormal, and the operator acts on them as
-    # X -> F X H^T + H X F^T acts on X
+    # coordinates are orthonormal, and the operator, its M terms taken by
+    # the identity shortcut `eye_terms`, acts on them as it acts on X
     X = rng.standard_normal((n, n))
     X += X.T
     y = half_vec(X, basis)
     assert np.array_equal(half_unvec(y, basis), half_unvec(y, basis).T)
     assert np.allclose(half_unvec(y, basis), X, rtol=1e-15, atol=0.0)
     assert abs(y @ y - np.sum(X * X)) <= 1e-13 * np.sum(X * X)
-    image = M @ X @ H.T + H @ X @ M.T
-    error = np.linalg.norm(sym_operator(M, H, basis) @ y - half_vec(image, basis))
-    assert error <= 1e-13 * n * np.linalg.norm(M) * np.linalg.norm(H) * np.linalg.norm(X)
+    if side == "observability":
+        M, N = M.T, [Ni.T for Ni in N]
+    image = M @ X + X @ M.T + sum(Ni @ X @ Ni.T for Ni in N)
+    error = np.linalg.norm(lyapunov_matrix(M, N) @ y - half_vec(image, basis))
+    scale = 2 * np.linalg.norm(M) + sum(np.linalg.norm(Ni) ** 2 for Ni in N)
+    assert error <= 1e-13 * n * scale * np.linalg.norm(X)
 
 
 @PROPERTY
@@ -140,26 +139,6 @@ def test_symmetric_solve_matches_dense_solve(data):
         assert np.linalg.norm(X - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
-@PROPERTY
-@given(operator_data())
-def test_coupling_operator_and_accumulation(data):
-    M, N, _, _ = data
-    basis = sym_basis(M.shape[0])
-    coupling = coupling_operator(N, basis)
-    # halving is exact, so the sum of halves is the half of the sum
-    expected = sum((0.5 * sym_operator(Ni, Ni, basis) for Ni in N),
-                   np.zeros_like(coupling))
-    assert np.array_equal(coupling, expected)
-    # `out` adds the operator in place and returns the array it was given
-    out = coupling.copy()
-    assert sym_operator(M, None, basis, out=out) is out
-    assert np.array_equal(out, coupling + sym_operator(M, None, basis))
-    out = coupling.copy()
-    H = M @ M.T
-    assert np.array_equal(sym_operator(M, H, basis, out=out),
-                          coupling + sym_operator(M, H, basis))
-
-
 def _couplings(case):
     """[N_i] of one shape of coupling: a heat rod's single-entry N_i, dense,
     one off-diagonal entry, or all zero."""
@@ -175,7 +154,9 @@ def _couplings(case):
 
 
 def _every_row(F, H, basis, out):
-    """sym_operator's formula on every row at once, in its rounding order."""
+    """The matrix of X -> F X H^T + H X F^T, every row at once: with
+    p = (a, b) and q = (c, d), w_p w_q / 2 times
+    F_ac H_bd + F_bd H_ac + F_ad H_bc + F_bc H_ad, summed in this order."""
     rows, cols, w = basis.rows, basis.cols, basis.weights
     FR, FC, HR, HC = F[:, rows], F[:, cols], H[:, rows], H[:, cols]
     G = FR[rows] * HC[cols]
@@ -190,26 +171,23 @@ def _every_row(F, H, basis, out):
 
 @pytest.mark.parametrize("case", ["heat-12", "heat-20", "dense", "off-diagonal", "zero"])
 def test_sym_operator_forms_only_the_nonzero_rows(case):
-    # the rows of sym(F, H) whose (a, b) meets no nonzero pair of rows of F
-    # and H are zero, so forming only the others gives every row's build
-    # bit for bit: for sym(N_i, N_i) on both sides of the operator, and for
-    # F and H with different zero rows
+    # the rows of the coupling term whose (a, b) meets a zero row of N_i are
+    # zero, so forming only the others gives the every-row build bit for
+    # bit, sign bits included, on both sides of the operator: half the sum
+    # of the every-row matrices of (N_i, N_i), with the drift's terms last
     rng = np.random.default_rng(43)
-    for N in (_couplings(case), [Ni.T for Ni in _couplings(case)]):
-        basis = sym_basis(N[0].shape[0])
-        dense = np.zeros((basis.rows.size, basis.rows.size))
+    for transpose in (False, True):
+        N = [Ni.T if transpose else Ni for Ni in _couplings(case)]
+        M = rng.standard_normal(N[0].shape)
+        basis = sym_basis(M.shape[0])
+        reference = np.zeros((basis.rows.size, basis.rows.size))
         for Ni in N:
-            _every_row(Ni, Ni, basis, dense)
-        dense *= 0.5
-        coupling = coupling_operator(N, basis)
-        assert np.array_equal(coupling, dense)
-        assert np.array_equal(np.signbit(coupling), np.signbit(dense))
-        H = rng.standard_normal(N[0].shape) * (rng.random(N[0].shape[0]) < 0.5)[:, None]
-        for pair in ((N[0], H), (H, N[0])):
-            mixed = sym_operator(*pair, basis)
-            reference = _every_row(*pair, basis, np.zeros_like(dense))
-            assert np.array_equal(mixed, reference)
-            assert np.array_equal(np.signbit(mixed), np.signbit(reference))
+            _every_row(Ni, Ni, basis, reference)
+        reference *= 0.5
+        reference.reshape(-1)[basis.eye_pos] += eye_terms(M, basis)
+        L = lyapunov_matrix(M, N)
+        assert np.array_equal(L, reference)
+        assert np.array_equal(np.signbit(L), np.signbit(reference))
 
 
 @PROPERTY
@@ -230,8 +208,7 @@ def test_ms_abscissa_of_self_adjoint_pairs_matches_full_spectrum(pair):
     # the orthonormal basis is symmetric, exactly as computed, and a
     # symmetric eigensolve gives its abscissa
     M, N = pair
-    basis = sym_basis(M.shape[0])
-    L = sym_operator(M, None, basis, out=coupling_operator(N, basis))
+    L = lyapunov_matrix(M, N)
     assert np.array_equal(L, L.T)
     spectrum = np.linalg.eigvals(reach_operator(M, N))
     rho = float(np.abs(spectrum).max())
@@ -243,9 +220,18 @@ def test_ms_abscissa_of_self_adjoint_pairs_matches_full_spectrum(pair):
 def test_ms_abscissa_of_other_pairs_is_the_general_eigensolve(pair):
     M, N = pair
     assume(M.shape[0] > 1)
-    basis = sym_basis(M.shape[0])
-    L = sym_operator(M, None, basis, out=coupling_operator(N, basis))
+    L = lyapunov_matrix(M, N)
     assert ms_abscissa(M, N) == spectral_abscissa(L)
+
+
+def test_rejected_size_builds_no_basis():
+    # the cap is checked before the basis is built, so no n above it enters
+    # the basis cache
+    n = MAX_KRON_N + 1
+    before = sym_basis.cache_info().currsize
+    with pytest.raises(KroneckerCapError):
+        lyapunov_matrix(-np.eye(n), [np.eye(n)])
+    assert sym_basis.cache_info().currsize == before
 
 
 def test_ms_abscissa_memory_stays_below_half_a_dense_operator():

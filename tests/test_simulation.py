@@ -236,6 +236,13 @@ def test_batch_rejects_mixed_input_counts():
                           [ControlSignal.zero(1)], None)], 1.0, 1e-3)
 
 
+@pytest.mark.parametrize("T, h", [(np.inf, 1e-3), (np.nan, 1e-3), (1.0, np.nan),
+                                  (1.0, np.inf), (1.0, 0.0), (1e-3, 1e-2)])
+def test_grid_needs_a_finite_horizon(T, h):
+    with pytest.raises(ValueError, match="need 0 < h <= T < inf"):
+        simulate(scalar_linear(), np.zeros(1), ControlSignal.zero(1), T, h)
+
+
 def test_blow_up_reports_first_bad_step():
     sys = BilinearSystem.from_matrices([[100.0]], [[0.0]], [[[0.0]]], [[1.0]])
     with pytest.raises(SimulationBlowUpError) as exc_info:

@@ -184,6 +184,30 @@ def test_one_place_factors_a_lyapunov_operator():
     assert list(_called_names(factor)).count("dgetrf") == everywhere == 1
 
 
+# the builders that `kronecker.lyapunov_matrix` replaced
+REMOVED_BUILDERS = {"sym_operator", "coupling_operator", "check_kron_dim"}
+
+
+def test_one_function_forms_the_dense_operator():
+    # the abscissa and every Lyapunov solve take their matrix from
+    # `lyapunov_matrix`, so it alone checks the size cap and no second
+    # builder or cap check can drift from it
+    found = sorted({f"{path.name}: {owner}"
+                    for path, tree in _trees()
+                    for owner, node in _owned_nodes(tree)
+                    if isinstance(node, ast.Raise) and node.exc is not None
+                    and "KroneckerCapError" in ast.unparse(node.exc)
+                    or isinstance(node, ast.Name) and node.id == "MAX_KRON_N"
+                    and isinstance(node.ctx, ast.Load)
+                    or isinstance(node, ast.Attribute) and node.attr == "MAX_KRON_N"})
+    assert found == ["kronecker.py: lyapunov_matrix"]
+    defined = [f"{path.name}:{line}: {name}"
+               for path, tree in _trees()
+               for line, name in _defined_names(tree)
+               if name in REMOVED_BUILDERS]
+    assert defined == []
+
+
 def test_one_function_solves_the_type2_inequality():
     # P2 and the mixed pair are the type-2 pair at k = 0, so no second path
     # to the inequality comes back for that case
