@@ -8,13 +8,17 @@ under several controls, one row per control, and the groups are zero-padded
 to one (groups, rows, n) state, so each stage is one stacked product with
 every group's drift, coupling and forcing, applied to the state extended by
 u_i x[R] (R: the columns that the couplings N_i read) and by u.
-`simulate` is its one-model, one-control case.  Memory grows with the
-stored trajectories only: the extended state holds one stage, inputs are
-gathered one block of steps at a time, states go from a one-block buffer
-straight into per-trajectory arrays, and the finiteness check runs once per
-block and then finds each group's exact first bad step.  A step is only its
-array calls: the views it reads are made before the loop and its scalars
-are 0-d arrays, which changes no rounding.
+`simulate` is its one-model, one-control case.  The RK4 steps are in
+scaled-increment form: the stage matrices are pre-scaled by h/2 and h, so
+each stage product returns its increment d and the step is
+x + (d1 + 2 d2 + d3 + d4) / 3, one product of the stacked increments.
+Memory grows with the stored trajectories only: the extended state of each
+step is a row of a block whose size is bounded in steps and in bytes,
+inputs are gathered one block at a time, states go from the block straight
+into one array per model (its runs under every control), and the
+finiteness check runs once per block and then finds each group's exact
+first bad step.  A step is only its array
+calls: the views it reads are made before the loop.
 
 All L^2 norms use composite trapezoidal quadrature on the integration grid so
 that quadrature bias cancels to first order when two sides of a bound are
@@ -27,13 +31,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import islice
 
 import numpy as np
 
 from .system import BilinearSystem
 
-# integration steps between two finiteness checks
+# integration steps between two finiteness checks, at most, and the most
+# bytes that a block's per-step rows of the stage operand may take
 BLOCK_STEPS = 256
+BLOCK_BYTES = 2 ** 20
+# the most steps of one grid: a trajectory stores (K + 1) 8-byte values per
+# state, input and output, 8 MB each at this cap
+MAX_STEPS = 10 ** 6
 # sinusoid terms per input, and pieces per piecewise-constant signal, in
 # `bounded_control_suite`
 SUITE_TERMS = 3
@@ -207,7 +217,8 @@ def simulate_groups(groups, T, h):
     number of inputs.  The groups' stacked states are zero-padded to one
     (groups, S_max, n_max) array, so each stage is one stacked product with
     the drift, couplings and forcing of every group, on the grid that
-    `simulate` uses.
+    `simulate` uses.  A grid has at most MAX_STEPS steps: an h that makes
+    more raises ValueError before anything is allocated.
 
     Returns one list trajs per group, in list order, where trajs[i][s] is
     the Trajectory of systems[i] under controls[s], its `control`.  Raises
@@ -221,6 +232,9 @@ def simulate_groups(groups, T, h):
         raise ValueError("every model and control must have the same number of inputs")
     if not 0 < h <= T < np.inf:
         raise ValueError(f"need 0 < h <= T < inf, got h={h}, T={T}")
+    if not T / h < MAX_STEPS + 0.5:
+        raise ValueError(f"h={h} makes about {T / h:.3g} steps over T={T}, "
+                         f"more than the {MAX_STEPS} a grid may have")
     if not groups:
         return []
     m = input_counts.pop()
@@ -252,11 +266,12 @@ def simulate_groups(groups, T, h):
         for c, x0_i in zip(cols, x0 if x0 is not None else []):
             x[g, :len(controls), c] = np.asarray(x0_i, dtype=float)
         U.append(np.stack([u(half_grid) for u in controls], axis=1))  # (2K+1, S, m)
-        runs = [[np.empty((K + 1, sys.n)) for _ in controls] for sys in systems]
-        for c, row in zip(cols, runs):
-            for s, x_s in enumerate(row):
-                x_s[0] = x[g, s, c]
-                sinks.append((g, s, c, x_s))
+        # one array per model holds its runs under every control, so a block
+        # of steps goes to them in one copy per model, not one per run
+        runs = [np.empty((len(controls), K + 1, sys.n)) for sys in systems]
+        for c, run in zip(cols, runs):
+            run[:, 0] = x[g, :len(controls), c]
+            sinks.append((g, c, run))
         states.append(runs)
     R = np.flatnonzero(drift[:, 1:].any(axis=(0, 1, 3)))
     stride = R[1] - R[0] if R.size > 1 else 1
@@ -278,94 +293,111 @@ def simulate_groups(groups, T, h):
 def _integrate(x, U, Wz, coupled, R, h, grid, sinks):
     """RK4 over the whole grid from the padded state x of shape
     (groups, S_max, n_max), where U[g] holds the inputs of group g on the
-    half-step grid.  Each stage is one stacked product k = z W_z with
-    z = [x, u_c x[R] for c in coupled, u], one (groups, S_max, L) buffer
-    filled in place: the stage update writes x, one broadcast multiply the
-    coupled part, and u is copied from the current block of BLOCK_STEPS
-    steps of inputs.  For each (g, s, cols, states) of `sinks`, columns cols
-    of row s of group g at step k go to states[k].
+    half-step grid.  Each stage is one stacked product with
+    z = [x, u_c x[R] for c in coupled, u] that returns the stage's
+    increment scaled by its step: d1 = z1 (h/2 W_z), d2 = z2 (h/2 W_z),
+    d3 = z3 (h W_z) and d4 = z4 (h/2 W_z), so a stage state is one add,
+    x + d, and the step is x + (d1 + 2 d2 + d3 + d4) / 3, one product of
+    the four stacked increments with their weights and one add.
 
-    A step makes only its 23 array calls: every view it reads (the inputs
-    of its half steps, its row of the block, x[R] where R is a slice) is
-    made once, before the loop, and its scalars are 0-d arrays, the same
-    doubles.  Where R is an index array, x[R] is a copy, so each stage also
-    gathers it into one buffer.  One group's product is taken on 2-D
-    views.  The finiteness check runs once per block on the whole block:
-    padded rows and columns stay exactly 0 while their row's real columns
-    are finite, so a row sum over all n_max columns finds each group's
-    first bad step."""
+    The state of each step is a row of a block of per-step rows of z,
+    (steps + 1, groups, S_max, L): the combining add writes the next row's
+    x, which the next step's first product reads, and the rows' u are
+    copied from the block's inputs before its steps.  Stages 2 to 4 fill
+    one (groups, S_max, L) buffer.  A block holds at most BLOCK_STEPS
+    steps and BLOCK_BYTES of rows.  For each (g, cols, states) of `sinks`,
+    columns cols of row s of group g at step k go to states[s, k].
+
+    A step makes only its 15 array calls: every view it reads (the inputs
+    of its half steps, its rows, x[R] where R is a slice) is made once,
+    before the loop, and its weights are one array.  Where R is an index
+    array, x[R] is a copy, so each stage also gathers it into one buffer.
+    One group's products are taken on 2-D views.  The finiteness check
+    runs once per block on the whole block: padded rows and columns stay
+    exactly 0 while their row's real columns are finite, so a row sum over
+    all n_max columns finds each group's first bad step."""
     K = grid.size - 1
     G, S_max, n = x.shape
     m, L = U[0].shape[2], Wz.shape[1]
-    half_h, h, two, sixth_h = map(np.array, (0.5 * h, h, 2.0, h / 6.0))
-    multiply, add, copyto = np.multiply, np.add, np.copyto
-    block = np.empty((min(BLOCK_STEPS, K), G, S_max, n))
-    Ub = np.zeros((2 * block.shape[0] + 1, G, S_max, m))
+    block_steps = min(BLOCK_STEPS, K, max(1, BLOCK_BYTES // (8 * G * S_max * L)))
+    multiply, add, copyto, combine = np.multiply, np.add, np.copyto, np.dot
+    Z = np.zeros((block_steps + 1, G, S_max, L))  # per-step rows of z
+    Ub = np.zeros((2 * block_steps + 1, G, S_max, m))
     Uc = np.empty(Ub.shape[:3] + (len(coupled), 1))
-    z = np.zeros((G, S_max, L))
+    z = np.zeros((G, S_max, L))  # the stage buffer
+    D = np.empty((4, G, S_max, n))  # d1, d2, d3, d4
+    increment = np.empty(D[0].size)
+    weights = np.array([1.0, 2.0, 1.0, 1.0]) / 3.0
+    W_half, W_full = (0.5 * h) * Wz, h * Wz
+    X, Zu = Z[..., :n], Z[..., L - m:]
     zx, zu = z[..., :n], z[..., L - m:]
     if isinstance(R, slice):
-        xR, gather = zx[..., None, R], None
-    else:
+        XR, xR, gather = X[..., None, R], zx[..., None, R], None
+    else:  # every row's and the stage's x[R] are gathered into one buffer
         xR = np.empty((G, S_max, 1, R.size))
-        gather = partial(zx.take, R, 2, xR[..., 0, :], "clip")
-    zc = z[..., n:L - m].reshape(G, S_max, len(coupled), xR.shape[-1])
-    k1, k2, k3, k4 = ks = [np.empty_like(x) for _ in range(4)]
-    # one group's product on its 2-D views: np.dot makes the BLAS call that
+        XR = np.broadcast_to(xR, (block_steps + 1,) + xR.shape)
+        gather = partial(np.take, indices=R, axis=2, out=xR[..., 0, :], mode="clip")
+    coupled_shape = (len(coupled), xR.shape[-1])
+    Zc = Z[..., n:L - m].reshape(Z.shape[:3] + coupled_shape)
+    zc = z[..., n:L - m].reshape(z.shape[:2] + coupled_shape)
+    # one group's products on its 2-D views: np.dot makes the BLAS call that
     # np.matmul makes, at less cost per call
-    product, zs, Ws, (o1, o2, o3, o4) = ((np.dot, z[0], Wz[0], [k[0] for k in ks]) if G == 1
-                                         else (np.matmul, z, Wz, ks))
-    # the views of a step besides its row of the block: its coupled inputs
-    # at t, t + h/2 and t + h, and its inputs at t + h/2 and t + h
-    rows, u_rows, c_rows = list(block), list(Ub), list(Uc)
-    views = (c_rows[0::2], c_rows[1::2], c_rows[2::2], u_rows[1::2], u_rows[2::2])
-    zx[...] = x
+    if G == 1:
+        product, Zs, zs, Wh, Wf, outs = np.dot, Z[:, 0], z[0], W_half[0], W_full[0], D[:, 0]
+    else:
+        product, Zs, zs, Wh, Wf, outs = np.matmul, Z, z, W_half, W_full, D
+    o1, o2, o3, o4 = outs
+    d1, d2, d3, d4 = D
+    stacked, increment_x = D.reshape(4, -1), increment.reshape(D.shape[1:])
+    # the views of a step: its row of z (for the product, its x, x[R] and
+    # coupled part), the next row's x, its coupled inputs at t, t + h/2 and
+    # t + h, and its inputs at t + h/2 and t + h
+    u_rows, c_rows = list(Ub), list(Uc)
+    views = (list(Zs), list(X), list(XR), list(Zc), list(X)[1:],
+             c_rows[0::2], c_rows[1::2], c_rows[2::2], u_rows[1::2], u_rows[2::2])
+    X[0] = x
     failed = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, K, BLOCK_STEPS):
-            last = min(first + BLOCK_STEPS, K)
+        for first in range(0, K, block_steps):
+            last = min(first + block_steps, K)
             steps = last - first
             for g, Ug in enumerate(U):
                 Ub[:2 * steps + 1, g, :Ug.shape[1]] = Ug[2 * first:2 * last + 1]
             Uc[..., 0] = Ub[..., coupled]
-            zu[...] = Ub[0]
-            for x_next, c0, c1, c2, u1, u2 in zip(rows[:steps], *views):
+            Zu[:steps] = Ub[:2 * steps:2]
+            for zk, xk, xRk, zck, x_next, c0, c1, c2, u1, u2 in islice(zip(*views), steps):
                 if gather:
-                    gather()
-                multiply(c0, xR, zc)
-                product(zs, Ws, o1)
-                add(x, multiply(k1, half_h, zx), zx)
+                    gather(xk)
+                multiply(c0, xRk, zck)
+                product(zk, Wh, o1)
+                add(xk, d1, zx)
                 copyto(zu, u1)
                 if gather:
-                    gather()
+                    gather(zx)
                 multiply(c1, xR, zc)
-                product(zs, Ws, o2)
-                add(x, multiply(k2, half_h, zx), zx)
+                product(zs, Wh, o2)
+                add(xk, d2, zx)
                 if gather:
-                    gather()
+                    gather(zx)
                 multiply(c1, xR, zc)
-                product(zs, Ws, o3)
-                add(x, multiply(k3, h, zx), zx)
+                product(zs, Wf, o3)
+                add(xk, d3, zx)
                 copyto(zu, u2)
                 if gather:
-                    gather()
+                    gather(zx)
                 multiply(c2, xR, zc)
-                product(zs, Ws, o4)
-                # x + h/6 (k1 + 2 (k2 + k3) + k4), in that rounding order
-                add(k2, k3, k2)
-                multiply(k2, two, k2)
-                add(k2, k1, k2)
-                add(k2, k4, k2)
-                multiply(k2, sixth_h, k2)
-                x = add(x, k2, x_next)
-                copyto(zx, x)
-            for g, s, cols, states in sinks:
-                states[first + 1:last + 1] = block[:steps, g, s, cols]
-            bad = ~np.isfinite(block[:steps].sum(axis=3)).all(axis=2)  # (steps, G)
+                product(zs, Wh, o4)
+                combine(weights, stacked, increment)
+                add(xk, increment_x, x_next)
+            for g, cols, states in sinks:
+                block = X[1:steps + 1, g, :len(states), cols]
+                states[:, first + 1:last + 1] = block.swapaxes(0, 1)
+            bad = ~np.isfinite(X[1:steps + 1].sum(axis=3)).all(axis=2)  # (steps, G)
             for g in np.flatnonzero(bad.any(axis=0)):
                 failed.setdefault(int(g), first + 1 + int(np.argmax(bad[:, g])))
             if 0 in failed:  # no later failure comes first in list order
                 break
+            X[0] = X[steps]
     if failed:
         step = failed[min(failed)]
         raise SimulationBlowUpError(

@@ -229,6 +229,37 @@ def test_simulate_writes_csv_and_summary(sys_file, tmp_path):
     assert summary["steps"] == 100
 
 
+def test_simulate_csv_cells_are_each_floats_repr(sys_file, tmp_path, monkeypatch):
+    # the bytes of a row are those of the repr of each of its floats, joined
+    # by commas: signed zeros, short decimals and large and subnormal
+    # exponents included, so every cell reads back as the same double
+    import bilbt.cli
+    from bilbt.simulation import Trajectory
+    grid = np.array([0.0, 0.5, 1.0])
+    states = np.array([[-0.0, 1e-05], [1.2345678901234567e300, -2.5e-308], [0.1, 3.0]])
+    inputs = np.array([[-0.0], [1e16], [1e-05]])
+    outputs = np.array([[5e-324], [-1e-300], [123456789.0]])
+    monkeypatch.setattr(bilbt.cli, "simulate", lambda sys, x0, u, T, h:
+                        Trajectory(grid, states, inputs, outputs, u))
+    csv_path = tmp_path / "traj.csv"
+    assert main(["simulate", "--input", str(sys_file), "--T", "1.0", "--h", "0.5",
+                 "--output", str(csv_path), "--quiet"]) == 0
+    lines = csv_path.read_text().splitlines()
+    table = np.column_stack([grid, states, inputs, outputs])
+    assert lines[1:] == [",".join(map(repr, row)) for row in table.tolist()]
+    assert lines[1] == "0.0,-0.0,1e-05,-0.0,5e-324"
+    back = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(back.view(np.int64), table.view(np.int64))
+
+
+def test_simulate_step_beyond_the_grid_cap_exits_validation(sys_file, capsys):
+    # h = 1e-15 over T = 10 would make 1e16 steps: refused before any grid
+    # is allocated, with the error payload and not a MemoryError
+    assert main(["simulate", "--input", str(sys_file), "--h", "1e-15"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ValueError" and "steps" in error["message"]
+
+
 def test_verify_command(sys_file, tmp_path):
     out_path = tmp_path / "verify.json"
     code = main(["verify", "--input", str(sys_file), "--kind", "type2",

@@ -165,15 +165,20 @@ def test_free_decay_envelope(rng):
 
 def _reference_rk4(sys, x0, u, T, h):
     """Plain per-step RK4 with a finiteness check after every step: the
-    reference for the batched integrator.  Returns (states, first bad step)."""
+    reference for the batched integrator, in its scaled-increment form.
+    Each stage's increment d is the slope of the system scaled by the
+    stage's step (h/2 A, h/2 B, h/2 N_i, or the same times h), and the step
+    is x + (d1 + 2 d2 + d3 + d4) / 3, so no unscaled slope or sum of slopes
+    can overflow while the state is still finite.  Returns (states, first
+    bad step)."""
     K = int(round(T / h))
     h = T / K
     u_half = u(np.linspace(0.0, T, 2 * K + 1))
 
-    def f(x, j):
-        dx = sys.A @ x + sys.B @ u_half[j]
+    def increment(scale, x, j):
+        dx = (scale * sys.A) @ x + (scale * sys.B) @ u_half[j]
         for Ni, ui in zip(sys.N, u_half[j]):
-            dx = dx + ui * (Ni @ x)
+            dx = dx + ui * ((scale * Ni) @ x)
         return dx
 
     x = np.asarray(x0, dtype=float)
@@ -181,11 +186,11 @@ def _reference_rk4(sys, x0, u, T, h):
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(K):
             j = 2 * step
-            k1 = f(x, j)
-            k2 = f(x + 0.5 * h * k1, j + 1)
-            k3 = f(x + 0.5 * h * k2, j + 1)
-            k4 = f(x + h * k3, j + 2)
-            x = x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+            d1 = increment(0.5 * h, x, j)
+            d2 = increment(0.5 * h, x + d1, j + 1)
+            d3 = increment(h, x + d2, j + 1)
+            d4 = increment(0.5 * h, x + d3, j + 2)
+            x = x + (d1 + 2.0 * d2 + d3 + d4) / 3.0
             if not np.isfinite(x.sum()):
                 return np.array(states), step + 1
             states.append(x)
@@ -243,11 +248,36 @@ def test_grid_needs_a_finite_horizon(T, h):
         simulate(scalar_linear(), np.zeros(1), ControlSignal.zero(1), T, h)
 
 
+@pytest.mark.parametrize("h", [1e-15, 5e-324])
+def test_grid_has_at_most_max_steps(h):
+    # 1e16 steps, and T / h = inf: refused before any grid is allocated
+    with pytest.raises(ValueError, match="steps over T=10.0"):
+        simulate(scalar_linear(), np.zeros(1), ControlSignal.zero(1), 10.0, h)
+
+
+def test_grid_cap_admits_max_steps(monkeypatch):
+    monkeypatch.setattr("bilbt.simulation.MAX_STEPS", 100)
+    u = ControlSignal.constant([1.0])
+    assert simulate(scalar_linear(), np.zeros(1), u, 1.0, 1e-2).grid.size == 101
+    with pytest.raises(ValueError, match="more than the 100 a grid may have"):
+        simulate(scalar_linear(), np.zeros(1), u, 1.0, 1.0 / 101)
+
+
+def _assert_the_state_overflows(states, bad):
+    # every state before the reported step is finite, and one more step's
+    # growth carries the last of them past the largest double: the state
+    # itself overflows there, not a sum of slopes formed on the way
+    assert len(states) == bad and np.all(np.isfinite(states))
+    with np.errstate(over="ignore"):
+        assert not np.all(np.isfinite(states[-1] * (states[-1] / states[-2])))
+
+
 def test_blow_up_reports_first_bad_step():
     sys = BilinearSystem.from_matrices([[100.0]], [[0.0]], [[[0.0]]], [[1.0]])
     with pytest.raises(SimulationBlowUpError) as exc_info:
         simulate(sys, [1.0], ControlSignal.zero(1), 10.0, 1e-3)
-    _, bad = _reference_rk4(sys, [1.0], ControlSignal.zero(1), 10.0, 1e-3)
+    states, bad = _reference_rk4(sys, [1.0], ControlSignal.zero(1), 10.0, 1e-3)
+    _assert_the_state_overflows(states, bad)
     # the state overflows inside a block of steps, not at its end
     assert bad % BLOCK_STEPS != 0
     assert exc_info.value.step == bad
@@ -260,7 +290,8 @@ def test_blow_up_in_batch_reports_first_bad_row():
     controls = [ControlSignal.zero(1), ControlSignal.constant([1.0])]
     with pytest.raises(SimulationBlowUpError) as exc_info:
         simulate_groups([([sys], controls, [[1.0]])], 10.0, 1e-3)
-    _, bad = _reference_rk4(sys, [1.0], controls[1], 10.0, 1e-3)
+    states, bad = _reference_rk4(sys, [1.0], controls[1], 10.0, 1e-3)
+    _assert_the_state_overflows(states, bad)
     assert exc_info.value.step == bad
 
 
@@ -370,7 +401,7 @@ def test_groups_match_each_group_alone(seed, shapes):
 
 
 def _exploding(rate):
-    # dx/dt = rate * x from x(0) = 1 overflows, at step 7035 for rate 100
+    # dx/dt = rate * x from x(0) = 1 overflows, at step 7098 for rate 100
     # and within the first block of steps for rate 5000
     return ([BilinearSystem.from_matrices([[rate]], [[0.0]], [[[0.0]]], [[1.0]])],
             [ControlSignal.zero(1)], [[1.0]])
