@@ -23,7 +23,7 @@ from .balancing import BalancingError, order_selector, square_root_balance, trun
 from .gramians import mixed_pair_Q1_P2, type1_gramians, type2_gramians
 from .kronecker import KroneckerCapError
 from .matrix_equations import MatrixEquationError
-from .simulation import SimulationBlowUpError, bounded_control_suite, simulate, simulate_groups
+from .simulation import SimulationBlowUpError, bounded_control_suite, simulate
 from .system import (
     BilinearSystem,
     SystemFormatError,
@@ -39,10 +39,7 @@ from .verification import (
     build_campaign_systems,
     campaign_to_csv,
     campaign_to_json,
-    check_error_bound,
-    check_gronwall_P2,
-    check_observ_energy,
-    check_reach_energy,
+    reduction_cases,
 )
 
 EXIT_OK = 0
@@ -228,6 +225,10 @@ def _cmd_simulate(config):
     return EXIT_OK
 
 
+def _campaign_config(config):
+    return CampaignConfig(seed=config.seed, T=config.T, h=config.h, delta=config.delta)
+
+
 def _cmd_verify(config):
     sys = _load_valid_system(config.input)
     if config.kind != "type2":
@@ -240,36 +241,19 @@ def _cmd_verify(config):
     r = config.order if config.order is not None else max(1, sys.n // 2)
     rom = truncate(bal, r)
     P2 = type2_gramians(sys, 0.0, delta=config.delta).P
-
-    suite = bounded_control_suite(sys.m, config.k, config.T, config.seed)
-    zero_B = BilinearSystem.from_matrices(sys.A, np.zeros((sys.n, sys.m)),
-                                          sys.N, sys.C)
-    rng = np.random.default_rng(config.seed)
-    x0 = rng.standard_normal(sys.n)
-    x0 /= np.linalg.norm(x0)
-    (full, reduced), (free,) = simulate_groups(
-        [([sys, rom.system], suite, None), ([zero_B], suite[:3], [x0])], config.T, config.h)
-    reports = []
-    for traj, traj_rom in zip(full, reduced):
-        reports.extend(check_error_bound(rom, traj, traj_rom))
-        reports.append(check_reach_energy(pair, traj))
-        reports.append(check_gronwall_P2(P2, traj))
-    reports += [check_observ_energy(zero_B, pair, traj) for traj in free]
-
+    cases = reduction_cases(_campaign_config(config), config.input, sys, pair, rom, P2)
     payload = {
         "r": rom.r, "k": pair.k, "hsv": _matrix(bal.hsv),
-        "bound_all": rom.bound_all,
-        "checks": [rep.to_dict() for rep in reports],
-        "violations": sum(not rep.passed for rep in reports),
-        "hard_failures": sum(rep.hard_failure for rep in reports),
+        "bound_all": rom.bound_all, "checks": cases,
+        "violations": sum(case["violation"] for case in cases),
+        "hard_failures": sum(case["hard_failure"] for case in cases),
     }
     _emit(payload, config.output, config.quiet)
     return EXIT_BOUND_VIOLATION if payload["hard_failures"] else EXIT_OK
 
 
 def _cmd_campaign(config):
-    result = benchmark_campaign(CampaignConfig(seed=config.seed, T=config.T,
-                                               h=config.h, delta=config.delta),
+    result = benchmark_campaign(_campaign_config(config),
                                 build_campaign_systems(config.seed))
     _write(campaign_to_json(result), config.output, config.quiet)
     if config.csv:

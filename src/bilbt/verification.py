@@ -27,10 +27,12 @@ slacks and bound tightness ratios per Gramian kind.  A system's cases are
 planned as a table of rows, each a group of runs with the judge of their
 cases or a skipped stage, from the Gramian pairs that one planner solves;
 one executor integrates every row in one `simulate_groups` call and logs
-the cases in table order.  The type-1 pair and the mixed pair (P2, Q1)
-share one factored operator of (A, N).  Reductions based on the plain
-(unshifted) Gramian pair carry no certified bound and are included as
-empirical baselines only.
+the cases in table order.  The same executor runs `reduction_cases`, the
+plan of `bilbt verify` for one given reduction: its type-2 stage and the
+Gronwall row, planned as for the first system of a campaign.  The type-1
+pair and the mixed pair (P2, Q1) share one factored operator of (A, N).
+Reductions based on the plain (unshifted) Gramian pair carry no certified
+bound and are included as empirical baselines only.
 """
 
 from __future__ import annotations
@@ -85,18 +87,6 @@ class BoundCheckReport:
     @property
     def hard_failure(self):
         return self.slack < -HARD_FAILURE_FACTOR * self.tolerance_used
-
-    def to_dict(self):
-        return {
-            "check": self.check,
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "slack": float(self.slack),
-            "tolerance_used": float(self.tolerance_used),
-            "passed": bool(self.passed),
-            "hard_failure": bool(self.hard_failure),
-            "context": self.context,
-        }
 
 
 def _report(check, lhs, rhs, eps, context):
@@ -461,15 +451,12 @@ def _balanced(sys, pair):
         return exc
 
 
-def _type2_rows(config, sys_idx, sys, k_idx, k, pair):
-    """Rows of the error-bound and reachability cases of the reductions from
-    the type-2 pair at control bound k, and of the observability cases of
-    the pair from two unit initial states."""
-    bal = _balanced(sys, pair)
-    if isinstance(bal, Exception):
-        return [("error_bound_cor", f"k={k:.4g}: {type(bal).__name__}: {bal}")]
-    controls = _campaign_controls(sys.m, k, config.T, [config.seed, sys_idx, k_idx])
-    roms = [truncate(bal, r) for r in _campaign_orders(bal.hsv)]
+def _type2_rows(config, seed_tags, sys, pair, roms):
+    """Rows of the error-bound and reachability cases of the reductions
+    `roms` from the type-2 pair, under the campaign's controls at the pair's
+    bound, and of the observability cases of the pair from two unit initial
+    states.  `seed_tags` seed the controls and the initial states."""
+    controls = _campaign_controls(sys.m, pair.k, config.T, seed_tags)
 
     def judge(log, full, *rom_runs):
         for rom, run in zip(roms, rom_runs):
@@ -488,32 +475,36 @@ def _type2_rows(config, sys_idx, sys, k_idx, k, pair):
 
     # the constant and the first sinusoid, from each initial state
     free = controls[1:3]
-    rng = np.random.default_rng([config.seed, sys_idx, k_idx, 17])
+    rng = np.random.default_rng(seed_tags + [17])
     x0s = [x0 / np.linalg.norm(x0) for x0 in rng.standard_normal((OBSERV_X0_COUNT, sys.n))]
     return [([sys] + [rom.system for rom in roms], controls, None, judge),
             ([zero_B], free * OBSERV_X0_COUNT, [np.repeat(x0s, len(free), axis=0)],
              judge_free)]
 
 
+def _gronwall_rows(config, seed_tags, sys, P2):
+    """The row of the Gronwall envelopes on P2 under large controls."""
+    spikes = bounded_control_suite(sys.m, 3.0, config.T, seed_tags + [29],
+                                   n_sinusoids=1, n_piecewise=1)[2:]  # the large ones
+
+    def judge(log, run):
+        log.add(check_gronwall_P2(P2, run), certified=True)
+
+    return [([sys], spikes, None, judge)]
+
+
 def _p2_rows(config, sys_idx, sys, k_ref, pair):
-    """Rows of the Gronwall envelopes on P2 under large controls and of the
-    side conditions of the mixed pair (P2, Q1) under controls far below and
-    far above k_ref."""
+    """Rows of the Gronwall envelopes on P2 and of the side conditions of
+    the mixed pair (P2, Q1) under controls far below and far above k_ref."""
     if isinstance(pair, Exception):
         return [("gronwall_P2", str(pair)),
                 ("mixed_side_conditions", f"{type(pair).__name__}: {pair}")]
-    T = config.T
-    spikes = bounded_control_suite(sys.m, 3.0, T, [config.seed, sys_idx, 29],
-                                   n_sinusoids=1, n_piecewise=1)[2:]  # the large ones
-
-    def judge_gronwall(log, run):
-        log.add(check_gronwall_P2(pair.P, run), certified=True)
-
-    rows = [([sys], spikes, None, judge_gronwall)]
+    rows = _gronwall_rows(config, [config.seed, sys_idx], sys, pair.P)
     bal = _balanced(sys, pair)
     if isinstance(bal, Exception):
         return rows + [("mixed_side_conditions", f"{type(bal).__name__}: {bal}")]
     rom = truncate(bal, _campaign_orders(bal.hsv)[0])
+    T = config.T
     small = bounded_control_suite(sys.m, 1e-3 * k_ref, T, [config.seed, sys_idx, 31],
                                   n_sinusoids=1, n_piecewise=0)[1:]
     large = bounded_control_suite(sys.m, 3.0 * k_ref, T, [config.seed, sys_idx, 37],
@@ -550,9 +541,10 @@ def _system_rows(config, sys_idx, sys):
     campaign, as a table of rows in case order.  A row is either
     (models, controls, x0, judge), a `simulate_groups` group whose judge
     logs the cases of one control from that control's runs, or (check, note)
-    for a stage that could not be planned.  The type-2 stages come first;
-    the mixed and type-1 stages follow when some type-2 reduction was built,
-    at its bound and under its constant and first sinusoid control."""
+    for a stage that could not be planned.  The type-2 stages come first,
+    one per bound, each with the reductions at `_campaign_orders`; the mixed
+    and type-1 stages follow when some type-2 reduction was built, at its
+    bound and under its constant and first sinusoid control."""
     if sys.n < 2:
         return [("error_bound_cor", f"n = {sys.n}: no order to truncate")]
     rep = stability_report(sys)
@@ -560,28 +552,29 @@ def _system_rows(config, sys_idx, sys):
         return [("error_bound_cor", "system not mean-square stable")]
     ks = [frac * rep.k_max_estimate for frac in K_FRACTIONS]
     type2, mixed, type1 = _gramian_pairs(sys, ks, config.delta)
-    stages = [_type2_rows(config, sys_idx, sys, k_idx, k, pair)
-              for k_idx, (k, pair) in enumerate(zip(ks, type2))]
-    rows = [row for stage in stages for row in stage]
-    built = [(k, stage[0][1][1:3]) for k, stage in zip(ks, stages) if len(stage[0]) == 4]
+    rows, built = [], []
+    for k_idx, (k, pair) in enumerate(zip(ks, type2)):
+        bal = _balanced(sys, pair)
+        if isinstance(bal, Exception):
+            rows.append(("error_bound_cor", f"k={k:.4g}: {type(bal).__name__}: {bal}"))
+            continue
+        roms = [truncate(bal, r) for r in _campaign_orders(bal.hsv)]
+        stage = _type2_rows(config, [config.seed, sys_idx, k_idx], sys, pair, roms)
+        built.append((k, stage[0][1][1:3]))
+        rows += stage
     if built:
         k_ref, baseline = built[0]
         rows += _p2_rows(config, sys_idx, sys, k_ref, mixed) + _type1_rows(sys, baseline, type1)
     return rows
 
 
-def _system_cases(config, sys_idx, label, sys):
-    """The case entries of `sys`, the `sys_idx`-th system of the campaign,
-    numbered from 0.  They depend on the arguments alone, so the systems of a
-    campaign can run in any order and in any process.
-
-    One `simulate_groups` call integrates every row of `_system_rows`; the
-    cases are then logged in row order: a judge call per control of a row,
-    a skip per skip row."""
-    rows = _system_rows(config, sys_idx, sys)
+def _run_rows(config, rows, log):
+    """The cases of the table `rows`, logged into `log`: one
+    `simulate_groups` call integrates every group row, then the cases are
+    logged in row order, a judge call per control of a row and a skip per
+    skip row."""
     runs = iter(simulate_groups([row[:3] for row in rows if len(row) == 4],
                                 config.T, config.h))
-    log = _CaseLog(label, sys.n)
     for row in rows:
         if len(row) == 2:
             log.skip(*row)
@@ -590,6 +583,25 @@ def _system_cases(config, sys_idx, label, sys):
         for trajs in zip(*next(runs)):
             judge(log, *trajs)
     return log.cases
+
+
+def _system_cases(config, sys_idx, label, sys):
+    """The case entries of `sys`, the `sys_idx`-th system of the campaign,
+    numbered from 0.  They depend on the arguments alone, so the systems of a
+    campaign can run in any order and in any process."""
+    return _run_rows(config, _system_rows(config, sys_idx, sys), _CaseLog(label, sys.n))
+
+
+def reduction_cases(config, label, sys, pair, rom, P2):
+    """The case entries of one type-2 reduction `rom` of `sys` (named
+    `label`) from `pair`, as the campaign plans them for its first system at
+    `config.seed`: the type-2 stage at the pair's bound with `rom` as its one
+    reduction, then the Gronwall envelopes on P2, the P of the type-2 pair
+    at k = 0.  One executor runs them, as it runs a campaign system."""
+    tags = [config.seed, 0]
+    rows = (_type2_rows(config, tags + [0], sys, pair, [rom])
+            + _gronwall_rows(config, tags, sys, P2))
+    return _run_rows(config, rows, _CaseLog(label, sys.n))
 
 
 class CampaignWorkerError(RuntimeError):

@@ -1,14 +1,29 @@
 import json
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bilbt import BilinearSystem, load_system, save_system, type2_gramians
+from bilbt import (
+    BilinearSystem,
+    CampaignConfig,
+    benchmark_campaign,
+    load_system,
+    save_system,
+    square_root_balance,
+    stability_report,
+    type2_gramians,
+)
 from bilbt.cli import main
 from bilbt.kronecker import MAX_KRON_N
-from bilbt.verification import worked_2x2
+from bilbt.verification import (
+    K_FRACTIONS,
+    _campaign_orders,
+    build_campaign_systems,
+    worked_2x2,
+)
 
 from conftest import make_random_system, small_campaign_systems
 
@@ -272,10 +287,12 @@ def test_verify_command(sys_file, tmp_path):
 
 
 def test_verify_integrates_each_suite_once(sys_file, tmp_path, monkeypatch):
-    # one grouped call: the full model beside the ROM feeds the error-bound,
-    # reach and Gronwall checks, and the B = 0 model feeds observability
-    import bilbt.cli
+    # one grouped call, from the campaign's executor: the full model beside
+    # the ROM under the 7 controls of the type-2 stage feeds the error-bound
+    # and reach checks, the B = 0 model from 2 unit states under 2 controls
+    # feeds observability, and the full model under 2 spikes feeds Gronwall
     import bilbt.simulation
+    import bilbt.verification
     calls = []
     grouped = bilbt.simulation.simulate_groups
 
@@ -285,12 +302,60 @@ def test_verify_integrates_each_suite_once(sys_file, tmp_path, monkeypatch):
 
     # `simulate` goes through the module's own simulate_groups
     monkeypatch.setattr(bilbt.simulation, "simulate_groups", counting)
-    monkeypatch.setattr(bilbt.cli, "simulate_groups", counting)
+    monkeypatch.setattr(bilbt.verification, "simulate_groups", counting)
     code = main(["verify", "--input", str(sys_file), "--kind", "type2",
                  "--k", "0.8", "--order", "1", "--T", "2",
                  "--output", str(tmp_path / "verify.json")])
     assert code == 0
-    assert calls == [[(2, 5), (1, 3)]]
+    assert calls == [[(2, 7), (1, 4), (1, 2)]]
+
+
+def test_verify_exits_2_on_a_certified_hard_failure(sys_file, monkeypatch, capsys):
+    # a reachability Gramian 1e4 times too small makes the reach energy and
+    # error bounds fail far beyond their slack: a certified hard failure
+    import bilbt.cli
+    solve = bilbt.cli.type2_gramians
+
+    def shrunk(sys, k, **kw):
+        pair = solve(sys, k, **kw)
+        return replace(pair, P=1e-4 * pair.P) if k > 0.0 else pair
+
+    monkeypatch.setattr(bilbt.cli, "type2_gramians", shrunk)
+    code = main(["verify", "--input", str(sys_file), "--k", "0.8", "--order", "1",
+                 "--T", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["hard_failures"] >= 1
+    assert report["violations"] >= report["hard_failures"]
+
+
+CASE_KEY = ("check", "k", "r", "control")
+CASE_FLAGS = ("passed", "certified", "violation", "hard_failure")
+CASE_FLOATS = ("lhs", "rhs", "slack", "eps_q")
+
+
+@pytest.mark.parametrize("label", ["worked-2x2", "random-6-3"])
+def test_verify_is_the_campaigns_plan(label, tmp_path, capsys):
+    # verify at the campaign's first bound and first order judges the cases
+    # that a campaign of this one system judges there, from the same runs
+    sys = dict(build_campaign_systems(2026))[label]
+    config = CampaignConfig(seed=2026, T=0.5)
+    k = K_FRACTIONS[0] * stability_report(sys).k_max_estimate
+    r = _campaign_orders(square_root_balance(sys, type2_gramians(sys, k)).hsv)[0]
+    path = tmp_path / "sys.json"
+    save_system(sys, path)
+    assert main(["verify", "--input", str(path), "--k", repr(k), "--order", str(r),
+                 "--T", "0.5", "--seed", "2026"]) == 0
+    cases = json.loads(capsys.readouterr().out)["checks"]
+    keys = {tuple(case[key] for key in CASE_KEY) for case in cases}
+    campaign = [case for case in benchmark_campaign(config, [(label, sys)]).cases
+                if tuple(case[key] for key in CASE_KEY) in keys]
+    assert len(cases) == 20
+    assert ([[case[key] for key in CASE_KEY + CASE_FLAGS] for case in campaign]
+            == [[case[key] for key in CASE_KEY + CASE_FLAGS] for case in cases])
+    for ours, theirs in zip(cases, campaign):
+        for key in CASE_FLOATS:
+            assert ours[key] == pytest.approx(theirs[key], rel=1e-12, abs=0.0), key
 
 
 def test_verify_at_k0_exits_1_before_any_solve(sys_file, monkeypatch, capsys):

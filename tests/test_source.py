@@ -82,13 +82,30 @@ def test_bound_checks_integrate_nothing():
 
 
 def test_verification_integrates_in_one_function():
-    # the campaign plans every run of a system, integrates them in one call
-    # and then judges them; no stage helper integrates on its own
+    # the campaign and `verify` plan their runs as a table of rows that one
+    # executor integrates in one call and then judges; no stage helper
+    # integrates on its own
     verification = ast.parse((PACKAGE / "verification.py").read_text(encoding="utf-8"))
     callers = {node.name for node in ast.walk(verification)
                if isinstance(node, ast.FunctionDef)
                and INTEGRATORS & set(_called_names(node))}
-    assert callers == {"_system_cases"}
+    assert callers == {"_run_rows"}
+    executor_callers = {node.name for node in ast.walk(verification)
+                        if isinstance(node, ast.FunctionDef)
+                        and "_run_rows" in _called_names(node)}
+    assert executor_callers == {"_system_cases", "reduction_cases"}
+
+
+def test_cli_judges_and_groups_no_runs():
+    # `verify` judges a reduction through the campaign's plan and executor,
+    # so no command integrates a group of runs or calls a judge of its own;
+    # `simulate` still integrates its one run
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    found = [f"cli.py:{node.lineno}: {node.name} calls {name}"
+             for node in ast.walk(cli) if isinstance(node, ast.FunctionDef)
+             for name in _called_names(node)
+             if name == "simulate_groups" or str(name).startswith("check_")]
+    assert found == []
 
 
 def _owned_nodes(tree):
