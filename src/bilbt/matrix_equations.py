@@ -12,10 +12,13 @@ Two problem families are covered:
       A_s^T X + X A_s + sum_i N_i^T X N_i + X B B^T X <= -delta I,
   a linear matrix inequality in X through its Schur complement, solved for
   the smallest trace of the reachability-side Gramian P = X^-1 by a log-det
-  barrier method.  The problem carries the `LyapunovOperator` of (A_s, N),
-  whose solve starts the barrier.  Where that solve fails, its error is
-  raised as it is: no abscissa is computed here, and the caller diagnoses
-  the failure (`gramians` through `system.stability_report`).
+  barrier method.  Each Newton step forms the barrier's Hessian from one
+  (n w) x (n w) Gram matrix, w = 2 + len(N), in O(w^2 n^4) work (see
+  `_LogDetBarrier.derivatives`).  The problem carries the
+  `LyapunovOperator` of (A_s, N), whose solve starts the barrier.  Where
+  that solve fails, its error is raised as it is: no abscissa is computed
+  here, and the caller diagnoses the failure (`gramians` through
+  `system.stability_report`).
 
 Every solve is certified after the fact: residuals, the smallest eigenvalue
 of the solution, and (for the inequality) the slack matrix and the
@@ -24,8 +27,8 @@ coordinates: the operators above map symmetric matrices to symmetric
 matrices, so each solve has n(n+1)/2 unknowns instead of n^2, and no
 n^2 x n^2 array is formed.
 
-The solves call six compiled kernels: LAPACK's dgetrf, dgetrs, dpotrf,
-dpotrs and dtrtri and BLAS's dsyrk, the function objects of
+The solves call seven compiled kernels: LAPACK's dgetrf, dgetrs, dpotrf,
+dpotrs and dtrtri and BLAS's dsyr and dsymv, the function objects of
 `scipy.linalg.lapack` and `scipy.linalg.blas`.  They are taken from scipy's
 compiled wrapper modules directly (`_scipy_linalg_extension`), because
 importing `scipy.linalg` itself also imports numpy.f2py and numpy.testing and
@@ -71,17 +74,17 @@ def _scipy_linalg_extension(name):
 _lapack, _blas = _scipy_linalg_extension("_flapack"), _scipy_linalg_extension("_fblas")
 dgetrf, dgetrs, dpotrf, dpotrs, dtrtri = (
     _lapack.dgetrf, _lapack.dgetrs, _lapack.dpotrf, _lapack.dpotrs, _lapack.dtrtri)
-dsyrk = _blas.dsyrk
+dsyr, dsymv = _blas.dsyr, _blas.dsymv
 
 KRON_RESIDUAL_TOL = 1e-10
-# see `_barrier_solve`; a Newton step forms its products in 1 MB chunks
+# see `_barrier_solve`; a Newton step forms its products in 128 KB blocks
 BARRIER_GAP_REL = 1e-9
 BARRIER_T_STEP = 100.0
 BARRIER_CENTER_TOL = 0.1
 BARRIER_CENTER_MAX = 30
 BARRIER_STEP_MAX = 300
 BARRIER_X_CAP = 1e6
-BARRIER_CHUNK_ENTRIES = 1 << 17
+BARRIER_CHUNK_ENTRIES = 1 << 14
 SPD_COND_CAP = 1e14
 LMI_TOL = 1e-8
 
@@ -261,21 +264,58 @@ class _LogDetBarrier:
 
     def __init__(self, A_s, N_list, B, delta, cap):
         self.A_s, self.N_list, self.B, self.delta, self.cap = A_s, N_list, B, delta, cap
-        self.n, self.q = B.shape[0], sum(B.shape)
-        self.basis = sym_basis(self.n)
-        rows, cols = np.triu_indices(self.q)
-        # half_vec of the q x q blocks C_p (see `derivatives`), read from T
-        self.upper, self.diagonal = rows * self.q + cols, rows == cols
-        self.scale = 0.5 * self.basis.weights[:, None] * np.where(rows == cols, 1, np.sqrt(2))
-        # work arrays of every Newton step
-        d = self.basis.rows.size
-        self.chunk = min(d, max(1, BARRIER_CHUNK_ENTRIES // self.q ** 2))
-        self._T, self._C = np.empty((self.chunk, self.q, self.q)), np.empty((d, rows.size + 1))
-        self._H_b = np.zeros((d, d), order="F")
+        self.n, self.q, self.w = B.shape[0], sum(B.shape), 2 + len(N_list)
+        n, w = self.n, self.w
+        self.basis = basis = sym_basis(n)
+        # Pi swaps the first two of the w factors: column s t of Q (see
+        # `derivatives`) moves to Pi(s) Pi(t) in Pi G Pi, and Pi G's diagonal
+        # is at the columns Pi(s) s
+        swap = np.r_[1, 0, 2:w]
+        self.swap = (swap[:, None] * w + swap).ravel()
+        self.swap_diagonal = swap * w + np.arange(w)
+        self.diagonal = np.flatnonzero(basis.rows == basis.cols)
+        # H_b in the rows p, columns p' >= p of a C-ordered array, the lower
+        # triangle of its Fortran-ordered transpose; the Newton matrix is
+        # formed in a copy, so that `local_norm` reads H_b after the solve
+        d = basis.rows.size
+        self._H_b, self._newton = np.zeros((d, d)), np.empty((d, d))
+        # its rows in blocks (see `_block`) of a few a, or of one a and a few
+        # b where one a needs more than BARRIER_CHUNK_ENTRIES
+        spans, a0 = [], 0
+        while a0 < n:
+            m = n - a0
+            a1 = a0 + max(1, min(m, BARRIER_CHUNK_ENTRIES // (m * n * n)))
+            step = m if a1 - a0 > 1 else max(1, BARRIER_CHUNK_ENTRIES // (n * n))
+            spans += [(a0, a1, b0, min(n, b0 + step)) for b0 in range(a0, n, step)]
+            a0 = a1
+        size = max((a1 - a0) * (b1 - b0) for a0, a1, b0, b1 in spans) * n * n
+        self._R, self._T, self._W = np.empty(size), np.empty(size), np.empty(2 * size)
+        self.blocks = [self._block(*span) for span in spans]
         # F(X), assembled in place by `point`: its lower-right I is never
         # written, since dpotrf factors a copy
         self._F = np.eye(self.q)
         self._F_diagonal = self._F.reshape(-1)[:self.n * (self.q + 1):self.q + 1]
+
+    def _block(self, a0, a1, b0, b1):
+        """The views and indices that form the rows p = (a, b) of H_b with
+        a0 <= a < a1 and b0 <= b < b1 from one product, R[(a, .), (b, .)]^T
+        of at most BARRIER_CHUNK_ENTRIES entries (or one row a, b), read at
+        (d, c) and at (c, d) for column p' = (c, d).  Every entry of R comes
+        from a product of n columns and of at least n rows, whatever the
+        blocks: a product of one row or of fewer columns may sum in another
+        order, and H_b would then depend on BARRIER_CHUNK_ENTRIES."""
+        n, basis = self.n, self.basis
+        rows, cols = basis.rows, basis.cols
+        p = np.flatnonzero((rows >= a0) & (rows < a1) & (cols >= b0) & (cols < b1))
+        start = int(np.searchsorted(rows, a0))
+        c, d = rows[start:], cols[start:]
+        pairs = np.concatenate((d * n + c, c * n + d))
+        R = self._R[:(a1 - a0) * (b1 - b0) * n * n].reshape(a1 - a0, -1, n)
+        T = self._T[:p.size * n * n].reshape(p.size, -1)
+        W = self._W[:p.size * pairs.size].reshape(p.size, 2, -1)
+        return (b0 * n, b1 * n, a0, a1, R, R.reshape(-1, n * n),
+                (rows[p] - a0) * (b1 - b0) + cols[p] - b0, T, pairs, W.reshape(p.size, -1),
+                W[:, 0], W[:, 1], self._H_b[p[0]:p[-1] + 1, start:])
 
     def point(self, X):
         """The `_Point` at X, or None outside the barrier's domain."""
@@ -297,43 +337,62 @@ class _LogDetBarrier:
 
     def derivatives(self, pt):
         """(g_f, h_f, g_b, H_b): gradients and Hessians of trace(X^-1) (h_f the
-        nonzeros of H_f, at `basis.eye_pos` of H_f^T) and of the log terms
-        (H_b Fortran-ordered, upper triangle; the next call overwrites it)
-        in the coordinates z of Z, X = S Z S^T, at Z = I, which keeps the
+        nonzeros of H_f, at `basis.eye_pos`) and of the log terms (H_b in the
+        lower triangle of a Fortran-ordered array; the next call overwrites
+        it) in the coordinates z of Z, X = S Z S^T, at Z = I, which keeps the
         Newton system well conditioned where X is large.  trace(Z^-1 M),
-        M = S^-1 S^-T, has the Hessian H -> H M + M H.  With [U V] = L^-1 for
-        F = L L^T, -log det F has the Hessian tr(C_p C_q), C_p = L^-1 J(S E_p
-        S^T) L^-T = w_p / 2 [K_a K'_b] [K'_b K_a]^T for p = (a, b), where K_a
-        and K'_b hold column a or b of R S, U S, U N_i^T S in the orders
-        (R, U, N_i) and (U, R, N_i), and R = U A_s^T + V B^T.  C holds the
-        half_vec of each C_p and last the gradient of -log(cap - <S^T S, Z>),
-        so that H_b = C C^T."""
-        basis, n, S = self.basis, self.n, pt.S
+        M = S^-1 S^-T, has the Hessian H -> H M + M H.
+
+        -log det F has the Hessian tr(C_p C_p'), C_p = L^-1 J(S E_p S^T)
+        L^-T for F = L L^T.  With K_s = L^-1 M_s S for M_0 = [A_s^T; B^T],
+        M_1 = [I; 0] and M_{1+i} = [N_i^T; 0], K_x the q x w matrix of the
+        columns x of every K_s and Pi the swap of its first two columns,
+        C_p = w_p / 2 (K_a Pi K_b^T + K_b Pi K_a^T) for p = (a, b).  So every
+        entry comes from the w x w blocks G_xy = K_x^T K_y of one Gram
+        matrix: tr(C_p C_p') = w_p w_p' / 2 (R[(a,c),(b,d)] + R[(a,d),(b,c)])
+        for p' = (c, d), with R[(x,y),(z,u)] = <Pi G_xy Pi, G_zu> symmetric,
+        and tr C_p = w_p tr(Pi G_ab).  The rows p = (a, b) of H_b read
+        R[(a, .), (b, .)], the product of the n blocks G_bd and the n blocks
+        Pi G_ac Pi, flattened: O(w^2 n^4) work in all, in row blocks of at
+        most BARRIER_CHUNK_ENTRIES entries.  The cap's term
+        -log(cap - <S^T S, Z>) adds its gradient and that gradient's
+        rank-one square."""
+        basis, n, w, S = self.basis, self.n, self.w, pt.S
         M = pt.S_inv @ pt.S_inv.T
+        # first: its temporaries, the call's largest, then meet no others
+        h_f = eye_terms(M, basis)
         Linv = dtrtri(pt.LF, lower=1)[0]
-        US = Linv[:, :n] @ S
-        RS = (Linv[:, :n] @ self.A_s.T + Linv[:, n:] @ self.B.T) @ S
-        coupled = [Linv[:, :n] @ (Ni.T @ S) for Ni in self.N_list]
-        K = np.stack([RS, US] + coupled).transpose(2, 1, 0)
-        K_prime = np.stack([US, RS] + coupled).transpose(2, 1, 0)
-        C, C_half = self._C, self._C[:, :-1]
-        for p in range(0, len(C), self.chunk):
-            a, b = basis.rows[p:p + self.chunk], basis.cols[p:p + self.chunk]
-            K_a, K_b = K[a], K_prime[b]
-            left, right = np.concatenate((K_a, K_b), axis=2), np.concatenate((K_b, K_a), axis=2)
-            T = np.matmul(left, right.transpose(0, 2, 1),
-                          out=self._T[:len(a)]).reshape(len(a), -1)
-            np.take(T, self.upper, axis=1, out=C_half[p:p + self.chunk], mode="wrap")
-        C_half *= self.scale
-        C[:, -1] = half_vec(S.T @ S, basis) / (self.cap - np.trace(pt.X))
-        g_b = C_half[:, self.diagonal].sum(axis=1) + C[:, -1]
-        return (-half_vec(M, basis), eye_terms(M, basis), g_b,
-                dsyrk(1.0, C.T, trans=1, c=self._H_b, overwrite_c=1))
+        U = Linv[:, :n]
+        K = np.stack([(U @ self.A_s.T + Linv[:, n:] @ self.B.T) @ S, U @ S]
+                     + [U @ (Ni.T @ S) for Ni in self.N_list], axis=2).reshape(self.q, -1)
+        # Q's row (x, y) is G_xy, flattened; P's is Pi G_xy Pi
+        Q = (K.T @ K).reshape(n, w, n, w).transpose(0, 2, 1, 3).reshape(n * n, -1)
+        P, H = Q[:, self.swap].reshape(n, n, -1), self._H_b
+        for q0, q1, a0, a1, R, R_rows, rows, T, pairs, W, W_up, W_low, H_rows in self.blocks:
+            np.matmul(Q[q0:q1], P[a0:a1].transpose(0, 2, 1), out=R)
+            R_rows.take(rows, axis=0, out=T, mode="wrap")
+            T.take(pairs, axis=1, out=W, mode="wrap")
+            np.add(W_up, W_low, out=H_rows)
+        # w_p w_p' / 2: 1 / sqrt(2) on the rows and on the columns of the E_aa
+        H[self.diagonal] *= np.sqrt(0.5)
+        H[:, self.diagonal] *= np.sqrt(0.5)
+        cap = half_vec(S.T @ S, basis) / (self.cap - np.trace(pt.X))
+        dsyr(1.0, cap, lower=1, a=H.T, overwrite_a=1)
+        g_b = half_vec(Q[:, self.swap_diagonal].sum(axis=1).reshape(n, n), basis) + cap
+        return -half_vec(M, basis), h_f, g_b, H.T
+
+    def newton_matrix(self, t, h_f):
+        """t H_f + H_b of the last `derivatives` call, in the lower triangle
+        of a Fortran-ordered copy that the next call overwrites (H_f, which
+        is symmetric, added at its flat positions `basis.eye_pos`)."""
+        np.copyto(self._newton, self._H_b)
+        self._newton.reshape(-1)[self.basis.eye_pos] += t * h_f
+        return self._newton.T
 
     def local_norm(self, dz):
-        """||C^T dz||, the barrier's Hessian norm of dz at the point of the
-        last `derivatives` call: z + dz is in the Dikin ellipsoid if < 1."""
-        return float(np.linalg.norm(dz @ self._C))
+        """sqrt(dz^T H_b dz), the barrier's Hessian norm of dz at the point of
+        the last `derivatives` call: z + dz is in the Dikin ellipsoid if < 1."""
+        return float(np.sqrt(max(float(dz @ dsymv(1.0, self._H_b.T, dz, lower=1)), 0.0)))
 
 
 def _barrier_solve(A_s, N_list, B, BBt, delta, X0):
@@ -354,16 +413,14 @@ def _barrier_solve(A_s, N_list, B, BBt, delta, X0):
     q = barrier.q + 1
     t = q / pt.f
     best, steps, centering = (X0, np.inf), 0, 0
-    g_f, h_f, g_b, H_b = barrier.derivatives(pt)
+    g_f, h_f, g_b, _ = barrier.derivatives(pt)
     while steps < BARRIER_STEP_MAX and centering <= BARRIER_CENTER_MAX:
-        # t H_f + H_b in place: H_f^T's nonzeros sit at H_b's Fortran positions
-        H_b.reshape(-1, order="F")[barrier.basis.eye_pos] += t * h_f
-        c, info = dpotrf(H_b, overwrite_a=1)
+        c, info = dpotrf(barrier.newton_matrix(t, h_f), lower=1, overwrite_a=1)
         if info != 0:
             stop = "hessian"
             break
         g = t * g_f + g_b
-        dz = -dpotrs(c, g)[0]
+        dz = -dpotrs(c, g, lower=1)[0]
         decrement = -float(g @ dz)
         if decrement <= BARRIER_CENTER_TOL:
             gap = float(q + np.sqrt(q * decrement)) / t
@@ -375,7 +432,7 @@ def _barrier_solve(A_s, N_list, B, BBt, delta, X0):
             t_next = t * min(BARRIER_T_STEP, max(2.0, 1.1 * gap / (BARRIER_GAP_REL * pt.f)))
             # near its end the central path is about linear in 1/t: predict
             # its point at t_next along dx/d(1/t) = t^2 H^-1 grad trace(X^-1)
-            dz = -(1.0 - t / t_next) * t * dpotrs(c, g_f)[0]
+            dz = -(1.0 - t / t_next) * t * dpotrs(c, g_f, lower=1)[0]
             t, centering = t_next, 0
             slope = float((t * g_f + g_b) @ dz)
         else:
@@ -385,7 +442,7 @@ def _barrier_solve(A_s, N_list, B, BBt, delta, X0):
         if trial is None:
             break
         pt, steps = trial, steps + 1
-        g_f, h_f, g_b, H_b = barrier.derivatives(pt)
+        g_f, h_f, g_b, _ = barrier.derivatives(pt)
     else:
         stop = "steps" if steps >= BARRIER_STEP_MAX else "centering"
     return best[0], best[1], steps, stop
@@ -398,10 +455,10 @@ def _line_search(barrier, pt, dz, t, slope):
     (-slope >= 0.5) a full step is doubled once if that lowers the barrier
     further: trace(X^-1) is flatter than its model where X grows.
     (None, "rounding") where the domain test rejects a trial with
-    alpha ||C^T dz|| < 1: the log terms are self-concordant in z, so that
-    trial is in their Dikin ellipsoid, inside the domain (Boyd & Vandenberghe,
-    Convex Optimization, 9.6; F > 0 gives X > 0 since Y certified the pair),
-    and only rounding in F(X) can reject it."""
+    alpha sqrt(dz^T H_b dz) < 1: the log terms are self-concordant in z, so
+    that trial is in their Dikin ellipsoid, inside the domain (Boyd &
+    Vandenberghe, Convex Optimization, 9.6; F > 0 gives X > 0 since Y
+    certified the pair), and only rounding in F(X) can reject it."""
     dX = pt.S @ half_unvec(dz, barrier.basis) @ pt.S.T
     psi = t * pt.f - pt.logdet
     radius = None

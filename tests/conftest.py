@@ -117,22 +117,30 @@ def compact_report(report):
                    for line in [{**head, "columns": list(PINNED_COLUMNS)}] + rows)
 
 
-def report_differences(pinned, fresh, rel_tol, path="$"):
-    """Where `fresh` differs from `pinned`, both parsed JSON: floats by more
-    than `rel_tol` relative (a pinned 0 only by 0), everything else at all."""
+def report_moves(pinned, fresh, rel_tol, path="$"):
+    """(path, pinned value, fresh value) wherever `fresh` differs from
+    `pinned`, both parsed JSON: floats by more than `rel_tol` relative (a
+    pinned 0 only by 0), everything else at all; a list of another length
+    gives (path + " length", its two lengths)."""
     if isinstance(pinned, float) and isinstance(fresh, float):
         if abs(fresh - pinned) > rel_tol * abs(pinned):
-            yield f"{path}: {pinned!r} -> {fresh!r}"
+            yield path, pinned, fresh
     elif isinstance(pinned, dict) and isinstance(fresh, dict) and pinned.keys() == fresh.keys():
         for key in pinned:
-            yield from report_differences(pinned[key], fresh[key], rel_tol, f"{path}.{key}")
+            yield from report_moves(pinned[key], fresh[key], rel_tol, f"{path}.{key}")
     elif isinstance(pinned, list) and isinstance(fresh, list):
         if len(pinned) != len(fresh):
-            yield f"{path}: {len(pinned)} items -> {len(fresh)} items"
+            yield f"{path} length", len(pinned), len(fresh)
         for i, (a, b) in enumerate(zip(pinned, fresh)):
-            yield from report_differences(a, b, rel_tol, f"{path}[{i}]")
+            yield from report_moves(a, b, rel_tol, f"{path}[{i}]")
     elif type(pinned) is not type(fresh) or pinned != fresh:
-        yield f"{path}: {pinned!r} -> {fresh!r}"
+        yield path, pinned, fresh
+
+
+def report_differences(pinned, fresh, rel_tol):
+    """`report_moves` as lines "path: pinned -> fresh"."""
+    for path, old, new in report_moves(pinned, fresh, rel_tol):
+        yield f"{path}: {old!r} -> {new!r}"
 
 
 def solve_fixed_point(M, N, RHS, side):

@@ -17,9 +17,12 @@ numbers:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/data/make_campaign_fixture.py
 
 With `--check` the script writes nothing: it rebuilds the three pins in
-memory, prints the first fields in which each differs from its file, and
-exits 1 on any difference, so a change that is meant to leave the numbers
-alone can show that they are byte-identical:
+memory, prints the first fields in which each differs from its file, then
+every moved field (a case's column and system, or a path with its list
+indices starred) with the number of its moves and the largest relative
+move, and exits 1 on any difference.  So a change that is meant to leave
+the numbers alone can show that they are byte-identical, and one that
+moves them can list what moved:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/data/make_campaign_fixture.py --check
 
@@ -30,6 +33,7 @@ report), so the script refuses to run with one, also with `--check`.
 
 import argparse
 import json
+import re
 import sys
 from itertools import islice
 from pathlib import Path
@@ -44,6 +48,7 @@ from conftest import (  # noqa: E402
     reduce_corpus,
     reduce_results,
     report_differences,
+    report_moves,
     small_campaign_systems,
 )
 
@@ -71,6 +76,39 @@ def _parsed(path, text):
     return json.loads(text)
 
 
+def _field(pin, path):
+    """The field that `path` names in the parsed `pin`: for a case of a
+    campaign report its column and system, else the path with its list
+    indices starred."""
+    if isinstance(pin, list):  # compact report: a head line, then one list per case
+        case = re.fullmatch(r"\$\[(\d+)\]\[(\d+)\]", path)
+        if case:
+            columns = pin[0]["columns"]
+            row = pin[int(case[1])]
+            return f"{columns[int(case[2])]} @ {row[columns.index('system')]}"
+    elif "cases" in pin:
+        case = re.fullmatch(r"\$\.cases\[(\d+)\]\.(\w+)", path)
+        if case:
+            return f"{case[2]} @ {pin['cases'][int(case[1])]['system']}"
+    return re.sub(r"\[\d+\]", "[*]", path)
+
+
+def moved_fields(old, new):
+    """{field: (moves, largest relative move)} from the parsed pin `old` to
+    `new` (fields as `_field` names them); a move of a number from 0 is
+    infinite, and one of anything but a number is None."""
+    fields = {}
+    for path, a, b in report_moves(old, new, 0):
+        number = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+        rel = (abs(b - a) / abs(a) if a else float("inf")) if number else None
+        field = _field(old, path)
+        count, largest = fields.get(field, (0, rel))
+        if rel is not None and largest is not None:
+            largest = max(largest, rel)
+        fields[field] = count + 1, largest
+    return fields
+
+
 def check(path, text):
     """True if `text` is the bytes of the pin at `path`; else print where
     they differ and return False."""
@@ -79,9 +117,12 @@ def check(path, text):
         print(f"unchanged {path}")
         return True
     print(f"CHANGED {path}")
-    differences = report_differences(_parsed(path, old.decode("utf-8")), _parsed(path, text), 0)
-    for line in islice(differences, SHOWN_DIFFERENCES):
+    old, new = _parsed(path, old.decode("utf-8")), _parsed(path, text)
+    for line in islice(report_differences(old, new, 0), SHOWN_DIFFERENCES):
         print(f"  {line}")
+    print("  moved fields (moves, largest relative move):")
+    for field, (count, largest) in moved_fields(old, new).items():
+        print(f"    {field}: {count}, {'n/a' if largest is None else f'{largest:.2e}'}")
     return False
 
 

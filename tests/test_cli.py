@@ -181,6 +181,21 @@ def test_reduce_infeasible_k(sys_file):
     assert code == 1
 
 
+def test_reduce_at_the_largest_bound_names_a_bound_that_solves(sys_file, capsys):
+    # the worked example's k_max_estimate, 1.4002622670672016, is where the
+    # shifted operator turns singular: the type-2 solve fails there, and is
+    # diagnosed as infeasible with a bound that solves, not as a
+    # ConvergenceError of its Lyapunov solve
+    k_max = stability_report(worked_2x2()).k_max_estimate
+    reduce = ["reduce", "--input", str(sys_file), "--kind", "type2", "--order", "1"]
+    assert main(reduce + ["--k", repr(k_max)]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "RiccatiInfeasibleError"
+    bound = error["message"].split("largest solvable bound ~ ")[1].rstrip(")")
+    assert float(bound) < k_max
+    assert main(reduce + ["--k", bound]) == 0
+
+
 def test_reduce_requires_order_or_tol(sys_file):
     assert main(["reduce", "--input", str(sys_file), "--kind", "type2",
                  "--k", "1.0", "--quiet"]) == 1

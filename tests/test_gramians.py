@@ -1,8 +1,10 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
 from bilbt import (
@@ -100,11 +102,54 @@ def test_type2_infeasible_message_and_fields(scalar_sys):
             type2_gramians(sys, 2.0)
         assert str(exc_info.value) == (
             "control bound k=2.0 is infeasible: perturbed mean-square abscissa "
-            "2.250e+00 >= 0 (largest feasible bound ~ 1.32288)")
+            "2.250e+00 >= 0 (largest solvable bound ~ 1.32155)")
         assert exc_info.value.abscissa == pytest.approx(2.25, abs=1e-12)
         assert exc_info.value.k_max == stability_report(sys).k_max_estimate
     with pytest.raises(ValueError, match="nonnegative"):
         type2_gramians(scalar_sys, -1.0)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 3),
+       st.sampled_from([0.99, 0.999, 1.0 - 1e-6]))
+def test_type2_near_the_largest_bound_solves_or_is_infeasible(seed, n, m, fraction):
+    # near k_max the shifted operator is nearly singular: a solve returns a
+    # pair that passes the LMI check, or, within K_EDGE_REL of k_max only,
+    # raises RiccatiInfeasibleError; never another error
+    from bilbt import stability_report
+    from bilbt.gramians import K_EDGE_REL
+    from bilbt.matrix_equations import LMI_TOL
+
+    sys = make_random_system(seed, n=n, m=m)
+    k = fraction * stability_report(sys).k_max_estimate
+    try:
+        pair = type2_gramians(sys, k)
+    except RiccatiInfeasibleError:
+        assert k > (1.0 - K_EDGE_REL) * stability_report(sys).k_max_estimate
+    else:
+        assert pair.lmi_margin <= LMI_TOL
+
+
+def test_type2_at_the_largest_bound_names_a_bound_that_solves():
+    # at k_max_estimate the shifted operator is singular to rounding; where
+    # the solve fails the error is RiccatiInfeasibleError, and the bound its
+    # message names solves
+    from bilbt import stability_report
+    from bilbt.matrix_equations import LMI_TOL
+    from bilbt.verification import build_campaign_systems
+
+    infeasible = 0
+    for _, sys in build_campaign_systems(2026):
+        k_max = stability_report(sys).k_max_estimate
+        try:
+            pair = type2_gramians(sys, k_max)
+        except RiccatiInfeasibleError as exc:
+            infeasible += 1
+            assert exc.k_max == k_max
+            bound = re.search(r"largest solvable bound ~ ([0-9.e+-]+)\)", str(exc))[1]
+            pair = type2_gramians(sys, float(bound))
+        assert pair.lmi_margin is None or pair.lmi_margin <= LMI_TOL
+    assert infeasible > 0
 
 
 def test_one_mean_square_eigensolve_per_call(monkeypatch):

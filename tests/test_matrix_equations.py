@@ -280,8 +280,8 @@ def test_riccati_barrier_certifies_its_minimum(seed, n, m, fraction):
        st.sampled_from([0.0, 0.4, 0.8]), st.floats(0.0, 0.99))
 def test_barrier_dikin_ellipsoid_lies_in_its_domain(seed, n, m, fraction, radius):
     # the "rounding" stop rests on this: the log terms of the barrier are
-    # self-concordant in z, so a step of Hessian norm alpha ||C^T dz|| < 1
-    # from a barrier point stays in the domain; tried from the start c Y and
+    # self-concordant in z, so a step of Hessian norm alpha sqrt(dz^T H_b dz)
+    # < 1 from a barrier point stays in the domain; tried from the start c Y and
     # from the barrier's optimum, near the boundary, along random directions
     from bilbt import stability_report
     from bilbt.gramians import default_delta
@@ -325,3 +325,128 @@ def test_riccati_heat_rod_keeps_the_barrier_optimum():
     assert pair.diagnostics[0].stop == "rounding"
     assert np.trace(pair.P) <= 1.0
     assert check_lmi_feasibility(sys, k, pair.P).largest_eigenvalue <= 1e-8
+
+
+def _barrier_problem(seed, n, m, couplings, fraction):
+    """(barrier, start c Y, optimum X) of a random inequality with m inputs
+    and the first `couplings` N_i of a mean-square stable system (fewer
+    coupling terms keep the pair stable), at k = fraction k_max."""
+    from bilbt.gramians import default_delta
+    from bilbt.kronecker import ms_abscissa
+    from bilbt.matrix_equations import (BARRIER_X_CAP, _LogDetBarrier,
+                                        _scaled_lyapunov_feasible)
+    from bilbt.system import _k_max
+
+    sys = make_random_system(seed, n=n, m=max(m, couplings))
+    B, N = sys.B[:, :m], sys.N[:couplings]
+    k = fraction * _k_max(ms_abscissa(sys.A, N))
+    A_s = sys.A + 0.5 * k * k * np.eye(n)
+    operator = LyapunovOperator(A_s, N)
+    X, _, delta = solve_type2_riccati(RiccatiInequalityProblem(
+        operator, B=B, delta=default_delta(sys)))
+    Y, _ = operator.solve(-np.eye(n), "observability")
+    X0 = _scaled_lyapunov_feasible(Y, B @ B.T, delta)
+    return _LogDetBarrier(A_s, N, B, delta, BARRIER_X_CAP * float(np.trace(X0))), X0, X
+
+
+def _lower_solve(L, R):
+    """L^-1 R by forward substitution, in R's precision."""
+    X = R.copy()
+    for i in range(len(L)):
+        X[i] = (X[i] - L[i, :i] @ X[:i]) / L[i, i]
+    return X
+
+
+def _log_terms_factor(barrier, pt):
+    """The d x (q^2 + 1) factor C of the Hessian of the barrier's log terms at
+    pt, H_b = C C^T, from its definition: row p is C_p = L^-1 J(S E_p S^T)
+    L^-T (F = L L^T, J the linear part of F) flattened, then the gradient of
+    -log(cap - trace(S Z S^T)) in z_p.  Formed in extended precision: in
+    doubles this direct form loses up to 2e-11 relative at the optimum."""
+    from bilbt.kronecker import half_unvec, half_vec
+
+    wide = np.longdouble
+    A_s, B, L, S = (np.asarray(a, dtype=wide) for a in (barrier.A_s, barrier.B, pt.LF, pt.S))
+    N, (n, m) = [np.asarray(Ni, dtype=wide) for Ni in barrier.N_list], barrier.B.shape
+    rows = []
+    for e in np.eye(n * (n + 1) // 2):
+        W = S @ half_unvec(e, barrier.basis).astype(wide) @ S.T
+        top = A_s.T @ W + W @ A_s + sum((Ni.T @ W @ Ni for Ni in N), np.zeros((n, n), wide))
+        J = np.block([[top, W @ B], [B.T @ W, np.zeros((m, m), wide)]])
+        rows.append(_lower_solve(L, _lower_solve(L, J).T).ravel())
+    cap = half_vec(S.T @ S, barrier.basis) / (barrier.cap - np.trace(S @ S.T))
+    return np.column_stack([np.array(rows), cap])
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 3), st.integers(0, 3),
+       st.sampled_from([0.0, 0.4, 0.8]))
+def test_barrier_derivatives_match_their_definition(seed, n, m, couplings, fraction):
+    # H_b, g_b and the Hessian norm, formed from one Gram matrix, against
+    # the factor C built entry by entry from the barrier's definition, at
+    # the start c Y and at the barrier's optimum, and with a cap on trace(X)
+    # close enough that its term counts
+    from bilbt.matrix_equations import _LogDetBarrier
+
+    barrier, X0, X = _barrier_problem(seed, n, m, couplings, fraction)
+    capped = _LogDetBarrier(barrier.A_s, barrier.N_list, barrier.B, barrier.delta,
+                            2.0 * max(np.trace(X0), np.trace(X)))
+    q, rng = n + m, np.random.default_rng(seed)
+    for bar, start in ((barrier, X0), (barrier, X), (capped, X0), (capped, X)):
+        pt = bar.point(start)
+        _, _, g_b, H_b = bar.derivatives(pt)
+        C = _log_terms_factor(bar, pt)
+        H = (C @ C.T).astype(float)
+        g = (C[:, :-1].reshape(-1, q, q).trace(axis1=1, axis2=2) + C[:, -1]).astype(float)
+        # H_b is the lower triangle of what `derivatives` returns
+        assert np.abs(np.tril(H_b) - np.tril(H)).max() <= 1e-12 * np.abs(H).max()
+        assert np.abs(g_b - g).max() <= 1e-12 * np.abs(g).max()
+        for dz in rng.standard_normal((3, len(g))):
+            assert bar.local_norm(dz) == pytest.approx(float(np.sqrt((dz @ C) @ (dz @ C))),
+                                                       rel=1e-12)
+
+
+# tracemalloc peak of one `derivatives` call on the 40-node rod below when
+# H_b was C C^T, with C the d x (q(q+1)/2 + 1) factor (numpy 2.4)
+CCT_DERIVATIVES_PEAK_BYTES = 1_835_559
+
+
+def test_barrier_derivatives_memory_is_bounded():
+    import tracemalloc
+
+    from bilbt.matrix_equations import (BARRIER_X_CAP, _LogDetBarrier,
+                                        _scaled_lyapunov_feasible)
+
+    sys = heat_rod(40)
+    Y, _ = LyapunovOperator(sys.A, sys.N).solve(-np.eye(40), "observability")
+    X0 = _scaled_lyapunov_feasible(Y, sys.B @ sys.B.T, 1e-6)
+    barrier = _LogDetBarrier(sys.A, sys.N, sys.B, 1e-6, BARRIER_X_CAP * float(np.trace(X0)))
+    pt = barrier.point(X0)
+    barrier.derivatives(pt)
+    tracemalloc.start()
+    try:
+        barrier.derivatives(pt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CCT_DERIVATIVES_PEAK_BYTES
+
+
+@pytest.mark.parametrize("chunk", [1, 300, 2000, 5000])
+def test_barrier_hessian_has_the_same_bits_in_any_row_blocks(chunk, monkeypatch):
+    from bilbt import matrix_equations
+    from bilbt.matrix_equations import _LogDetBarrier
+
+    # each entry of R comes from a product of the same n columns, whatever
+    # the row blocks, so the one-block H_b is met bit for bit
+    barrier, X0, X = _barrier_problem(7, 12, 2, 2, 0.4)
+    pt = barrier.point(X)
+    hessians = []
+    for entries in (1 << 15, chunk):
+        monkeypatch.setattr(matrix_equations, "BARRIER_CHUNK_ENTRIES", entries)
+        blocked = _LogDetBarrier(barrier.A_s, barrier.N_list, barrier.B, barrier.delta,
+                                 barrier.cap)
+        hessians.append((len(blocked.blocks), np.tril(blocked.derivatives(pt)[3])))
+    (one, H_b), (several, H_blocked) = hessians
+    assert one == 1 < several
+    assert np.array_equal(H_blocked, H_b)

@@ -15,7 +15,7 @@ ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
 INTEGRATORS = {"simulate", "simulate_groups"}
 PACKAGE = Path(bilbt.__file__).parent
 KERNELS = (("lapack", "dgetrf"), ("lapack", "dgetrs"), ("lapack", "dpotrf"),
-           ("lapack", "dpotrs"), ("lapack", "dtrtri"), ("blas", "dsyrk"))
+           ("lapack", "dpotrs"), ("lapack", "dtrtri"), ("blas", "dsyr"), ("blas", "dsymv"))
 
 
 def _trees():
