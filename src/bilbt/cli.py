@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -150,7 +150,7 @@ def _cmd_gramians(config):
         "eigenvalues": {"P": _matrix(np.linalg.eigvalsh(pair.P)),
                         "Q": _matrix(np.linalg.eigvalsh(pair.Q))},
         "residuals": [d.residual_norm for d in pair.diagnostics],
-        "diagnostics": [d.to_dict() for d in pair.diagnostics],
+        "diagnostics": [asdict(d) for d in pair.diagnostics],
     }
     _emit(payload, config.output, config.quiet)
     return EXIT_OK
@@ -185,7 +185,7 @@ def _cmd_reduce(config):
         "bound_all": rom.bound_all, "bound_distinct": rom.bound_distinct,
         "distinct_tolerance": rom.distinct_tolerance,
         "lmi_margin": pair.lmi_margin,
-        "diagnostics": [d.to_dict() for d in pair.diagnostics],
+        "diagnostics": [asdict(d) for d in pair.diagnostics],
     }
     _emit(report, config.output and _report_path(config.output), config.quiet)
     return EXIT_OK

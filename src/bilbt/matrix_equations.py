@@ -27,8 +27,8 @@ coordinates: the operators above map symmetric matrices to symmetric
 matrices, so each solve has n(n+1)/2 unknowns instead of n^2, and no
 n^2 x n^2 array is formed.
 
-The solves call seven compiled kernels: LAPACK's dgetrf, dgetrs, dpotrf,
-dpotrs and dtrtri and BLAS's dsyr and dsymv, the function objects of
+The solves call six compiled kernels: LAPACK's dgetrf, dgetrs, dpotrf,
+dpotrs and dtrtri and BLAS's dsyr, the function objects of
 `scipy.linalg.lapack` and `scipy.linalg.blas`.  They are taken from scipy's
 compiled wrapper modules directly (`_scipy_linalg_extension`), because
 importing `scipy.linalg` itself also imports numpy.f2py and numpy.testing and
@@ -74,7 +74,7 @@ def _scipy_linalg_extension(name):
 _lapack, _blas = _scipy_linalg_extension("_flapack"), _scipy_linalg_extension("_fblas")
 dgetrf, dgetrs, dpotrf, dpotrs, dtrtri = (
     _lapack.dgetrf, _lapack.dgetrs, _lapack.dpotrf, _lapack.dpotrs, _lapack.dtrtri)
-dsyr, dsymv = _blas.dsyr, _blas.dsymv
+dsyr = _blas.dsyr
 
 KRON_RESIDUAL_TOL = 1e-10
 # see `_barrier_solve`; a Newton step forms its products in 128 KB blocks
@@ -133,16 +133,6 @@ class SolveDiagnostics:
     definiteness_margin: float  # smallest eigenvalue of the solution
     gap: float = 0.0  # the barrier's bound on trace(P) - min trace(P)
     stop: str = "direct"  # why the solve stopped; see `_barrier_solve`
-
-    def to_dict(self):
-        return {
-            "method": self.method,
-            "iterations": int(self.iterations),
-            "residual_norm": float(self.residual_norm),
-            "definiteness_margin": float(self.definiteness_margin),
-            "gap": float(self.gap),
-            "stop": self.stop,
-        }
 
 
 def _apply_lyapunov(M, N_list, X, side):
@@ -275,10 +265,9 @@ class _LogDetBarrier:
         self.swap_diagonal = swap * w + np.arange(w)
         self.diagonal = np.flatnonzero(basis.rows == basis.cols)
         # H_b in the rows p, columns p' >= p of a C-ordered array, the lower
-        # triangle of its Fortran-ordered transpose; the Newton matrix is
-        # formed in a copy, so that `local_norm` reads H_b after the solve
+        # triangle of its Fortran-ordered transpose
         d = basis.rows.size
-        self._H_b, self._newton = np.zeros((d, d)), np.empty((d, d))
+        self._H_b = np.zeros((d, d))
         # its rows in blocks (see `_block`) of a few a, or of one a and a few
         # b where one a needs more than BARRIER_CHUNK_ENTRIES
         spans, a0 = [], 0
@@ -338,8 +327,9 @@ class _LogDetBarrier:
     def derivatives(self, pt):
         """(g_f, h_f, g_b, H_b): gradients and Hessians of trace(X^-1) (h_f the
         nonzeros of H_f, at `basis.eye_pos`) and of the log terms (H_b in the
-        lower triangle of a Fortran-ordered array; the next call overwrites
-        it) in the coordinates z of Z, X = S Z S^T, at Z = I, which keeps the
+        lower triangle of a Fortran-ordered array, where `_barrier_solve`
+        forms and factors the Newton matrix; the next call overwrites it) in
+        the coordinates z of Z, X = S Z S^T, at Z = I, which keeps the
         Newton system well conditioned where X is large.  trace(Z^-1 M),
         M = S^-1 S^-T, has the Hessian H -> H M + M H.
 
@@ -381,19 +371,6 @@ class _LogDetBarrier:
         g_b = half_vec(Q[:, self.swap_diagonal].sum(axis=1).reshape(n, n), basis) + cap
         return -half_vec(M, basis), h_f, g_b, H.T
 
-    def newton_matrix(self, t, h_f):
-        """t H_f + H_b of the last `derivatives` call, in the lower triangle
-        of a Fortran-ordered copy that the next call overwrites (H_f, which
-        is symmetric, added at its flat positions `basis.eye_pos`)."""
-        np.copyto(self._newton, self._H_b)
-        self._newton.reshape(-1)[self.basis.eye_pos] += t * h_f
-        return self._newton.T
-
-    def local_norm(self, dz):
-        """sqrt(dz^T H_b dz), the barrier's Hessian norm of dz at the point of
-        the last `derivatives` call: z + dz is in the Dikin ellipsoid if < 1."""
-        return float(np.sqrt(max(float(dz @ dsymv(1.0, self._H_b.T, dz, lower=1)), 0.0)))
-
 
 def _barrier_solve(A_s, N_list, B, BBt, delta, X0):
     """Minimize trace(X^-1) subject to F(X) > 0 and trace(X) < BARRIER_X_CAP
@@ -413,9 +390,11 @@ def _barrier_solve(A_s, N_list, B, BBt, delta, X0):
     q = barrier.q + 1
     t = q / pt.f
     best, steps, centering = (X0, np.inf), 0, 0
-    g_f, h_f, g_b, _ = barrier.derivatives(pt)
+    g_f, h_f, g_b, H = barrier.derivatives(pt)
     while steps < BARRIER_STEP_MAX and centering <= BARRIER_CENTER_MAX:
-        c, info = dpotrf(barrier.newton_matrix(t, h_f), lower=1, overwrite_a=1)
+        # t H_f + H_b in place: H_f, which is symmetric, at its flat positions
+        H.reshape(-1, order="F")[barrier.basis.eye_pos] += t * h_f
+        c, info = dpotrf(H, lower=1, overwrite_a=1)
         if info != 0:
             stop = "hessian"
             break
@@ -432,40 +411,45 @@ def _barrier_solve(A_s, N_list, B, BBt, delta, X0):
             t_next = t * min(BARRIER_T_STEP, max(2.0, 1.1 * gap / (BARRIER_GAP_REL * pt.f)))
             # near its end the central path is about linear in 1/t: predict
             # its point at t_next along dx/d(1/t) = t^2 H^-1 grad trace(X^-1)
-            dz = -(1.0 - t / t_next) * t * dpotrs(c, g_f, lower=1)[0]
+            kappa = (1.0 - t / t_next) * t
+            dz = -kappa * dpotrs(c, g_f, lower=1)[0]
+            # its norm in this Newton matrix H: kappa^2 g_f^T H^-1 g_f
+            radius = np.sqrt(-kappa * float(g_f @ dz))
             t, centering = t_next, 0
             slope = float((t * g_f + g_b) @ dz)
         else:
             slope = -decrement
+            radius = np.sqrt(decrement)
             centering += 1
-        trial, stop = _line_search(barrier, pt, dz, t, slope)
+        trial, stop = _line_search(barrier, pt, dz, t, slope, radius)
         if trial is None:
             break
         pt, steps = trial, steps + 1
-        g_f, h_f, g_b, _ = barrier.derivatives(pt)
+        g_f, h_f, g_b, H = barrier.derivatives(pt)
     else:
         stop = "steps" if steps >= BARRIER_STEP_MAX else "centering"
     return best[0], best[1], steps, stop
 
 
-def _line_search(barrier, pt, dz, t, slope):
+def _line_search(barrier, pt, dz, t, slope, radius):
     """(X + alpha dX, None), dX = S dZ S^T, alpha halving from 1 until the
     barrier at t falls enough (Armijo; near the center, -slope < 0.1, until X
     is in the domain), else (None, "line_search").  Far from the center
     (-slope >= 0.5) a full step is doubled once if that lowers the barrier
     further: trace(X^-1) is flatter than its model where X grows.
     (None, "rounding") where the domain test rejects a trial with
-    alpha sqrt(dz^T H_b dz) < 1: the log terms are self-concordant in z, so
-    that trial is in their Dikin ellipsoid, inside the domain (Boyd &
+    alpha radius < 1, radius = sqrt(dz^T H dz) in the Newton matrix
+    H = t' H_f + H_b that gave dz (t' = t, or the t a predictor step
+    leaves).  H_f is positive definite, so that bounds
+    sqrt(dz^T H_b dz): the log terms are self-concordant in z, so the
+    trial is in their Dikin ellipsoid, inside the domain (Boyd &
     Vandenberghe, Convex Optimization, 9.6; F > 0 gives X > 0 since Y
     certified the pair), and only rounding in F(X) can reject it."""
     dX = pt.S @ half_unvec(dz, barrier.basis) @ pt.S.T
     psi = t * pt.f - pt.logdet
-    radius = None
     for alpha in 0.5 ** np.arange(40.0):
         trial = barrier.point(pt.X + alpha * dX)
         if trial is None:
-            radius = barrier.local_norm(dz) if radius is None else radius
             if alpha * radius < 1.0:
                 return None, "rounding"
         elif -slope < 0.1 or t * trial.f - trial.logdet <= psi + 0.01 * alpha * slope:

@@ -280,8 +280,8 @@ def test_riccati_barrier_certifies_its_minimum(seed, n, m, fraction):
        st.sampled_from([0.0, 0.4, 0.8]), st.floats(0.0, 0.99))
 def test_barrier_dikin_ellipsoid_lies_in_its_domain(seed, n, m, fraction, radius):
     # the "rounding" stop rests on this: the log terms of the barrier are
-    # self-concordant in z, so a step of Hessian norm alpha sqrt(dz^T H_b dz)
-    # < 1 from a barrier point stays in the domain; tried from the start c Y and
+    # self-concordant in z, so a step of Hessian norm sqrt(dz^T H_b dz) < 1
+    # from a barrier point stays in the domain; tried from the start c Y and
     # from the barrier's optimum, near the boundary, along random directions
     from bilbt import stability_report
     from bilbt.gramians import default_delta
@@ -301,9 +301,9 @@ def test_barrier_dikin_ellipsoid_lies_in_its_domain(seed, n, m, fraction, radius
     rng = np.random.default_rng(seed)
     for start in (X0, X):
         pt = barrier.point(start)
-        barrier.derivatives(pt)
+        H_b = _symmetric(barrier.derivatives(pt)[3])
         for dz in rng.standard_normal((4, n * (n + 1) // 2)):
-            dz *= radius / barrier.local_norm(dz)
+            dz *= radius / np.sqrt(dz @ H_b @ dz)
             assert barrier.point(pt.X + pt.S @ half_unvec(dz, barrier.basis) @ pt.S.T) \
                 is not None
 
@@ -325,6 +325,45 @@ def test_riccati_heat_rod_keeps_the_barrier_optimum():
     assert pair.diagnostics[0].stop == "rounding"
     assert np.trace(pair.P) <= 1.0
     assert check_lmi_feasibility(sys, k, pair.P).largest_eigenvalue <= 1e-8
+
+
+def _symmetric(lower):
+    """The symmetric matrix whose lower triangle is that of `lower`."""
+    return np.tril(lower) + np.tril(lower, -1).T
+
+
+@pytest.mark.parametrize("system", ["random-5-2", "heat-12"])
+def test_barrier_step_radius_is_its_newton_matrix_norm(system, monkeypatch):
+    # the "rounding" stop reads each step's radius, its norm in the Newton
+    # matrix t H_f + H_b that gave it: at the t it centers for a centering
+    # step, at the t it leaves for a predictor step; H_f is positive
+    # definite, so the radius bounds the log terms' Hessian norm.  Late on a
+    # rod dz^T H dz is 1e13 times smaller than |dz|^T |H| |dz|, which sets
+    # the rounding of both forms, so that is the scale of the tolerance
+    from bilbt import matrix_equations, stability_report, type2_gramians
+
+    sys = heat_rod(12) if system == "heat-12" else make_random_system(3, n=5, m=2)
+    steps, line_search = [], matrix_equations._line_search
+
+    def recording(barrier, pt, dz, t, slope, radius):
+        steps.append((barrier, pt, dz.copy(), t, radius))
+        return line_search(barrier, pt, dz, t, slope, radius)
+
+    monkeypatch.setattr(matrix_equations, "_line_search", recording)
+    type2_gramians(sys, 0.5 * stability_report(sys).k_max_estimate)
+    barrier, start = steps[0][:2]
+    d = barrier.basis.rows.size
+    t_newton, kinds = (barrier.q + 1) / start.f, set()
+    for _, pt, dz, t, radius in steps:
+        _, h_f, _, H_b = barrier.derivatives(pt)
+        H_b, H_f = _symmetric(H_b), np.zeros(d * d)
+        H_f[barrier.basis.eye_pos] = h_f
+        H = t_newton * H_f.reshape(d, d) + H_b
+        assert abs(radius ** 2 - dz @ H @ dz) <= 1e-12 * (abs(dz) @ abs(H) @ abs(dz))
+        assert radius >= np.sqrt(dz @ H_b @ dz)
+        kinds.add("predictor" if t > t_newton else "centering")
+        t_newton = t
+    assert kinds == {"centering", "predictor"}
 
 
 def _barrier_problem(seed, n, m, couplings, fraction):
@@ -382,16 +421,16 @@ def _log_terms_factor(barrier, pt):
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 3), st.integers(0, 3),
        st.sampled_from([0.0, 0.4, 0.8]))
 def test_barrier_derivatives_match_their_definition(seed, n, m, couplings, fraction):
-    # H_b, g_b and the Hessian norm, formed from one Gram matrix, against
-    # the factor C built entry by entry from the barrier's definition, at
-    # the start c Y and at the barrier's optimum, and with a cap on trace(X)
-    # close enough that its term counts
+    # H_b and g_b, formed from one Gram matrix, against the factor C built
+    # entry by entry from the barrier's definition, at the start c Y and at
+    # the barrier's optimum, and with a cap on trace(X) close enough that its
+    # term counts
     from bilbt.matrix_equations import _LogDetBarrier
 
     barrier, X0, X = _barrier_problem(seed, n, m, couplings, fraction)
     capped = _LogDetBarrier(barrier.A_s, barrier.N_list, barrier.B, barrier.delta,
                             2.0 * max(np.trace(X0), np.trace(X)))
-    q, rng = n + m, np.random.default_rng(seed)
+    q = n + m
     for bar, start in ((barrier, X0), (barrier, X), (capped, X0), (capped, X)):
         pt = bar.point(start)
         _, _, g_b, H_b = bar.derivatives(pt)
@@ -401,9 +440,6 @@ def test_barrier_derivatives_match_their_definition(seed, n, m, couplings, fract
         # H_b is the lower triangle of what `derivatives` returns
         assert np.abs(np.tril(H_b) - np.tril(H)).max() <= 1e-12 * np.abs(H).max()
         assert np.abs(g_b - g).max() <= 1e-12 * np.abs(g).max()
-        for dz in rng.standard_normal((3, len(g))):
-            assert bar.local_norm(dz) == pytest.approx(float(np.sqrt((dz @ C) @ (dz @ C))),
-                                                       rel=1e-12)
 
 
 # tracemalloc peak of one `derivatives` call on the 40-node rod below when
@@ -430,6 +466,46 @@ def test_barrier_derivatives_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= CCT_DERIVATIVES_PEAK_BYTES
+
+
+def test_type2_solve_memory_is_bounded():
+    # four d x d arrays of doubles, d = n(n+1)/2: the shifted operator, its
+    # LU factors and the barrier's one Hessian are three of them
+    import tracemalloc
+
+    from bilbt import stability_report, type2_gramians
+
+    sys = heat_rod(40)
+    k = 0.5 * stability_report(sys).k_max_estimate
+    tracemalloc.start()
+    try:
+        type2_gramians(sys, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * (40 * 41 // 2) ** 2
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_barrier_holds_one_hessian_array(n):
+    # the Newton matrix is formed and factored in H_b itself: of the arrays
+    # a barrier holds (its work buffers, their views in `blocks`), one has
+    # d^2 entries or more
+    from bilbt.matrix_equations import _LogDetBarrier
+
+    sys = heat_rod(n)
+    barrier = _LogDetBarrier(sys.A, sys.N, sys.B, 1e-6, 1e6)
+    found, arrays = {}, list(vars(barrier).values())
+    while arrays:
+        a = arrays.pop()
+        if isinstance(a, (list, tuple)):
+            arrays.extend(a)
+        elif isinstance(a, np.ndarray):
+            while a.base is not None:
+                a = a.base
+            found[id(a)] = a.size
+    d = n * (n + 1) // 2
+    assert sum(size >= d * d for size in found.values()) == 1
 
 
 @pytest.mark.parametrize("chunk", [1, 300, 2000, 5000])

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +15,10 @@ from bilbt import matrix_equations
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
 INTEGRATORS = {"simulate", "simulate_groups"}
 PACKAGE = Path(bilbt.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 KERNELS = (("lapack", "dgetrf"), ("lapack", "dgetrs"), ("lapack", "dpotrf"),
-           ("lapack", "dpotrs"), ("lapack", "dtrtri"), ("blas", "dsyr"), ("blas", "dsymv"))
+           ("lapack", "dpotrs"), ("lapack", "dtrtri"), ("blas", "dsyr"))
+COUNTS = ("one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten")
 
 
 def _trees():
@@ -348,6 +351,25 @@ def test_kernels_are_scipy_linalg_functions(first):
         "      + [me._lapack is scipy.linalg.lapack._flapack,\n"
         "         me._blas is scipy.linalg.blas._fblas])")
     assert same.strip() == str([True] * (len(KERNELS) + 2))
+
+
+def _named_kernels(text):
+    """The (library, kernel) pairs that the sentence "... <count> compiled
+    kernels: LAPACK's ... and BLAS's ...[,.]" of `text` names, and its count."""
+    found = re.search(r"(\w+) compiled kernels: LAPACK's (.*?) and BLAS's (.*?)[,.]",
+                      " ".join(text.split()))
+    assert found, "no kernel sentence"
+    count, lapack, blas = found.groups()
+    return ([("lapack", name) for name in re.findall(r"\bd\w+", lapack)]
+            + [("blas", name) for name in re.findall(r"\bd\w+", blas)]), count
+
+
+@pytest.mark.parametrize("text", [README.read_text(encoding="utf-8"), matrix_equations.__doc__],
+                         ids=["README", "matrix_equations"])
+def test_docs_name_the_kernels(text):
+    # the README and the module docstring list the kernels the solves call
+    named, count = _named_kernels(text)
+    assert (named, count) == (list(KERNELS), COUNTS[len(KERNELS) - 1])
 
 
 def test_missing_scipy_wrapper_raises_import_error():
